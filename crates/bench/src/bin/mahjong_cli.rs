@@ -9,9 +9,9 @@
 //! The shared options (`--threads`, `--metrics-json`, `--trace`,
 //! `--bench-json`/`--force`, `--heartbeat`) are parsed by
 //! [`bench::cli::CommonOpts`] — the same parser and `--help` section
-//! `repro` uses. `--threads` shards both pipeline stages: the
-//! pre-analysis solver's parallel wave propagation and Mahjong's
-//! automaton construction (results are bit-identical for any count).
+//! `repro` uses. `--threads` sizes Mahjong's automaton construction
+//! (results are bit-identical for any count); the pre-analysis solver
+//! is sequential and ignores it.
 //! `--paranoid` re-verifies every signature-directed merge with
 //! Hopcroft–Karp (the runs appear in the `mahjong.hk_runs` counter,
 //! which is 0 on the default fast path). Set `OBS_DISABLE=1` to turn
@@ -83,8 +83,7 @@ fn main() {
 
     // The pre-analysis is a plain context-insensitive run; `--budget`
     // routes through the same `AnalysisConfig` builder every other
-    // entry point uses, and `--threads` shards its wave propagation
-    // exactly like the merge phase (results stay bit-identical).
+    // entry point uses (its `.threads` is accepted and ignored).
     let mut pre_cfg = AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
         .threads(config.threads);
     if let Some(secs) = budget_secs {

@@ -14,9 +14,9 @@
 //! repro --exp all
 //! ```
 //!
-//! `--threads` sets the solver's wave-propagation shard count (`0`,
-//! the default, means one shard per available hardware thread; every
-//! count produces bit-identical results). `--metrics-json` dumps the
+//! `--threads` sets Mahjong's merge-phase and the serve bench's worker
+//! count (`0`, the default, means one per available hardware thread);
+//! the solver is sequential and ignores it. `--metrics-json` dumps the
 //! telemetry registry as JSON-Lines and `--trace` writes a Chrome
 //! `trace_event` file (load it in `about:tracing` or Perfetto). The
 //! benchmark record lands at `--bench-json PATH` when given, otherwise
@@ -111,7 +111,7 @@ struct Args {
     exp: String,
     scale: usize,
     budget: u64,
-    /// Solver shard count, already resolved (`--threads 0` = auto).
+    /// Worker count, already resolved (`--threads 0` = auto).
     threads: usize,
     programs: Vec<String>,
     profile: bool,

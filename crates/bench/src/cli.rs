@@ -28,9 +28,10 @@ use std::time::Duration;
 /// [`CommonOpts::try_parse`] and rendered by [`CommonOpts::HELP`].
 #[derive(Clone, Debug, Default)]
 pub struct CommonOpts {
-    /// Solver/merge shard count as given (`None` = flag absent, the
-    /// binary's default applies; `Some(0)` = one shard per available
-    /// hardware thread; resolve with [`CommonOpts::resolve_threads`]).
+    /// Worker count as given (`None` = flag absent, the binary's
+    /// default applies; `Some(0)` = one per available hardware thread;
+    /// resolve with [`CommonOpts::resolve_threads`]). Drives Mahjong's
+    /// merge phase and the serve bench; the solver ignores it.
     pub threads: Option<usize>,
     /// `--metrics-json PATH`: dump the telemetry registry as
     /// JSON-Lines on exit.
@@ -52,8 +53,8 @@ impl CommonOpts {
     /// by every binary so the documentation cannot drift either.
     pub const HELP: &'static str = "\
 shared options:
-  --threads N          solver/merge shard count (0 = one per hardware
-                       thread; every count is bit-identical)
+  --threads N          Mahjong merge / serve worker count (0 = one per
+                       hardware thread); the solver is sequential
   --metrics-json PATH  dump the telemetry registry as JSON-Lines
   --trace PATH         write a Chrome trace_event file (about:tracing)
   --bench-json PATH    write the benchmark record here (default:
@@ -104,7 +105,7 @@ shared options:
         Ok(true)
     }
 
-    /// Resolves the flag to a shard count, with `default` applying
+    /// Resolves the flag to a worker count, with `default` applying
     /// when `--threads` was not given at all. `--threads 0` (and a
     /// `default` of 0) mean one shard per available hardware thread.
     pub fn resolve_threads(&self, default: usize) -> usize {
@@ -258,7 +259,8 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
          \"worklist_pops\": {},\n  \"propagated_objects\": {},\n  \"delta_objects\": {},\n  \
          \"copy_edges\": {},\n  \"pts_peak_words\": {},\n  \
          \"pts_interned\": {},\n  \"pts_dedup_hits\": {},\n  \"intern_probe_ns\": {},\n  \
-         \"scc_collapsed_ptrs\": {},\n  \"collapse_sweeps\": {},\n  \"wave_rounds\": {},\n  \
+         \"scc_collapsed_ptrs\": {},\n  \"collapse_sweeps\": {},\n  \"order_search_edges\": {},\n  \
+         \"wave_rounds\": {},\n  \
          \"par_shards\": {},\n  \"par_steal_none\": {},\n  \"wave_barrier_ns\": {},\n  \
          \"par_merge_shards\": {},\n  \"mask_ranges\": {},\n  \"range_union_hits\": {}\n}}\n",
         h.exp,
@@ -279,6 +281,7 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
         obs::counter("pta.intern_probe_ns").get(),
         obs::counter("pta.scc_collapsed_ptrs").get(),
         obs::counter("pta.collapse_sweeps").get(),
+        obs::counter("pta.order_search_edges").get(),
         obs::counter("pta.wave_rounds").get(),
         obs::counter("pta.par_shards").get(),
         obs::counter("pta.par_steal_none").get(),

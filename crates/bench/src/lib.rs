@@ -121,9 +121,9 @@ impl RunOutcome {
     }
 }
 
-/// Runs one `(sensitivity, heap)` configuration under a budget with
-/// `threads` wave-propagation shards (see [`AnalysisConfig::threads`];
-/// `1` = sequential, `0` = one shard per hardware thread).
+/// Runs one `(sensitivity, heap)` configuration under a budget.
+/// `threads` is forwarded to [`AnalysisConfig::threads`], which the
+/// sequential solver ignores.
 pub fn run_configuration(
     program: &Program,
     sensitivity: Sensitivity,
@@ -320,8 +320,9 @@ pub struct Table2Row {
     pub speedup: Option<f64>,
 }
 
-/// Runs the Table 2 matrix for one program with `threads` solver
-/// shards (both the pre-analysis CI pass and every main analysis).
+/// Runs the Table 2 matrix for one program with `threads` Mahjong
+/// merge-phase workers (the count is also forwarded to every solver
+/// run, which ignores it).
 pub fn table2_program(
     name: &str,
     scale: usize,
@@ -462,7 +463,8 @@ pub struct MotivationResult {
     pub m_obj3: RunOutcome,
 }
 
-/// Runs the motivation experiment with `threads` solver shards.
+/// Runs the motivation experiment (`threads` is forwarded to the
+/// solver runs, which ignore it).
 pub fn motivation(scale: usize, budget: Budget, threads: usize) -> (Prepared, MotivationResult) {
     let prepared = prepare("pmd", scale, &MahjongConfig::default());
     let mom = &prepared.mahjong.mom;

@@ -265,6 +265,7 @@ mod tests {
 
     #[test]
     fn summary_lists_all_instrument_kinds() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let r = Registry::new();
         r.counter("c.one").add(5);
@@ -279,6 +280,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_and_name_needs_escaping() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let r = Registry::new();
         r.counter("weird \"name\"\n").add(1);

@@ -160,6 +160,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_recordings() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let h = Histogram::default();
         for v in [0, 1, 1, 7, 100] {
@@ -179,6 +180,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_bucket_accurate() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let h = Histogram::default();
         for v in 1..=1000u64 {

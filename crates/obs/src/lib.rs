@@ -92,6 +92,14 @@ pub fn set_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
 }
 
+/// Serializes the unit tests that flip or depend on the process-global
+/// recording flag; they share one test binary and run concurrently.
+#[cfg(test)]
+pub(crate) fn lock_enabled() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Returns the process-global registry.
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
@@ -171,6 +179,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
+        let _enabled = crate::lock_enabled();
         let c = super::counter("test.lib.counter");
         super::set_enabled(true);
         let before = c.get();
@@ -181,6 +190,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _enabled = crate::lock_enabled();
         let r = super::Registry::new();
         // Instance registries honour the global flag; flip it briefly.
         let c = r.counter("test.disabled.counter");
@@ -195,6 +205,7 @@ mod tests {
 
     #[test]
     fn gauge_is_last_write_wins() {
+        let _enabled = crate::lock_enabled();
         super::set_enabled(true);
         let g = super::gauge("test.lib.gauge");
         g.set(3);
@@ -204,6 +215,7 @@ mod tests {
 
     #[test]
     fn exports_are_valid_json() {
+        let _enabled = crate::lock_enabled();
         super::set_enabled(true);
         super::counter("test.export.counter").inc();
         {

@@ -110,6 +110,7 @@ impl Drop for Span {
 mod tests {
     #[test]
     fn spans_nest_and_record_depth() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let outer = crate::span("test.span.outer");
         let outer_depth = outer.depth();
@@ -130,6 +131,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_leave_no_trace_and_no_depth() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(false);
         let before = crate::registry().spans().len();
         {

@@ -5,9 +5,10 @@
 //! footprint. This module answers *where*: which topological levels,
 //! shards, and pointer populations the fixpoint spends its time and
 //! memory on. The solver pushes one [`WaveRecord`] per level batch
-//! (small batches coalesce, see below), one [`ShardSpan`] per parallel
-//! propagate shard, at most one retained [`MemoryBreakdown`] (the
-//! peak run's), and one retained top-K [`HotPointer`] table.
+//! (small batches coalesce, see below), at most one retained
+//! [`MemoryBreakdown`] (the peak run's), and one retained top-K
+//! [`HotPointer`] table. [`ShardSpan`]s are recorded by whoever
+//! pushes them; the current solver is sequential and pushes none.
 //!
 //! # Ring-buffer semantics
 //!
@@ -22,12 +23,14 @@
 //!
 //! # Level sentinels
 //!
-//! `WaveRecord::level` is a topological level of the condensed copy
-//! graph, or one of four sentinels for work that has no single level:
+//! `WaveRecord::level` is a position in the solver's topological order
+//! of the condensed copy graph (the label gap its pointers sit in), or
+//! one of four sentinels for work that has no single level:
 //! [`LEVEL_SEED`] (statement processing / call-graph discovery),
 //! [`LEVEL_MIXED`] (coalesced small batches), [`LEVEL_OVERHEAD`]
 //! (cycle collapse, wave scheduling, solver init/finalize), and
-//! [`LEVEL_UNRANKED`] (pointers interned after the last SCC sweep).
+//! [`LEVEL_UNRANKED`] (reserved: pointers without a topological
+//! position; the current solver clamps real levels below it).
 //! The JSON export maps them to `-1`, `-2`, `-3`, and `-4`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,9 +51,10 @@ pub const LEVEL_MIXED: u32 = u32::MAX - 1;
 /// wave heap construction, init and finalize. Exported as `-3`.
 pub const LEVEL_OVERHEAD: u32 = u32::MAX - 2;
 
-/// `WaveRecord::level` sentinel: pointers interned after the last SCC
-/// sweep, which have no topological rank yet and are processed after
-/// every ranked level. Exported to JSON as `-4`.
+/// `WaveRecord::level` sentinel, reserved for pointers without a
+/// topological position (solvers that ranked pointers only at periodic
+/// sweeps emitted it for pointers interned since the last one). Real
+/// levels are clamped below it. Exported to JSON as `-4`.
 pub const LEVEL_UNRANKED: u32 = u32::MAX - 3;
 
 /// Chrome-trace `tid` base for parallel propagate shards: shard `k`
@@ -73,7 +77,7 @@ pub struct WaveRecord {
     pub run: u32,
     /// 1-based wave number within the run.
     pub wave: u32,
-    /// Topological level of the batch, or a `LEVEL_*` sentinel.
+    /// Topological position of the batch, or a `LEVEL_*` sentinel.
     pub level: u32,
     /// Worklist pops consumed (= representatives resolved; one
     /// coalesced delta per representative).
@@ -453,6 +457,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_drops() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let t = Timeline::new(4, 4);
         for w in 0..10 {
@@ -469,6 +474,7 @@ mod tests {
 
     #[test]
     fn disabled_timeline_is_inert() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(false);
         let t = Timeline::new(4, 4);
         t.record_wave(rec(1));
@@ -485,6 +491,7 @@ mod tests {
 
     #[test]
     fn memory_retains_largest_rep_words() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let t = Timeline::new(4, 4);
         assert!(t.offer_memory(MemoryBreakdown { run: 1, rep_words: 100, ..Default::default() }));
@@ -506,6 +513,7 @@ mod tests {
 
     #[test]
     fn export_json_parses_and_maps_sentinels() {
+        let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
         let t = Timeline::new(8, 8);
         t.record_wave(WaveRecord { run: 1, wave: 1, level: LEVEL_SEED, ..Default::default() });

@@ -57,6 +57,7 @@ mod heap;
 pub mod naive;
 pub mod numbering;
 mod object;
+mod order;
 mod result;
 pub mod snapshot;
 mod solver;

@@ -77,26 +77,24 @@ pub struct AnalysisStats {
     /// Pointers merged away by online cycle collapse (each collapsed
     /// SCC of `k` members contributes `k - 1`).
     pub scc_collapsed_ptrs: u64,
-    /// Full Tarjan SCC sweeps run over the condensed copy graph.
+    /// Full renumbers of the incremental topological order, forced when
+    /// a repair found its label gap exhausted. (The field kept its name
+    /// from the full Tarjan sweeps it used to count, because result
+    /// snapshots serialize it.)
     pub collapse_sweeps: u64,
     /// Topologically ordered propagation waves executed.
     pub wave_rounds: u64,
     /// Elementary union-find operations spent maintaining the collapse
     /// partition (see [`dsu::DisjointSets::ops`]).
     pub dsu_ops: u64,
-    /// Parallel wave shards executed (counted only when a level batch
-    /// actually fanned out to `> 1` shard; zero for sequential runs).
+    /// Always 0: counted the shards of the retired level-parallel wave
+    /// driver, and stays because result snapshots serialize it.
     pub par_shards: u64,
-    /// Spawned shard workers that found the batch cursor already
-    /// exhausted before claiming a single chunk — a high ratio against
-    /// `par_shards` means levels are too small for the fan-out.
+    /// Always 0 (see `par_shards`).
     pub par_steal_none: u64,
-    /// Nanoseconds the coordinating thread spent waiting at level
-    /// barriers for shard workers to finish.
+    /// Always 0 (see `par_shards`).
     pub wave_barrier_ns: u64,
-    /// Partition workers spawned by the parallel merge phase (counted
-    /// only when a level's merge actually fanned out; zero for
-    /// sequential runs).
+    /// Always 0 (see `par_shards`).
     pub par_merge_shards: u64,
     /// Total `[lo, hi)` runs across all compiled cast range tables at
     /// the end of the run — the whole footprint of cast filtering
@@ -106,6 +104,11 @@ pub struct AnalysisStats {
     /// Filtered (cast-edge) propagation steps answered by a range
     /// table instead of a materialized mask set.
     pub range_union_hits: u64,
+    /// Copy-graph edges scanned while repairing the incremental
+    /// topological order (both search directions plus cycle
+    /// extraction). Not part of the snapshot format: restored results
+    /// read 0.
+    pub order_search_edges: u64,
 }
 
 impl AnalysisStats {
@@ -137,6 +140,7 @@ impl AnalysisStats {
         obs::counter("pta.intern_probe_ns").add(self.intern_probe_ns);
         obs::counter("pta.mask_ranges").add(self.mask_ranges);
         obs::counter("pta.range_union_hits").add(self.range_union_hits);
+        obs::counter("pta.order_search_edges").add(self.order_search_edges);
         let peak = obs::gauge("pta.pts_peak_words");
         if self.pts_peak_words as i64 > peak.get() {
             peak.set(self.pts_peak_words as i64);

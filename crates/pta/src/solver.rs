@@ -17,76 +17,50 @@
 //! hop. Type-filtered (cast) edges intersect against a per-type object
 //! mask with a word-wise AND instead of a per-object subtype walk.
 //!
-//! # Online cycle elimination
+//! # One wave driver over an incremental topological order
+//!
+//! Dirty pointers are processed in *waves*: the worklist is drained
+//! into a priority queue keyed by each representative's label in an
+//! incrementally maintained topological order of the condensed copy
+//! graph (unfiltered edges between representatives; sources first),
+//! so a delta crosses the acyclic core once per wave instead of
+//! re-enqueueing downstream pointers over and over. A pointer dirtied
+//! at or downstream of the wave's cursor joins the running wave; one
+//! dirtied upstream waits for the next wave. `pta.wave_rounds` counts
+//! the waves.
+//!
+//! The order lives in [`crate::order`]. A fresh pointer takes the next
+//! label; a copy edge that arrives against the order is queued, and the
+//! driver repairs the queue *between* pops — never while a consumer row
+//! is being iterated — by a bidirectional search that moves only the
+//! side that finished first. A repair that finds the new edge closing a
+//! copy cycle hands the cycle back for collapse. So the order is exact
+//! at every pop, every copy cycle is collapsed as soon as it closes,
+//! and no pass ever walks the whole graph (bar the rare renumber of an
+//! exhausted label gap, counted in `pta.collapse_sweeps`). Queue
+//! entries whose label moved are re-queued under the new label when
+//! popped.
+//!
+//! There is exactly one driver: [`AnalysisConfig::threads`] is
+//! accepted and ignored, so every thread count runs the same solver
+//! trace (enforced by `tests/thread_parity.rs`).
+//!
+//! # Cycle collapse
 //!
 //! Copy-edge cycles (mutually recursive parameter passing, `x = y; y =
 //! x` chains) force every member pointer to converge to the same
 //! points-to set — one delta hop per worklist pop, around and around.
-//! The solver collapses such cycles while the fixpoint runs:
-//!
-//! - **Lazy Cycle Detection** (Hardekopf & Lin): when a popped delta
-//!   crosses an unfiltered copy edge `x → y` without growing `y` and
-//!   both endpoint sets have the same size, the edge is suspected to
-//!   lie on a cycle. A bounded DFS looks for a return path `y ⇝ x`;
-//!   if one exists, the cycle it closes is collapsed. Each edge is
-//!   checked at most once.
-//! - **Periodic SCC sweeps**: once enough copy edges accumulate since
-//!   the last sweep (a counter heuristic), an iterative Tarjan pass
-//!   over the condensed copy graph collapses every multi-node SCC in
-//!   one go and recomputes the topological ranks that drive wave
-//!   propagation.
-//!
 //! Collapsed pointers are unioned in a [`dsu::DisjointSets`]. The
 //! *representative* owns the single shared points-to set, the single
-//! pending-delta slot, and the merged consumer rows (copy edges,
-//! loads, stores, calls); non-representatives keep empty slots. Every
-//! solver entry point normalizes pointers through `find()` before
-//! touching per-pointer state, and the final [`AnalysisResult`]
-//! carries the redirect table so queries against collapsed pointers
-//! resolve to the representative's set — collapse is invisible in
-//! analysis results (members of an unfiltered copy cycle provably
-//! converge to identical sets by mutual subset inclusion).
-//!
-//! # Wave propagation
-//!
-//! Between collapse points the worklist is processed in *waves*: the
-//! dirty pointers are drained into a priority queue ordered by the
-//! condensed copy graph's topological rank (sources first), so a delta
-//! crosses the acyclic core once per wave instead of re-enqueueing
-//! downstream pointers over and over. A pointer dirtied at or
-//! downstream of the wave's cursor joins the running wave; a pointer
-//! dirtied upstream waits for the next wave. `pta.wave_rounds` counts
-//! the waves.
-//!
-//! # Parallel wave propagation
-//!
-//! With [`AnalysisConfig::threads`] above one, each wave is processed
-//! *level-synchronously*: the topological ranks are longest-path
-//! **levels** of the condensed copy graph, so all dirty pointers
-//! sharing a rank are mutually independent along unfiltered copy edges
-//! and form one batch. A batch runs in three phases:
-//!
-//! 1. **Resolve** (sequential): normalize each member's copy row
-//!    through the DSU and compile any missing cast range tables — the
-//!    two pieces of solver state that are not thread-safe.
-//! 2. **Propagate** (parallel, read-only): `std::thread::scope` shards
-//!    the batch over worker threads via chunked self-scheduling (an
-//!    atomic cursor). Each worker computes, into thread-local scratch
-//!    buffers, every copy edge's *contribution* — [`pts::PtsSet::difference`]
-//!    / [`pts::PtsSet::difference_in_ranges`] against a frozen view of
-//!    the target sets — without writing a single byte of shared state.
-//! 3. **Merge** (sequential, deterministic): contributions are applied
-//!    target-by-target in ascending pointer-id order with
-//!    [`pts::PtsSet::union_into_from_shards`], then each member's field
-//!    loads/stores and call dispatches run in batch order. Because the
-//!    merge order depends only on the batch contents — never on thread
-//!    count or scheduling — any `threads` value produces bit-identical
-//!    analysis results (enforced by `tests/thread_parity.rs`).
-//!
-//! `pta.par_shards` counts shards spawned, `pta.par_steal_none` counts
-//! workers that found the cursor already exhausted, and
-//! `pta.wave_barrier_ns` accumulates the coordinator's wait at the
-//! level barrier; all three flow into `BENCH_pta.json`.
+//! pending-delta slot, the merged consumer rows (copy edges, loads,
+//! stores, calls) and the merged predecessor list; non-representatives
+//! keep empty slots. Every solver entry point normalizes pointers
+//! through `find()` before touching per-pointer state, and the final
+//! [`AnalysisResult`] carries the redirect table so queries against
+//! collapsed pointers resolve to the representative's set — collapse
+//! is invisible in analysis results (members of an unfiltered copy
+//! cycle provably converge to identical sets by mutual subset
+//! inclusion).
 //!
 //! # Hash-consed rows
 //!
@@ -114,7 +88,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -123,7 +96,7 @@ use jir::{
     AllocId, CallKind, CallSiteId, CallTarget, FieldId, MethodId, Program, Stmt, TypeId, VarId,
 };
 use obs::timeline::{
-    HotPointer, MemoryBreakdown, ShardSpan, WaveRecord, LEVEL_MIXED, LEVEL_OVERHEAD, LEVEL_SEED,
+    HotPointer, MemoryBreakdown, WaveRecord, LEVEL_MIXED, LEVEL_OVERHEAD, LEVEL_SEED,
     LEVEL_UNRANKED,
 };
 use pts::{IdRanges, PtsHandle, PtsSet, SetInterner};
@@ -131,6 +104,7 @@ use pts::{IdRanges, PtsHandle, PtsSet, SetInterner};
 use crate::context::{ContextArena, ContextSelector, CtxId};
 use crate::heap::HeapAbstraction;
 use crate::object::{Numbering, ObjId, ObjTable};
+use crate::order::{TopoOrder, GAP};
 use crate::result::{AnalysisResult, AnalysisStats};
 use crate::util::{FastMap, FastSet};
 
@@ -245,21 +219,18 @@ pub struct AnalysisConfig<S, H> {
     heap: H,
     budget: Budget,
     observability: Option<bool>,
-    threads: usize,
     numbering: Numbering,
 }
 
 impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
-    /// Creates a configuration with the default [`Budget`], the
-    /// process-wide observability setting, and sequential (one-thread)
-    /// wave propagation.
+    /// Creates a configuration with the default [`Budget`] and the
+    /// process-wide observability setting.
     pub fn new(selector: S, heap: H) -> Self {
         AnalysisConfig {
             selector,
             heap,
             budget: Budget::default(),
             observability: None,
-            threads: 1,
             numbering: Numbering::default(),
         }
     }
@@ -278,15 +249,12 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
         self
     }
 
-    /// Sets the worker-thread count for wave propagation (see the
-    /// module docs on *parallel wave propagation*).
-    ///
-    /// `1` — the default — runs the classic sequential worklist loop;
-    /// `0` means "auto": one shard per available hardware thread.
-    /// Every thread count produces bit-identical analysis results; the
-    /// knob only trades wall-clock for cores.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    /// Accepts a worker-thread count and ignores it: the solver runs
+    /// one sequential wave driver (see the module docs), so every value
+    /// — `0` ("auto") included — produces the same run, counters and
+    /// all. Kept so callers that size Mahjong's threads and the
+    /// solver's from one setting need no special case.
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -317,17 +285,12 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
     ///
     /// Returns [`Unscalable`] if the budget is exhausted first.
     pub fn run(&self, program: &Program) -> Result<AnalysisResult, Unscalable> {
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
         let solver = || {
             Solver::new(
                 program,
                 &self.selector,
                 &self.heap,
                 self.budget,
-                threads,
                 self.numbering,
             )
         };
@@ -353,34 +316,6 @@ struct PendingCall {
     /// the receiver type.
     fixed_target: Option<MethodId>,
 }
-
-/// Collapse at most once per this many pending LCD candidates between
-/// worklist pops (batching keeps the DFS off the per-delta hot path).
-const LCD_BATCH: usize = 32;
-
-/// Visit budget of one lazy-cycle-detection DFS.
-const LCD_DFS_LIMIT: usize = 2048;
-
-/// Levels smaller than this are processed inline: spawning shard
-/// threads for a handful of pointers costs more than it saves.
-const PAR_MIN_BATCH: usize = 16;
-
-/// Target batch items per shard when sizing the thread fan-out (a
-/// level of 40 pointers on an 8-thread budget spawns 5 shards, not 8).
-const PAR_SHARD_ITEMS: usize = 8;
-
-/// Minimum estimated propagate work — copy edges × delta objects,
-/// summed over the batch — before a level fans out to shard threads.
-/// Spawn plus barrier costs tens of microseconds per level, which the
-/// many small-delta levels of a converging wave never pay back; they
-/// run inline regardless of batch size. (This is what fixed t2 being
-/// *slower* than t1: two threads splitting sub-threshold levels spent
-/// more on coordination than the halved compute saved.)
-const PAR_MIN_WORK: u64 = 1024;
-
-/// Minimum merge groups (distinct contribution targets) before the
-/// merge phase itself fans out to partition workers.
-const PAR_MIN_MERGE: usize = 32;
 
 /// A level batch (or coalesced run of batches) at least this expensive
 /// always gets its own timeline record; cheaper work coalesces into a
@@ -525,133 +460,11 @@ impl TimelineSink {
     }
 }
 
-/// Identity a parallel propagate shard stamps on its [`ShardSpan`]
-/// (present only when the batch is profiled and actually sharded).
-#[derive(Clone, Copy)]
-struct ShardCtx {
-    run: u32,
-    wave: u32,
-    level: u32,
-}
-
-/// Per-item output of one parallel wave shard: the copy-edge
-/// contributions `(target representative, objects new to it)` computed
-/// against a frozen view of the points-to sets, plus the quiescent
-/// unfiltered edges to probe for lazy cycle detection.
-#[derive(Default)]
-struct ItemOut {
-    contribs: Vec<(u32, PtsSet<ObjId>)>,
-    lcd: Vec<u32>,
-}
-
-/// One target row of a partitioned parallel merge: the handle swapped
-/// out of the points-to table (the owning worker mutates it freely),
-/// the span of the sorted slot list contributing to it, and the merged
-/// delta the coordinator queues after restoring the row.
-struct MergeItem {
-    target: u32,
-    row: PtsHandle<ObjId>,
-    slots: (usize, usize),
-    delta: PtsSet<ObjId>,
-}
-
-/// Merges one partition of target rows. Each [`MergeItem`] exclusively
-/// owns its row, so partitions tile the merge with no shared writes;
-/// the per-row union order (ascending slot index = ascending batch
-/// index) is the same as the sequential merge arm's.
-fn merge_partition(part: &mut [MergeItem], slots: &[(u32, usize, usize)], outs: &[(usize, ItemOut)]) {
-    for item in part {
-        let (si, end) = item.slots;
-        item.delta = PtsSet::union_into_from_shards(
-            slots[si..end]
-                .iter()
-                .map(|&(_, oi, ci)| &outs[oi].1.contribs[ci].1),
-            item.row.make_mut(),
-        );
-    }
-}
-
-/// One shard of the parallel propagate phase: claims chunks of the
-/// level batch off the shared cursor and computes, for every claimed
-/// item, its copy-edge contributions against the frozen points-to
-/// sets. Reads only — every row was DSU-normalized and every cast
-/// range table compiled by the resolve phase. Returns the tagged per-item
-/// outputs, whether this shard claimed any chunk at all (the
-/// `pta.par_steal_none` signal), and — when `ctx` carries a
-/// `(ShardCtx, shard index)` — the shard's busy nanoseconds, recording
-/// its execution window as a [`ShardSpan`] for the Chrome trace.
-fn shard_worker(
-    batch: &[(PtrId, PtsSet<ObjId>)],
-    succ: &[Vec<(PtrId, Option<TypeId>)>],
-    pts: &[PtsHandle<ObjId>],
-    ranges: &FastMap<TypeId, IdRanges>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    ctx: Option<(ShardCtx, u32)>,
-) -> (Vec<(usize, ItemOut)>, bool, u64) {
-    let timed = ctx.map(|c| (c, obs::epoch_us(), Instant::now()));
-    let mut out: Vec<(usize, ItemOut)> = Vec::new();
-    let mut got_any = false;
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= batch.len() {
-            break;
-        }
-        got_any = true;
-        let end = (start + chunk).min(batch.len());
-        for (bi, &(ptr, ref delta)) in batch.iter().enumerate().take(end).skip(start) {
-            let i = ptr.index();
-            let mut item = ItemOut::default();
-            for &(to, filter) in &succ[i] {
-                if to == ptr {
-                    continue; // self-edge: never contributes
-                }
-                let ti = to.index();
-                let d = match filter {
-                    None => delta.difference(&pts[ti]),
-                    Some(ty) => delta.difference_in_ranges(&ranges[&ty], &pts[ti]),
-                };
-                if d.is_empty() {
-                    // Same hint as the sequential path: an unfiltered
-                    // edge the delta crossed without growing the target,
-                    // with equal endpoint sizes, may close a cycle.
-                    if filter.is_none() && pts[i].len() == pts[ti].len() {
-                        item.lcd.push(to.0);
-                    }
-                } else {
-                    item.contribs.push((to.0, d));
-                }
-            }
-            if !item.contribs.is_empty() || !item.lcd.is_empty() {
-                out.push((bi, item));
-            }
-        }
-    }
-    let busy_ns = match timed {
-        Some(((c, shard), start_us, t0)) => {
-            let busy = t0.elapsed();
-            obs::timeline().record_shard(ShardSpan {
-                run: c.run,
-                wave: c.wave,
-                level: c.level,
-                shard,
-                start_us,
-                dur_us: busy.as_micros() as u64,
-            });
-            busy.as_nanos() as u64
-        }
-        None => 0,
-    };
-    (out, got_any, busy_ns)
-}
-
 struct Solver<'a, S, H> {
     program: &'a Program,
     selector: &'a S,
     heap: &'a H,
     budget: Budget,
-    /// Wave-propagation shard budget (1 = sequential worklist loop).
-    threads: usize,
     start: Instant,
 
     arena: ContextArena,
@@ -667,7 +480,7 @@ struct Solver<'a, S, H> {
     pending: Vec<PtsHandle<ObjId>>,
     /// Copy edges with an optional declared-type filter (cast edges).
     /// Rows live on representatives; targets are normalized lazily at
-    /// processing time and eagerly at every SCC sweep.
+    /// processing time and eagerly when a cycle collapses onto the row.
     succ: Vec<Vec<Edge>>,
     /// Exact membership mirror of `succ` rows past [`EDGE_SET_MIN`]
     /// entries. `add_edge` is called once per (edge site, replayed
@@ -698,17 +511,9 @@ struct Solver<'a, S, H> {
     /// The cycle-collapse partition over pointer ids. A pointer's
     /// per-index solver state is authoritative only on `find(p) == p`.
     dsu: DisjointSets,
-    /// Topological rank per representative in the condensed copy graph
-    /// (sources low), recomputed at each SCC sweep; pointers interned
-    /// after the last sweep rank `u32::MAX` (processed last).
-    topo: Vec<u32>,
-    /// Copy edges added since the last full SCC sweep (the sweep
-    /// trigger counter).
-    edges_since_sweep: usize,
-    /// Unfiltered copy edges already probed by lazy cycle detection.
-    lcd_checked: FastSet<(PtrId, PtrId)>,
-    /// Quiescent-edge observations awaiting an LCD probe.
-    lcd_candidates: Vec<(PtrId, PtrId)>,
+    /// Incremental topological order of the condensed copy graph: the
+    /// wave key, the predecessor lists, and the repair queue.
+    order: TopoOrder,
 
     reachable: FastSet<(CtxId, MethodId)>,
     reachable_methods: FastSet<MethodId>,
@@ -739,7 +544,8 @@ struct Solver<'a, S, H> {
     hot_words: Vec<u64>,
     /// Per-pointer worklist pops, feeding the hottest-pointer table.
     hot_pops: Vec<u32>,
-    /// Largest pending-delta footprint seen at any memory sample.
+    /// Largest pending-delta footprint seen at a wave boundary, where
+    /// every dirty pointer still holds its delta.
     pending_peak_words: u64,
     /// `worklist_pops` already mirrored into `pta.live_worklist_pops`.
     live_pops_published: u64,
@@ -751,7 +557,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         selector: &'a S,
         heap: &'a H,
         budget: Budget,
-        threads: usize,
         numbering: Numbering,
     ) -> Self {
         let return_vars = program
@@ -775,7 +580,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             selector,
             heap,
             budget,
-            threads: threads.max(1),
             start: Instant::now(),
             arena: ContextArena::new(),
             objs: ObjTable::with_numbering(program, numbering),
@@ -792,10 +596,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             interner,
             empty,
             dsu: DisjointSets::new(0),
-            topo: Vec::new(),
-            edges_since_sweep: 0,
-            lcd_checked: FastSet::default(),
-            lcd_candidates: Vec::new(),
+            order: TopoOrder::default(),
             reachable: FastSet::default(),
             reachable_methods: FastSet::default(),
             cg_edges: FastSet::default(),
@@ -843,34 +644,33 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 break 'fixpoint;
             }
 
-            // Wave boundary: collapse cycles found since the last wave,
-            // then re-sweep whenever the copy graph changed — a sweep is
-            // O(V + E), negligible next to the propagation it orders,
-            // and fresh topological ranks are what make the wave pay
-            // off (stale ranks degenerate toward FIFO).
+            // Wave boundary: repair the order for the edges statement
+            // processing added, then queue every dirty pointer by label.
             let t_over = self.tl.now();
-            self.apply_lcd();
-            if self.edges_since_sweep >= self.boundary_sweep_threshold() {
-                self.collapse_sweep();
-            }
-
-            // One wave: dirty pointers in topological rank order.
+            self.repair_order();
             self.stats.wave_rounds += 1;
             self.tl.wave = self.stats.wave_rounds as u32;
+            if self.tl.on {
+                // Every dirty pointer still holds its delta here; a
+                // collapsed cycle's representative may be queued twice.
+                let mut ids: Vec<u32> = self.worklist.iter().map(|p| p.0).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let live: u64 = ids
+                    .iter()
+                    .map(|&i| self.pending[i as usize].mem_words() as u64)
+                    .sum();
+                self.pending_peak_words = self.pending_peak_words.max(live);
+            }
             let dirty: Vec<PtrId> = self.worklist.drain(..).collect();
-            let mut wave: BinaryHeap<Reverse<(u32, u32)>> = dirty
+            let mut wave: BinaryHeap<Reverse<(u64, u32)>> = dirty
                 .into_iter()
-                .map(|p| Reverse((self.rank(p), p.0)))
+                .map(|p| Reverse((self.label(p), p.0)))
                 .collect();
             let mut next_wave: Vec<PtrId> = Vec::new();
             self.tl.overhead_since(t_over);
 
-            let overrun = if self.threads > 1 {
-                self.wave_parallel(&mut wave, &mut next_wave, &delta_hist, &mut since_check)
-            } else {
-                self.wave_sequential(&mut wave, &mut next_wave, &delta_hist, &mut since_check)
-            };
-            if overrun {
+            if self.run_wave(&mut wave, &mut next_wave, &delta_hist, &mut since_check) {
                 drop(fixpoint_span);
                 return Err(self.overrun(fixpoint_start));
             }
@@ -904,6 +704,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stats.pts_interned = self.interner.interned();
         self.stats.pts_dedup_hits = self.interner.dedup_hits();
         self.stats.dsu_ops = self.dsu.ops();
+        self.stats.collapse_sweeps = self.order.renumbers;
+        self.stats.order_search_edges = self.order.edges_scanned;
         self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
         if obs::enabled() {
             let pts_hist = obs::histogram("pta.points_to_set_size");
@@ -921,6 +723,14 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             self.publish_top_pointers();
             obs::gauge("pta.pending_peak_words").set(self.pending_peak_words as i64);
         }
+        // The order and the consumer rows are dead past the fixpoint;
+        // free them before the result builds its caches.
+        self.order = TopoOrder::default();
+        self.succ = Vec::new();
+        self.succ_set = Vec::new();
+        self.loads = Vec::new();
+        self.stores = Vec::new();
+        self.calls = Vec::new();
         let result = AnalysisResult::from_parts(
             self.arena,
             self.objs,
@@ -958,6 +768,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stats.pts_interned = self.interner.interned();
         self.stats.pts_dedup_hits = self.interner.dedup_hits();
         self.stats.dsu_ops = self.dsu.ops();
+        self.stats.collapse_sweeps = self.order.renumbers;
+        self.stats.order_search_edges = self.order.edges_scanned;
         self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
         if self.tl.on {
             // An aborted run may still be the process peak: sample it
@@ -1079,36 +891,28 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         obs::timeline().offer_top_pointers(total, rows);
     }
 
-    // --- Cycle collapse ----------------------------------------------------
+    // --- Order maintenance and cycle collapse ------------------------------
 
     /// Returns the representative of `p` in the collapse partition.
     fn rep(&self, p: PtrId) -> PtrId {
         PtrId(self.dsu.find(p.index()) as u32)
     }
 
-    /// Topological rank of `p`'s representative in the condensed copy
-    /// graph (low = upstream); pointers interned after the last sweep
-    /// rank last.
-    fn rank(&self, p: PtrId) -> u32 {
-        self.topo
-            .get(self.dsu.find(p.index()))
-            .copied()
-            .unwrap_or(u32::MAX)
+    /// Topological label of `p`'s representative (low = upstream).
+    fn label(&self, p: PtrId) -> u64 {
+        self.order.label(self.dsu.find(p.index()))
     }
 
-    /// Copy edges to accumulate before the next full SCC sweep.
-    fn sweep_threshold(&self) -> usize {
-        (self.pts.len() / 4).max(4096)
-    }
-
-    /// Copy edges that justify a full sweep at a wave boundary. A sweep
-    /// is O(V + E); running it after *every* edge trickle made sweeps a
-    /// top-three cost on the large workloads. Pointers added since the
-    /// last sweep rank `u32::MAX` and are processed in the trailing
-    /// unranked batch, so stale ranks cost extra pops, not correctness
-    /// — the threshold trades a few re-pops for thousands of sweeps.
-    fn boundary_sweep_threshold(&self) -> usize {
-        (self.pts.len() / 64).max(256)
+    /// Repairs every queued out-of-order copy edge, collapsing the
+    /// cycles the repairs uncover. Runs only between pops: collapse
+    /// merges consumer rows, so no row may be under iteration.
+    fn repair_order(&mut self) {
+        for (x, y) in self.order.take_repairs() {
+            let (x, y) = (self.rep(x), self.rep(y));
+            if let Some(cycle) = self.order.repair(x, y, &self.succ, &self.dsu) {
+                self.collapse_scc(&cycle);
+            }
+        }
     }
 
     /// Routes pointers dirtied since the last routing step: downstream
@@ -1116,46 +920,55 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// the next one.
     fn route_dirty(
         &mut self,
-        wave: &mut BinaryHeap<Reverse<(u32, u32)>>,
+        wave: &mut BinaryHeap<Reverse<(u64, u32)>>,
         next_wave: &mut Vec<PtrId>,
-        cursor_rank: u32,
+        cursor: u64,
     ) {
         while let Some(q) = self.worklist.pop_front() {
-            let r = self.rank(q);
-            if r >= cursor_rank {
-                wave.push(Reverse((r, q.0)));
+            let l = self.label(q);
+            if l >= cursor {
+                wave.push(Reverse((l, q.0)));
             } else {
                 next_wave.push(q);
             }
         }
     }
 
-    /// Processes one wave with the classic sequential per-pop loop
-    /// (`threads == 1`). Returns `true` on budget overrun.
-    fn wave_sequential(
+    /// Processes one wave: pops dirty pointers in label order,
+    /// repairing the order between pops. Returns `true` on budget
+    /// overrun.
+    fn run_wave(
         &mut self,
-        wave: &mut BinaryHeap<Reverse<(u32, u32)>>,
+        wave: &mut BinaryHeap<Reverse<(u64, u32)>>,
         next_wave: &mut Vec<PtrId>,
         delta_hist: &obs::Histogram,
         since_check: &mut usize,
     ) -> bool {
-        // Consecutive pops at one topological rank coalesce into one
-        // timeline record (the sequential analogue of a level batch).
+        // Consecutive pops within one label gap coalesce into one
+        // timeline record.
         let mut cur = WaveRecord::default();
         let mut cur_any = false;
-        while let Some(Reverse((cursor_rank, pi))) = wave.pop() {
-            // Collapse between pops only — no row iteration is on
-            // the stack here, so merging solver state is safe.
-            if self.lcd_candidates.len() >= LCD_BATCH
-                || self.edges_since_sweep >= self.sweep_threshold()
-            {
+        while let Some(Reverse((cursor, pi))) = wave.pop() {
+            if self.order.has_repairs() {
                 let t0 = self.tl.now();
-                self.apply_lcd();
-                if self.edges_since_sweep >= self.sweep_threshold() {
-                    self.collapse_sweep();
-                }
-                self.route_dirty(wave, next_wave, cursor_rank);
+                self.repair_order();
+                self.route_dirty(wave, next_wave, cursor);
                 self.tl.overhead_since(t0);
+            }
+
+            let ptr = PtrId(pi);
+            // A stale entry (pointer collapsed into a representative
+            // or already drained by an earlier duplicate) carries no
+            // pending delta; skip it without counting a pop. An entry
+            // whose label moved since it was queued goes back under
+            // its current label.
+            if self.pending[ptr.index()].is_empty() {
+                continue;
+            }
+            let label = self.label(ptr);
+            if label != cursor {
+                wave.push(Reverse((label, pi)));
+                continue;
             }
 
             *since_check += 1;
@@ -1170,20 +983,13 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 }
             }
 
-            let ptr = PtrId(pi);
-            // A stale entry (pointer collapsed into a representative
-            // or already drained by an earlier duplicate) carries no
-            // pending delta; skip it without counting a pop. Draining
-            // swaps in the shared empty handle and unwraps the taken
-            // handle in place (pending handles are uniquely owned).
+            // Draining swaps in the shared empty handle and unwraps the
+            // taken handle in place (pending handles are uniquely owned).
             let delta = self.take_pending(ptr).into_set();
-            if delta.is_empty() {
-                continue;
-            }
             self.stats.worklist_pops += 1;
             delta_hist.record(delta.len() as u64);
             if self.tl.on {
-                let level = cursor_rank.min(LEVEL_UNRANKED);
+                let level = (label / GAP).min(u64::from(LEVEL_UNRANKED - 1)) as u32;
                 if cur_any && cur.level != level {
                     self.tl.batch(std::mem::take(&mut cur));
                 }
@@ -1206,384 +1012,13 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 cur.propagate_ns += t1.duration_since(t0).as_nanos() as u64;
                 cur.merge_ns += t1.elapsed().as_nanos() as u64;
             }
-            self.route_dirty(wave, next_wave, cursor_rank);
+            self.route_dirty(wave, next_wave, cursor);
         }
         if cur_any {
             self.tl.batch(std::mem::take(&mut cur));
         }
         self.tl.flush_residual();
         false
-    }
-
-    /// Processes one wave level-synchronously (`threads > 1`): all
-    /// dirty pointers sharing the lowest outstanding topological level
-    /// form one batch handed to [`Solver::process_level`]. Returns
-    /// `true` on budget overrun.
-    fn wave_parallel(
-        &mut self,
-        wave: &mut BinaryHeap<Reverse<(u32, u32)>>,
-        next_wave: &mut Vec<PtrId>,
-        delta_hist: &obs::Histogram,
-        since_check: &mut usize,
-    ) -> bool {
-        while let Some(&Reverse((level, _))) = wave.peek() {
-            // Collapse between batches only: shard workers read the
-            // copy rows and the partition, so both must be stable for
-            // the whole batch.
-            if self.lcd_candidates.len() >= LCD_BATCH
-                || self.edges_since_sweep >= self.sweep_threshold()
-            {
-                let t0 = self.tl.now();
-                self.apply_lcd();
-                if self.edges_since_sweep >= self.sweep_threshold() {
-                    self.collapse_sweep();
-                }
-                self.route_dirty(wave, next_wave, level);
-                self.tl.overhead_since(t0);
-            }
-
-            // Drain the level. Equal-level pointers share no unfiltered
-            // copy edge (levels are longest-path depths of the condensed
-            // graph), so their deltas can propagate from one frozen
-            // snapshot concurrently. A filtered (cast) edge may connect
-            // level peers; its target simply re-dirties and pops again
-            // in a later batch.
-            let mut batch: Vec<(PtrId, PtsSet<ObjId>)> = Vec::new();
-            while let Some(&Reverse((r, pi))) = wave.peek() {
-                if r != level {
-                    break;
-                }
-                wave.pop();
-                let ptr = PtrId(pi);
-                let delta = self.take_pending(ptr);
-                if !delta.is_empty() {
-                    batch.push((ptr, delta.into_set()));
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-
-            *since_check += batch.len();
-            if *since_check >= 4096 {
-                *since_check = 0;
-                if self.start.elapsed() > self.budget.time_limit {
-                    self.tl.flush_residual();
-                    return true;
-                }
-            }
-
-            self.process_level(&batch, level.min(LEVEL_UNRANKED), delta_hist);
-            self.route_dirty(wave, next_wave, level);
-        }
-        self.tl.flush_residual();
-        false
-    }
-
-    /// Processes one level batch in the three phases described in the
-    /// module docs: sequential resolve, parallel read-only propagate,
-    /// sequential deterministic merge. `level` is the batch's
-    /// topological level (clamped to `LEVEL_UNRANKED`), used only for
-    /// timeline attribution.
-    fn process_level(
-        &mut self,
-        batch: &[(PtrId, PtsSet<ObjId>)],
-        level: u32,
-        delta_hist: &obs::Histogram,
-    ) {
-        let t_resolve = self.tl.now();
-        let mut objects = 0u64;
-        let mut words = 0u64;
-        let mut est_work = 0u64;
-        // Resolve: normalize every copy row in the batch through the
-        // DSU (`Cell`-based, not `Sync`) and compile every cast range
-        // table a shard might read. Rows stay sorted enough for the
-        // workers: duplicates introduced by normalization are harmless
-        // (unions are idempotent).
-        for &(ptr, ref delta) in batch {
-            let i = ptr.index();
-            self.stats.worklist_pops += 1;
-            delta_hist.record(delta.len() as u64);
-            self.stats.delta_objects += delta.len() as u64;
-            est_work += self.succ[i].len() as u64 * delta.len() as u64;
-            if self.has_consumers(i) {
-                self.stats.propagated_objects += delta.len() as u64;
-            }
-            if self.tl.on {
-                objects += delta.len() as u64;
-                words += delta.mem_words() as u64;
-                self.hot_words[i] += delta.mem_words() as u64;
-                self.hot_pops[i] += 1;
-            }
-            let mut changed = false;
-            for k in 0..self.succ[i].len() {
-                let (to_raw, filter) = self.succ[i][k];
-                let to = self.rep(to_raw);
-                if to != to_raw {
-                    self.succ[i][k].0 = to;
-                    changed = true;
-                }
-                if let Some(ty) = filter {
-                    self.ensure_ranges(ty);
-                    // The propagate shards answer this edge from the
-                    // compiled table; count it here where stats are
-                    // mutable.
-                    self.stats.range_union_hits += 1;
-                }
-            }
-            if changed && self.succ_set[i].is_some() {
-                self.rebuild_succ_set(i);
-            }
-        }
-
-        // Propagate: shards claim chunks of the batch off an atomic
-        // cursor and compute copy-edge contributions against a frozen
-        // view of the points-to sets — no shared writes at all.
-        let t_prop = self.tl.now();
-        let shards = if batch.len() >= PAR_MIN_BATCH && est_work >= PAR_MIN_WORK {
-            self.threads
-                .min(batch.len().div_ceil(PAR_SHARD_ITEMS))
-                .max(1)
-        } else {
-            1
-        };
-        let chunk = batch.len().div_ceil(shards * 4).max(1);
-        let cursor = AtomicUsize::new(0);
-        let mut busy_ns = 0u64;
-        let mut outs: Vec<(usize, ItemOut)> = if shards > 1 {
-            self.stats.par_shards += shards as u64;
-            let shard_ctx = if self.tl.on {
-                Some(ShardCtx {
-                    run: self.tl.run,
-                    wave: self.tl.wave,
-                    level,
-                })
-            } else {
-                None
-            };
-            let succ = &self.succ;
-            let pts = &self.pts;
-            let ranges = &self.ranges;
-            let cursor = &cursor;
-            let (outs, steal_none, barrier_ns, busy) = std::thread::scope(|s| {
-                let handles: Vec<_> = (1..shards)
-                    .map(|k| {
-                        let ctx = shard_ctx.map(|c| (c, k as u32));
-                        s.spawn(move || shard_worker(batch, succ, pts, ranges, cursor, chunk, ctx))
-                    })
-                    .collect();
-                let (mut outs, _, mut busy) =
-                    shard_worker(batch, succ, pts, ranges, cursor, chunk, shard_ctx.map(|c| (c, 0)));
-                let barrier_start = Instant::now();
-                let mut steal_none = 0u64;
-                for h in handles {
-                    let (o, got_any, b) = h.join().expect("wave shard worker panicked");
-                    if !got_any {
-                        steal_none += 1;
-                    }
-                    busy += b;
-                    outs.extend(o);
-                }
-                (outs, steal_none, barrier_start.elapsed().as_nanos() as u64, busy)
-            });
-            self.stats.par_steal_none += steal_none;
-            self.stats.wave_barrier_ns += barrier_ns;
-            busy_ns = busy;
-            outs
-        } else {
-            shard_worker(batch, &self.succ, &self.pts, &self.ranges, &cursor, batch.len(), None).0
-        };
-        // Shards report in join order; batch index restores the one
-        // true order before anything downstream looks at the results.
-        let t_merge = self.tl.now();
-        outs.sort_unstable_by_key(|&(bi, _)| bi);
-
-        // Merge: apply contributions target-by-target in ascending
-        // pointer-id order (ties broken by batch index), so the writes
-        // depend only on the batch contents — never on thread count.
-        let mut slots: Vec<(u32, usize, usize)> = Vec::new();
-        for (oi, (_, item)) in outs.iter().enumerate() {
-            for (ci, &(target, _)) in item.contribs.iter().enumerate() {
-                slots.push((target, oi, ci));
-            }
-        }
-        slots.sort_unstable();
-        // Group the slot list by target: each group owns exactly one
-        // points-to row, so groups form disjoint partitions that can
-        // merge on worker threads without any synchronization.
-        let mut groups: Vec<(u32, usize, usize)> = Vec::new();
-        let mut si = 0;
-        while si < slots.len() {
-            let target = slots[si].0;
-            let mut end = si;
-            while end < slots.len() && slots[end].0 == target {
-                end += 1;
-            }
-            groups.push((target, si, end));
-            si = end;
-        }
-        let merge_shards = if shards > 1 && groups.len() >= PAR_MIN_MERGE {
-            self.threads.min(groups.len().div_ceil(PAR_SHARD_ITEMS)).max(1)
-        } else {
-            1
-        };
-        if merge_shards > 1 {
-            // Partitioned parallel merge: swap every target's handle
-            // out of the table, hand workers contiguous partitions of
-            // rows they exclusively own, then restore the handles and
-            // queue the deltas sequentially in ascending target order
-            // — the exact order the sequential arm below uses, so any
-            // thread count still produces bit-identical results.
-            self.stats.par_merge_shards += merge_shards as u64;
-            let mut work: Vec<MergeItem> = groups
-                .iter()
-                .map(|&(t, si, end)| MergeItem {
-                    target: t,
-                    row: std::mem::replace(&mut self.pts[t as usize], self.empty.clone()),
-                    slots: (si, end),
-                    delta: PtsSet::new(),
-                })
-                .collect();
-            let part = work.len().div_ceil(merge_shards);
-            let slots_ref = &slots;
-            let outs_ref = &outs;
-            std::thread::scope(|s| {
-                let mut rest: &mut [MergeItem] = &mut work;
-                while rest.len() > part {
-                    let (head, tail) = rest.split_at_mut(part);
-                    s.spawn(move || merge_partition(head, slots_ref, outs_ref));
-                    rest = tail;
-                }
-                merge_partition(rest, slots_ref, outs_ref);
-            });
-            for item in work {
-                self.pts[item.target as usize] = item.row;
-                self.queue_delta(PtrId(item.target), item.delta);
-            }
-        } else {
-            for &(target, si, end) in &groups {
-                // Every contribution was computed as a non-empty
-                // difference against this exact target state, so the
-                // merge always grows it — `make_mut` here never copies
-                // without cause.
-                let delta = PtsSet::union_into_from_shards(
-                    slots[si..end]
-                        .iter()
-                        .map(|&(_, oi, ci)| &outs[oi].1.contribs[ci].1),
-                    self.pts[target as usize].make_mut(),
-                );
-                self.queue_delta(PtrId(target), delta);
-            }
-        }
-
-        // Quiescent edges spotted by the shards feed lazy cycle
-        // detection exactly as in the sequential path.
-        for (bi, item) in &outs {
-            let from = batch[*bi].0;
-            for &to in &item.lcd {
-                let to = PtrId(to);
-                if self.lcd_checked.insert((from, to)) {
-                    self.lcd_candidates.push((from, to));
-                }
-            }
-        }
-
-        // Non-copy consumers (field loads/stores, call dispatch) mutate
-        // solver state freely, so they run sequentially in batch order,
-        // after all copy contributions have landed.
-        for &(ptr, ref delta) in batch {
-            self.process_consumers(ptr, delta);
-            while let Some((ctx, method)) = self.pending_methods.pop_front() {
-                self.process_method(ctx, method);
-            }
-        }
-
-        if let (Some(t_resolve), Some(t_prop), Some(t_merge)) = (t_resolve, t_prop, t_merge) {
-            let propagate_ns = t_merge.duration_since(t_prop).as_nanos() as u64;
-            // Sharded batches account busy from the workers' own
-            // clocks; idle is the propagate wall the shards did not
-            // spend computing (scheduling skew plus the level barrier).
-            let (busy, idle) = if shards > 1 {
-                let wall = propagate_ns * shards as u64;
-                (busy_ns, wall.saturating_sub(busy_ns))
-            } else {
-                (propagate_ns, 0)
-            };
-            self.tl.batch(WaveRecord {
-                run: 0, // stamped by the sink
-                wave: 0,
-                level,
-                pops: batch.len() as u32,
-                objects,
-                words,
-                resolve_ns: t_prop.duration_since(t_resolve).as_nanos() as u64,
-                propagate_ns,
-                merge_ns: t_merge.elapsed().as_nanos() as u64,
-                shards: shards as u32,
-                busy_ns: busy,
-                idle_ns: idle,
-            });
-        }
-    }
-
-    /// Probes every pending LCD candidate edge `from → to` for a return
-    /// path `to ⇝ from` and collapses each cycle found.
-    fn apply_lcd(&mut self) {
-        if self.lcd_candidates.is_empty() {
-            return;
-        }
-        let cands = std::mem::take(&mut self.lcd_candidates);
-        for (from, to) in cands {
-            let (from, to) = (self.rep(from), self.rep(to));
-            if from == to {
-                continue; // already collapsed by an earlier candidate
-            }
-            if let Some(cycle) = self.find_cycle(to, from) {
-                self.collapse_scc(&cycle);
-            }
-        }
-    }
-
-    /// Bounded DFS from `start` over unfiltered copy edges looking for
-    /// `target`; returns the path (representatives, `start ..= target`)
-    /// if found. Together with the triggering edge `target → start`,
-    /// the path is one cycle.
-    fn find_cycle(&self, start: PtrId, target: PtrId) -> Option<Vec<u32>> {
-        let mut visited: FastSet<u32> = FastSet::default();
-        visited.insert(start.0);
-        let mut path: Vec<(u32, usize)> = vec![(start.0, 0)];
-        let mut budget = LCD_DFS_LIMIT;
-        'dfs: while let Some(&(v, _)) = path.last() {
-            let vi = v as usize;
-            loop {
-                let cursor = path.last().unwrap().1;
-                if cursor >= self.succ[vi].len() {
-                    path.pop();
-                    continue 'dfs;
-                }
-                path.last_mut().unwrap().1 = cursor + 1;
-                let (to, filter) = self.succ[vi][cursor];
-                if filter.is_some() {
-                    continue;
-                }
-                let w = self.dsu.find(to.index()) as u32;
-                if w == target.0 {
-                    let mut cycle: Vec<u32> = path.iter().map(|&(n, _)| n).collect();
-                    cycle.push(target.0);
-                    return Some(cycle);
-                }
-                if w as usize == vi || !visited.insert(w) {
-                    continue;
-                }
-                if budget == 0 {
-                    return None;
-                }
-                budget -= 1;
-                path.push((w, 0));
-                continue 'dfs;
-            }
-        }
-        None
     }
 
     /// Collapses one strongly connected component (all members must be
@@ -1650,6 +1085,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         calls_r.dedup();
         self.succ[r] = succ_r;
         self.rebuild_succ_set(r);
+        self.order.absorb(members, r);
         self.loads[r] = loads_r;
         self.stores[r] = stores_r;
         self.calls[r] = calls_r;
@@ -1659,143 +1095,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         if !pend.is_empty() {
             self.pending[r] = PtsHandle::from_set(pend);
             self.worklist.push_back(PtrId(r as u32));
-        }
-    }
-
-    /// Full cycle collapse: iterative Tarjan over the condensed copy
-    /// graph (unfiltered edges between representatives), collapsing
-    /// every multi-node SCC and recomputing the topological ranks used
-    /// by wave scheduling.
-    fn collapse_sweep(&mut self) {
-        self.stats.collapse_sweeps += 1;
-        self.edges_since_sweep = 0;
-        let n = self.pts.len();
-        const UNVISITED: u32 = u32::MAX;
-        let mut index = vec![UNVISITED; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
-        // SCCs in Tarjan emission order: a component is emitted only
-        // after everything it reaches, i.e. sinks first.
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-
-        for s in 0..n as u32 {
-            if index[s as usize] != UNVISITED || self.dsu.find(s as usize) != s as usize {
-                continue;
-            }
-            index[s as usize] = next_index;
-            low[s as usize] = next_index;
-            next_index += 1;
-            on_stack[s as usize] = true;
-            stack.push(s);
-            frames.push((s, 0));
-            'dfs: while let Some(&(v, _)) = frames.last() {
-                let vi = v as usize;
-                loop {
-                    let cursor = frames.last().unwrap().1;
-                    if cursor >= self.succ[vi].len() {
-                        break;
-                    }
-                    frames.last_mut().unwrap().1 = cursor + 1;
-                    let (to, filter) = self.succ[vi][cursor];
-                    if filter.is_some() {
-                        continue;
-                    }
-                    let w = self.dsu.find(to.index()) as u32;
-                    let wi = w as usize;
-                    if wi == vi {
-                        continue;
-                    }
-                    if index[wi] == UNVISITED {
-                        index[wi] = next_index;
-                        low[wi] = next_index;
-                        next_index += 1;
-                        on_stack[wi] = true;
-                        stack.push(w);
-                        frames.push((w, 0));
-                        continue 'dfs;
-                    } else if on_stack[wi] {
-                        low[vi] = low[vi].min(index[wi]);
-                    }
-                }
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    let pi = p as usize;
-                    low[pi] = low[pi].min(low[vi]);
-                }
-                if low[vi] == index[vi] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-
-        // Wave order wants sources first, and parallel batching wants
-        // the rank to be a *level* — the longest-path depth in the
-        // condensed DAG — so that equal-rank components share no
-        // unfiltered copy edge and a whole level can propagate from one
-        // frozen snapshot. Tarjan emitted sinks first, so iterating
-        // components in reverse emission order finalizes every
-        // predecessor before its successors are relaxed: one pass over
-        // the condensed edges suffices.
-        let mut scc_of = vec![UNVISITED; n];
-        for (e, comp) in sccs.iter().enumerate() {
-            for &m in comp {
-                scc_of[m as usize] = e as u32;
-            }
-        }
-        let mut level = vec![0u32; sccs.len()];
-        for e in (0..sccs.len()).rev() {
-            let l = level[e];
-            for &m in &sccs[e] {
-                for &(to, filter) in &self.succ[m as usize] {
-                    if filter.is_some() {
-                        continue;
-                    }
-                    let we = scc_of[self.dsu.find(to.index())];
-                    if we == e as u32 || we == UNVISITED {
-                        continue;
-                    }
-                    let d = &mut level[we as usize];
-                    *d = (*d).max(l + 1);
-                }
-            }
-        }
-        self.topo = vec![UNVISITED; n];
-        for (e, comp) in sccs.iter().enumerate() {
-            for &m in comp {
-                self.topo[m as usize] = level[e];
-            }
-        }
-        for comp in &sccs {
-            if comp.len() > 1 {
-                self.collapse_scc(comp);
-            }
-        }
-        // Tidy surviving rows: renormalize targets against the new
-        // partition and drop duplicates so later pops scan less.
-        for i in 0..n {
-            if self.dsu.find(i) != i || self.succ[i].is_empty() {
-                continue;
-            }
-            let row = &mut self.succ[i];
-            for e in row.iter_mut() {
-                e.0 = PtrId(self.dsu.find(e.0.index()) as u32);
-            }
-            row.retain(|&(to, f)| !(to.index() == i && f.is_none()));
-            row.sort_unstable();
-            row.dedup();
-            self.rebuild_succ_set(i);
         }
     }
 
@@ -1828,6 +1127,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stores.push(Vec::new());
         self.calls.push(Vec::new());
         self.dsu.push();
+        self.order.push();
         if self.tl.on {
             self.hot_words.push(0);
             self.hot_pops.push(0);
@@ -1970,7 +1270,9 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             None => {}
         }
         self.stats.copy_edges += 1;
-        self.edges_since_sweep += 1;
+        if filter.is_none() {
+            self.order.add_edge(from, to);
+        }
         // A filtered self-edge stays in the graph (for edge-count
         // parity) but can never contribute: filtering a set into itself
         // adds nothing.
@@ -2034,34 +1336,15 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                     delta.difference_in_ranges(&self.ranges[&ty], &self.pts[to.index()])
                 }
             };
-            if d.is_empty() {
-                // Lazy cycle detection: the delta crossed `ptr → to`
-                // without growing the target, and the endpoint sets
-                // have equal sizes — the classic hint that the edge
-                // lies on a converged cycle. Probe each edge once.
-                if filter.is_none()
-                    && self.pts[i].len() == self.pts[to.index()].len()
-                    && self.lcd_checked.insert((ptr, to))
-                {
-                    self.lcd_candidates.push((ptr, to));
-                }
-            } else {
+            if !d.is_empty() {
                 self.pts[to.index()].make_mut().union_with(&d);
                 self.queue_delta(to, d);
             }
         }
 
-        self.process_consumers(ptr, delta);
-    }
-
-    /// Runs the non-copy consumers of a popped delta: field loads and
-    /// stores materialize field pointers and edges, calls dispatch on
-    /// the new receiver objects. Shared by the sequential per-pop path
-    /// and the parallel merge phase (where it runs in batch order after
-    /// every copy contribution has landed).
-    fn process_consumers(&mut self, ptr: PtrId, delta: &PtsSet<ObjId>) {
-        let i = ptr.index();
-        // Field loads/stores and calls hang off variable pointers only.
+        // Non-copy consumers: field loads and stores materialize field
+        // pointers and edges, calls dispatch on the new receiver
+        // objects. They hang off variable pointers only.
         let n_loads = self.loads[i].len();
         for k in 0..n_loads {
             let (field, lhs) = self.loads[i][k];

@@ -287,6 +287,7 @@ fn stats_from_words(w: &[u64; 25]) -> Result<AnalysisStats, SnapshotError> {
         par_merge_shards: w[22],
         mask_ranges: w[23],
         range_union_hits: w[24],
+        order_search_edges: 0,
     })
 }
 

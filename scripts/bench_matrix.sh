@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Threads-sweep bench matrix: run the fixed benchmark workload at
-# several thread counts and collect one BENCH record per point, so the
-# parallel-propagate scaling story is reproducible from checked-in
-# tooling rather than ad-hoc runs.
+# several --threads values and collect one BENCH record per point.
 #
 #   scripts/bench_matrix.sh                   # threads 1 2 4 8 into bench_matrix/
 #   scripts/bench_matrix.sh --threads "1 2"   # custom sweep (flag form)
@@ -11,12 +9,16 @@
 #
 # The --threads flag takes precedence over the THREADS env var.
 #
+# This is not a solver parallelism measurement: the points-to solver
+# is one sequential driver and ignores --threads, so every point runs
+# the same solver trace (same results and work counters; see
+# tests/thread_parity.rs). What moves across points is Mahjong's
+# merge-phase worker count and run-to-run noise.
+#
 # Each point writes BENCH_pta_tN.json (+ the BENCH_mahjong_pta_tN.json
 # sibling) into $OUT; the final table renders via
-# `scripts/bench_table.py --dir $OUT`. Results are bit-identical across
-# thread counts (tests/thread_parity.rs), so only the timing columns
-# move. The threads-4 point also writes PROFILE_pta.json there for
-# per-wave inspection.
+# `scripts/bench_table.py --dir $OUT`. The threads-4 point also writes
+# PROFILE_pta.json there for per-wave inspection.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -14,8 +14,8 @@ instead of hand-edited numbers.
     scripts/bench_table.py --dir D      # render records from directory D
                                         # (e.g. a bench_matrix.sh sweep)
 
-The schema has grown across PRs (cycle-collapse counters arrived in
-PR 3, thread counters in PR 4, hash-consing counters in PR 7);
+The schema has grown over time (cycle-collapse counters first, then
+thread counters, hash-consing counters and the order-repair counter);
 missing keys render as `-` so old records stay first-class rows — but
 the current `BENCH_pta.json` must carry every key the table renders,
 or `--check` fails.
@@ -52,9 +52,8 @@ COLUMNS = [
     ("dedup hits", ("pts_dedup_hits",), "{:,}".format),
     ("SCC-collapsed ptrs", ("scc_collapsed_ptrs",), "{:,}".format),
     ("wave rounds", ("wave_rounds",), "{:,}".format),
+    ("order edges", ("order_search_edges",), "{:,}".format),
     ("threads", ("threads",), str),
-    ("par shards", ("par_shards",), "{:,}".format),
-    ("merge shards", ("par_merge_shards",), "{:,}".format),
     ("mask ranges", ("mask_ranges",), "{:,}".format),
     ("range hits", ("range_union_hits",), "{:,}".format),
 ]
@@ -173,8 +172,14 @@ RENDERED_KEYS = [path for _, path, _ in COLUMNS]
 # these arrived with later PRs and old baselines may lack them.
 # (Rendered keys like threads / scc_collapsed_ptrs / pts_interned are
 # covered by RENDERED_KEYS; this list is for non-column counters.)
+#
+# The par_* counters belong to the retired level-parallel solver
+# driver; repro still writes them (as 0, because result snapshots
+# serialize them), so records keep carrying them, but the table no
+# longer renders them: a thread sweep measures no solver parallelism.
 CURRENT_KEYS = [
     ("collapse_sweeps",),
+    ("par_shards",),
     ("par_steal_none",),
     ("wave_barrier_ns",),
     ("intern_probe_ns",),

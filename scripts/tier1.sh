@@ -5,16 +5,18 @@
 #
 # Build (release), full test suite, a warning-free clippy pass over
 # every target, a warning-free rustdoc build (crate docs are part of
-# the deliverable), a `--threads 1` smoke run so the sequential
-# solver path — the default everywhere — cannot rot while development
-# happens against the parallel one, and a sharded `mahjong_cli` smoke
+# the deliverable), a `--threads 1` fig9 smoke run of the repro
+# pipeline (the solver is one sequential driver at any thread count),
+# and a sharded `mahjong_cli` smoke
 # that checks the telemetry export parses and carries the merge-phase
 # counters (in particular `mahjong.hk_runs`, which the signature fast
 # path keeps at zero, and `pta.pts_interned`, which is nonzero whenever
 # the solver's hash-consing seal sweeps ran). The profiler smoke runs
 # `repro --profile` on a
 # small two-thread workload and asserts the timeline parses, carries
-# per-level records, and attributes ≥90% of the solver wall clock; the
+# per-level records, attributes ≥90% of the solver wall clock (order
+# repairs and cycle collapse included), and reports a nonzero
+# pending-delta peak; the
 # schema check validates every committed BENCH/PROFILE record. The
 # serving smoke saves a luindex@2 snapshot, warm-starts `repro
 # --serve-bench` from it, and requires the save/load fingerprints to
@@ -57,6 +59,7 @@ wall = doc["main_analysis_secs"]
 covered = sum(r["resolve_ns"] + r["propagate_ns"] + r["merge_ns"] for r in records) / 1e9
 if wall > 0.05 and prof["records_dropped"] == 0:
     assert covered >= 0.9 * wall, f"timeline covers {covered:.2f}s of {wall:.2f}s wall"
+assert doc["pending_peak_words"] > 0, "pending_peak_words never sampled a live delta"
 print(f"tier1: profile smoke ok ({len(records)} records, "
       f"{covered:.2f}s/{wall:.2f}s attributed)")
 EOF

@@ -16,19 +16,20 @@
 //! to pairwise checking flips `hk_runs`/`equivalence_checks` nonzero
 //! immediately), and the amount of automaton work — `dfa_built`, one
 //! canonicalization per candidate — is pinned to a measured-at-commit
-//! bound the same way `worklist_pops` is. Wall-clock itself is tracked
-//! by the committed `BENCH_baseline_pr4.json` /
-//! `BENCH_mahjong_baseline_pr4.json` pair, which `scripts/bench_table.py`
-//! renders; counters, not seconds, are what CI can assert on.
-
-use std::time::Duration;
+//! bound the same way `worklist_pops` is, and so is the solver's
+//! order maintenance (edges scanned by repair searches, renumbers).
+//! Wall-clock itself is tracked by the committed BENCH records, which
+//! `scripts/bench_table.py` renders, and by the `perfbench` benchmark;
+//! counters, not seconds, are what CI can assert on.
 
 use mahjong::MahjongConfig;
 use pta::{AllocSiteAbstraction, AnalysisConfig, Budget, CallSiteSensitive};
 
 /// 1.10 × the `worklist_pops` measured for this exact configuration
 /// (luindex, scale 2, 2cs, alloc-site heap) on the cycle-collapsing
-/// solver with sink suppression: 4,256 measured → 4,681 bound.
+/// solver with sink suppression: 4,256 measured → 4,681 bound. The
+/// incremental-order wave driver that replaced periodic sweeps
+/// measures 4,295 and keeps the same bound.
 const WORKLIST_POPS_BOUND: u64 = 4_681;
 
 #[test]
@@ -119,51 +120,47 @@ fn hash_consing_reduces_physical_pts_footprint() {
     );
 }
 
-/// Catastrophe ceiling on the fixed workload's whole-run wall time (an
-/// unoptimized debug build of luindex@2/2cs runs in single-digit
-/// seconds; the ceiling only trips on order-of-magnitude regressions —
-/// counters above, not seconds, are the precise guards).
-const MAIN_WALL_CEILING: Duration = Duration::from_secs(45);
+/// 1.10 × the copy-graph edges the incremental topological order's
+/// repair searches scanned on the fixed workload (luindex, scale 2,
+/// 2cs, alloc-site heap) when the order replaced full SCC sweeps:
+/// 13,176 measured → 14,494 bound. Searching both directions in full
+/// (plain Pearce–Kelly) or stopping on node counts instead of edge
+/// counts blows far past it.
+const ORDER_SEARCH_EDGES_BOUND: u64 = 14_494;
 
-/// Wall-time sanity at 1 and 4 threads, plus the scaling guard: t4 must
-/// not be meaningfully *slower* than t1. (This container is single-CPU,
-/// so parallel runs cannot win wall-clock; what the guard catches is
-/// coordination overhead — the per-level spawn/barrier cost that once
-/// made threads=2 slower than threads=1 before small levels were gated
-/// sequential by estimated work.) Medians of three runs absorb the
-/// box's timing noise; the slack term absorbs the rest.
+/// 1.10 × the order renumbers (exhausted label gaps) measured on the
+/// same run: 0 measured → 0 bound, so any renumber on this workload
+/// fails. Renumbering is the O(V log V) fallback; a placement that
+/// stops spreading moved nodes across their gap renumbers on nearly
+/// every repair.
+const ORDER_RENUMBERS_BOUND: u64 = 0;
+
+/// Deterministic work bounds for the solver's bookkeeping. Wall-clock
+/// time is not asserted anywhere in CI; these counters are the
+/// same for any host, load or thread count.
 #[test]
-fn main_analysis_wall_time_within_bounds_and_scales() {
+fn order_maintenance_work_within_bounds() {
     let w = workloads::dacapo::workload("luindex", 2);
-    let median = |threads: usize| -> Duration {
-        let mut times: Vec<Duration> = (0..3)
-            .map(|_| {
-                AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
-                    .threads(threads)
-                    .budget(Budget::seconds(120))
-                    .run(&w.program)
-                    .expect("luindex@2 under 2cs fits a 120s budget")
-                    .stats()
-                    .elapsed
-            })
-            .collect();
-        times.sort();
-        times[1]
-    };
-    let t1 = median(1);
-    let t4 = median(4);
+    let result = AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
+        .budget(Budget::seconds(120))
+        .run(&w.program)
+        .expect("luindex@2 under 2cs fits a 120s budget");
+    let stats = result.stats();
     assert!(
-        t1 <= MAIN_WALL_CEILING,
-        "threads=1 wall time {t1:?} blew past the {MAIN_WALL_CEILING:?} ceiling"
+        stats.order_search_edges > 0,
+        "no repair search ran on a workload with out-of-order copy edges"
     );
     assert!(
-        t4 <= MAIN_WALL_CEILING,
-        "threads=4 wall time {t4:?} blew past the {MAIN_WALL_CEILING:?} ceiling"
+        stats.order_search_edges <= ORDER_SEARCH_EDGES_BOUND,
+        "order_search_edges regressed: {} > bound {ORDER_SEARCH_EDGES_BOUND} \
+         (bound = measured-at-commit × 1.10; see module docs)",
+        stats.order_search_edges
     );
-    assert!(
-        t4.as_secs_f64() <= t1.as_secs_f64() * 1.5 + 0.5,
-        "threads=4 ({t4:?}) is meaningfully slower than threads=1 ({t1:?}); \
-         parallel coordination overhead regressed"
+    // A bound of 0 makes `<=` an equality.
+    assert_eq!(
+        stats.collapse_sweeps, ORDER_RENUMBERS_BOUND,
+        "order renumbers regressed past bound {ORDER_RENUMBERS_BOUND} \
+         (bound = measured-at-commit × 1.10; see module docs)"
     );
 }
 

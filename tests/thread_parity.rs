@@ -1,13 +1,13 @@
-//! Thread-count parity for parallel wave propagation.
+//! Thread-count parity for the solver.
 //!
-//! The parallel solver (`AnalysisConfig::threads > 1`) partitions each
-//! wave's topological level into shards, propagates against a frozen
-//! snapshot, and merges contributions in pointer-id order — so any
-//! thread count must produce **bit-identical** analysis results. This
-//! test pins that on luindex@2 for `threads ∈ {1, 2, 8}` with the same
-//! canonical, interning-order-independent fingerprint used by
-//! `crates/pta/tests/set_parity.rs`, and checks that the parallel
-//! machinery actually engaged (`par_shards > 0`) when it was asked for.
+//! The solver has one sequential wave driver, and
+//! `AnalysisConfig::threads` does not reach it — so every thread count
+//! must produce not only **bit-identical** analysis results but the
+//! same run. This test pins that on luindex@2 for `threads ∈ {1, 2, 8}`:
+//! the canonical, interning-order-independent fingerprint used by
+//! `crates/pta/tests/set_parity.rs`, plus the work counters
+//! `worklist_pops`, `wave_rounds` and `scc_collapsed_ptrs`, must all
+//! match the single-thread run.
 
 use pta::{
     AllocSiteAbstraction, AnalysisConfig, AnalysisResult, CallSiteSensitive, ContextInsensitive,
@@ -27,6 +27,10 @@ fn canon_obj(r: &AnalysisResult, o: pta::ObjId) -> Vec<u64> {
     }
     out
 }
+
+/// The fingerprint plus the work counters that must not depend on the
+/// thread count.
+type Run = ((u64, usize, usize, usize, usize), [u64; 3]);
 
 /// Canonical fingerprint: FNV-mixed per-variable collapsed object sets
 /// plus sorted call-graph edges, and order-invariant summary counts.
@@ -76,8 +80,8 @@ fn luindex_fingerprints_identical_across_thread_counts() {
     let w = workloads::dacapo::workload("luindex", 2);
     let p = &w.program;
 
-    for (analysis, parallel_must_engage) in [("ci", true), ("2cs", true)] {
-        let mut golden: Option<(u64, usize, usize, usize, usize)> = None;
+    for analysis in ["ci", "2cs"] {
+        let mut golden: Option<Run> = None;
         for &threads in THREAD_COUNTS {
             let r = match analysis {
                 "ci" => AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
@@ -90,26 +94,22 @@ fn luindex_fingerprints_identical_across_thread_counts() {
                     .expect("fits budget"),
                 other => panic!("unknown analysis {other}"),
             };
-            let fp = fingerprint(p, &r);
+            let s = r.stats();
+            let run = (
+                fingerprint(p, &r),
+                [s.worklist_pops, s.wave_rounds, s.scc_collapsed_ptrs],
+            );
+            assert!(
+                s.worklist_pops > 0,
+                "luindex@2/{analysis}: solver did no work"
+            );
             match &golden {
-                None => golden = Some(fp),
+                None => golden = Some(run),
                 Some(g) => assert_eq!(
-                    fp, *g,
-                    "luindex@2/{analysis}: threads={threads} diverged from threads=1"
+                    run, *g,
+                    "luindex@2/{analysis}: threads={threads} diverged from threads=1 \
+                     (fingerprint, [pops, waves, collapsed])"
                 ),
-            }
-            if threads > 1 && parallel_must_engage {
-                assert!(
-                    r.stats().par_shards > 0,
-                    "luindex@2/{analysis}: threads={threads} never fanned out \
-                     (par_shards == 0) — parallel path did not engage"
-                );
-            } else {
-                assert_eq!(
-                    r.stats().par_shards,
-                    0,
-                    "luindex@2/{analysis}: sequential run reported parallel shards"
-                );
             }
         }
     }
