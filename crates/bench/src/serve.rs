@@ -470,27 +470,58 @@ pub fn render_json(header: &ServeHeader, report: &ServeReport) -> String {
 /// call graph — the same hash the golden-fingerprint parity tests pin,
 /// so a snapshot round trip can be checked against the committed
 /// goldens from the command line.
+///
+/// Each variable's objects are mixed in ascending descriptor order,
+/// once per distinct descriptor. Rather than building and sorting a
+/// descriptor per (variable, object) pair, every object is ranked by
+/// its descriptor once (equal descriptors share a rank); a variable
+/// then sorts and dedups plain `u32` ranks and mixes the descriptors in
+/// rank order, which is the same sequence.
 pub fn canonical_fingerprint(program: &Program, result: &AnalysisResult) -> u64 {
-    let canon_obj = |o: pta::ObjId| -> Vec<u64> {
-        let mut out = vec![result.obj_alloc(o).index() as u64];
+    // Descriptors of all objects, concatenated; `span[o]` is object
+    // `o`'s `[start, end)` range in `words` (ids may be sparse).
+    let bound = result.objects().map(|o| o.index() + 1).max().unwrap_or(0);
+    let mut words: Vec<u64> = Vec::new();
+    let mut span = vec![(0u32, 0u32); bound];
+    for o in result.objects() {
+        let start = words.len() as u32;
+        words.push(result.obj_alloc(o).index() as u64);
         for e in result.contexts().elems(result.obj_heap_context(o)) {
-            out.push(match *e {
+            words.push(match *e {
                 CtxElem::CallSite(s) => 1 << 32 | s.index() as u64,
                 CtxElem::Alloc(a) => 2 << 32 | a.index() as u64,
                 CtxElem::Type(c) => 3 << 32 | c.index() as u64,
             });
         }
-        out
+        span[o.index()] = (start, words.len() as u32);
+    }
+    let desc = |i: usize| -> &[u64] {
+        let (lo, hi) = span[i];
+        &words[lo as usize..hi as usize]
     };
+    let mut order: Vec<usize> = result.objects().map(|o| o.index()).collect();
+    order.sort_unstable_by(|&a, &b| desc(a).cmp(desc(b)));
+    // `rank[o]` orders descriptors; `by_rank[r]` is one object holding
+    // rank `r`'s descriptor.
+    let mut rank = vec![0u32; bound];
+    let mut by_rank: Vec<usize> = Vec::new();
+    for &o in &order {
+        if by_rank.last().is_none_or(|&prev| desc(prev) != desc(o)) {
+            by_rank.push(o);
+        }
+        rank[o] = by_rank.len() as u32 - 1;
+    }
+
     let mut h: u64 = FNV_SEED;
+    let mut ranks: Vec<u32> = Vec::new();
     for v in (0..program.var_count()).map(VarId::from_usize) {
-        let mut objs: Vec<Vec<u64>> =
-            result.points_to_collapsed(v).iter().map(canon_obj).collect();
-        objs.sort_unstable();
-        objs.dedup();
+        ranks.clear();
+        ranks.extend(result.points_to_collapsed(v).iter().map(|o| rank[o.index()]));
+        ranks.sort_unstable();
+        ranks.dedup();
         fnv_mix(&mut h, v.index() as u64 ^ 0xdead);
-        for desc in objs {
-            for w in desc {
+        for &r in &ranks {
+            for &w in desc(by_rank[r as usize]) {
                 fnv_mix(&mut h, w);
             }
             fnv_mix(&mut h, 0xfeed);

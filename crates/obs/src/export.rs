@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use crate::json::escape;
 use crate::registry::Registry;
 use crate::span::SpanEvent;
-use crate::timeline::{ShardSpan, SHARD_TID_BASE};
 
 impl Registry {
     /// Renders a human-readable summary table: phases first, then
@@ -68,7 +67,7 @@ impl Registry {
     /// ([`crate::export_chrome_trace`]) additionally merges in the
     /// timeline's parallel-propagate shard spans.
     pub fn export_chrome_trace(&self) -> String {
-        render_chrome_trace(&self.spans(), &[], &self.counters())
+        render_chrome_trace(&self.spans(), &self.counters())
     }
 
     /// Renders every instrument as one JSON object per line:
@@ -130,16 +129,11 @@ impl Registry {
     }
 }
 
-/// Renders spans, parallel-propagate shard spans, and counters as one
-/// Chrome `trace_event` document. Every distinct `tid` gets an `"M"`
-/// `thread_name` metadata event so trace viewers label the tracks:
-/// `tid` 1 is `"main"`, other span tids are `"thread {tid}"`, and shard
-/// tids (`SHARD_TID_BASE + k`) are `"propagate shard {k}"`.
-pub(crate) fn render_chrome_trace(
-    spans: &[SpanEvent],
-    shard_spans: &[ShardSpan],
-    counters: &[(String, u64)],
-) -> String {
+/// Renders spans and counters as one Chrome `trace_event` document.
+/// Every distinct `tid` gets an `"M"` `thread_name` metadata event so
+/// trace viewers label the tracks: `tid` 1 is `"main"`, other tids are
+/// `"thread {tid}"`.
+pub(crate) fn render_chrome_trace(spans: &[SpanEvent], counters: &[(String, u64)]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     let push_event = |out: &mut String, first: &mut bool| {
@@ -150,14 +144,11 @@ pub(crate) fn render_chrome_trace(
     };
     // Thread-name metadata first: one "M" event per distinct track.
     let mut tids: Vec<u64> = spans.iter().map(|ev| ev.tid).collect();
-    tids.extend(shard_spans.iter().map(|s| SHARD_TID_BASE + u64::from(s.shard)));
     tids.sort_unstable();
     tids.dedup();
     for tid in tids {
         let name = if tid == 1 {
             "main".to_owned()
-        } else if tid >= SHARD_TID_BASE {
-            format!("propagate shard {}", tid - SHARD_TID_BASE)
         } else {
             format!("thread {tid}")
         };
@@ -179,22 +170,6 @@ pub(crate) fn render_chrome_trace(
             ev.dur_us,
             ev.tid,
             ev.depth
-        );
-    }
-    for s in shard_spans {
-        push_event(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"wave {} L{}\",\"cat\":\"pta.shard\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"run\":{},\"wave\":{},\"level\":{},\"shard\":{}}}}}",
-            s.wave,
-            s.level,
-            s.start_us,
-            s.dur_us,
-            SHARD_TID_BASE + u64::from(s.shard),
-            s.run,
-            s.wave,
-            s.level,
-            s.shard
         );
     }
     // A zero-duration instant event carrying the final counter values,
@@ -229,38 +204,28 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_shard_tracks_and_thread_names() {
-        use crate::timeline::{ShardSpan, SHARD_TID_BASE};
-        let spans = [crate::SpanEvent {
+    fn chrome_trace_renders_thread_names() {
+        let span = |tid| crate::SpanEvent {
             name: "main_analysis".to_owned(),
-            tid: 1,
+            tid,
             depth: 0,
             start_us: 0,
             dur_us: 100,
-        }];
-        let shards = [ShardSpan { run: 1, wave: 2, level: 5, shard: 1, start_us: 10, dur_us: 20 }];
+        };
         let doc = json::parse(&super::render_chrome_trace(
-            &spans,
-            &shards,
+            &[span(1), span(3), span(3)],
             &[("c.one".to_owned(), 3)],
         ))
         .unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        // Two M (main + shard track), one span X, one shard X, one i.
-        assert_eq!(events.len(), 5);
-        let metas: Vec<_> =
-            events.iter().filter(|e| e.get("ph").unwrap().as_str() == Some("M")).collect();
-        assert_eq!(metas.len(), 2);
-        assert!(metas.iter().any(|e| {
-            e.get("args").unwrap().get("name").unwrap().as_str() == Some("propagate shard 1")
-                && e.get("tid").unwrap().as_u64() == Some(SHARD_TID_BASE + 1)
-        }));
-        let shard_x = events
+        // Two M (one per distinct tid), three span X, one i.
+        assert_eq!(events.len(), 6);
+        let names: Vec<_> = events
             .iter()
-            .find(|e| e.get("cat").map(|c| c.as_str()) == Some(Some("pta.shard")))
-            .unwrap();
-        assert_eq!(shard_x.get("tid").unwrap().as_u64(), Some(SHARD_TID_BASE + 1));
-        assert_eq!(shard_x.get("name").unwrap().as_str(), Some("wave 2 L5"));
+            .filter(|e| e.get("ph").unwrap().as_str() == Some("M"))
+            .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(names, ["main", "thread 3"]);
     }
 
     #[test]

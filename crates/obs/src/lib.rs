@@ -112,7 +112,7 @@ pub fn timeline() -> &'static timeline::Timeline {
 }
 
 /// Microseconds elapsed since the process trace epoch (the zero point
-/// of every span and shard-span timestamp). Pins the epoch on first
+/// of every span timestamp). Pins the epoch on first
 /// use, exactly like opening a span does.
 pub fn epoch_us() -> u64 {
     span::epoch_offset_us()
@@ -155,15 +155,10 @@ pub fn export_summary() -> String {
 }
 
 /// Renders the Chrome `trace_event` JSON document: registry spans on
-/// their originating threads' tracks, parallel propagate shard spans
-/// from the [`timeline()`] on per-shard tracks, thread-name metadata,
-/// and the counter summary.
+/// their originating threads' tracks, thread-name metadata, and the
+/// counter summary.
 pub fn export_chrome_trace() -> String {
-    export::render_chrome_trace(
-        &registry().spans(),
-        &timeline().shard_spans(),
-        &registry().counters(),
-    )
+    export::render_chrome_trace(&registry().spans(), &registry().counters())
 }
 
 /// Renders the flat JSON-Lines metrics dump.

@@ -1,20 +1,19 @@
-//! Solver introspection timeline: fixed-capacity ring buffers of
-//! per-wave propagation records and thread-attributed shard spans.
+//! Solver introspection timeline: a fixed-capacity ring buffer of
+//! per-wave propagation records.
 //!
 //! The counter/gauge layer answers *how much* — pops, words, peak
-//! footprint. This module answers *where*: which topological levels,
-//! shards, and pointer populations the fixpoint spends its time and
+//! footprint. This module answers *where*: which topological levels
+//! and pointer populations the fixpoint spends its time and
 //! memory on. The solver pushes one [`WaveRecord`] per level batch
 //! (small batches coalesce, see below), at most one retained
 //! [`MemoryBreakdown`] (the peak run's), and one retained top-K
-//! [`HotPointer`] table. [`ShardSpan`]s are recorded by whoever
-//! pushes them; the current solver is sequential and pushes none.
+//! [`HotPointer`] table.
 //!
 //! # Ring-buffer semantics
 //!
-//! Both rings have a fixed capacity chosen at construction
+//! The record ring has a fixed capacity chosen at construction
 //! ([`Timeline::new`]; the process-global instance uses
-//! [`DEFAULT_RECORD_CAP`] / [`DEFAULT_SPAN_CAP`]). Pushing into a full
+//! [`DEFAULT_RECORD_CAP`]). Pushing into a full
 //! ring overwrites the oldest entry and increments a `dropped`
 //! counter, so a runaway run degrades to "most recent window" instead
 //! of unbounded memory. Recording is one short mutex hold per push —
@@ -57,16 +56,8 @@ pub const LEVEL_OVERHEAD: u32 = u32::MAX - 2;
 /// levels are clamped below it. Exported to JSON as `-4`.
 pub const LEVEL_UNRANKED: u32 = u32::MAX - 3;
 
-/// Chrome-trace `tid` base for parallel propagate shards: shard `k`
-/// renders on track `SHARD_TID_BASE + k`, clear of the small tids the
-/// span layer hands out to real threads.
-pub const SHARD_TID_BASE: u64 = 1000;
-
 /// Ring capacity of the global wave-record ring (~6 MiB worst case).
 pub const DEFAULT_RECORD_CAP: usize = 65_536;
-
-/// Ring capacity of the global shard-span ring.
-pub const DEFAULT_SPAN_CAP: usize = 16_384;
 
 /// One timeline entry: the cost and volume of one level batch (or one
 /// coalesced run of small batches) of the solver's fixpoint.
@@ -91,19 +82,12 @@ pub struct WaveRecord {
     /// materialization) — also carries init/finalize/bookkeeping time
     /// on `LEVEL_OVERHEAD` records.
     pub resolve_ns: u64,
-    /// Propagate phase: copy-edge difference computation (the parallel
-    /// section when `shards > 1`).
+    /// Propagate phase: processing the popped deltas (copy edges, field
+    /// loads/stores, call dispatch).
     pub propagate_ns: u64,
-    /// Merge phase: deterministic contribution application plus field
-    /// loads/stores, call dispatch, and triggered statement processing.
+    /// Merge phase: statement processing, whether triggered by the
+    /// popped deltas or (on `LEVEL_SEED` records) the seed drain.
     pub merge_ns: u64,
-    /// Propagate-phase shards (1 = inline/sequential).
-    pub shards: u32,
-    /// Sum over shards of time spent computing contributions.
-    pub busy_ns: u64,
-    /// Sum over shards of propagate-phase wall not spent computing
-    /// (scheduling skew and the level barrier).
-    pub idle_ns: u64,
 }
 
 impl WaveRecord {
@@ -113,7 +97,7 @@ impl WaveRecord {
     }
 
     /// Folds `other` into `self` (used when coalescing small batches):
-    /// volumes and times add, `shards` keeps the max.
+    /// volumes and times add.
     pub fn absorb(&mut self, other: &WaveRecord) {
         self.pops += other.pops;
         self.objects += other.objects;
@@ -121,28 +105,7 @@ impl WaveRecord {
         self.resolve_ns += other.resolve_ns;
         self.propagate_ns += other.propagate_ns;
         self.merge_ns += other.merge_ns;
-        self.shards = self.shards.max(other.shards);
-        self.busy_ns += other.busy_ns;
-        self.idle_ns += other.idle_ns;
     }
-}
-
-/// One parallel propagate shard's execution window, rendered as a
-/// Chrome-trace `X` event on track `SHARD_TID_BASE + shard`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSpan {
-    /// Solver-run id (matches [`WaveRecord::run`]).
-    pub run: u32,
-    /// Wave the batch belonged to.
-    pub wave: u32,
-    /// Topological level of the batch.
-    pub level: u32,
-    /// Shard index within the batch (0 = the coordinating thread).
-    pub shard: u32,
-    /// Start offset from the process trace epoch, microseconds.
-    pub start_us: u64,
-    /// Wall-clock duration, microseconds.
-    pub dur_us: u64,
 }
 
 /// A point-in-time attribution of points-to memory by population. The
@@ -236,7 +199,6 @@ impl<T: Clone> Ring<T> {
 #[derive(Debug)]
 pub struct Timeline {
     records: Mutex<Ring<WaveRecord>>,
-    spans: Mutex<Ring<ShardSpan>>,
     /// Retained breakdown (largest `rep_words` wins).
     memory: Mutex<Option<MemoryBreakdown>>,
     /// Retained top-K table and the score (total words popped by its
@@ -247,17 +209,16 @@ pub struct Timeline {
 
 impl Default for Timeline {
     fn default() -> Self {
-        Self::new(DEFAULT_RECORD_CAP, DEFAULT_SPAN_CAP)
+        Self::new(DEFAULT_RECORD_CAP)
     }
 }
 
 impl Timeline {
-    /// Creates an empty timeline with the given ring capacities (both
-    /// clamped to at least 1).
-    pub fn new(record_cap: usize, span_cap: usize) -> Self {
+    /// Creates an empty timeline with the given record-ring capacity
+    /// (clamped to at least 1).
+    pub fn new(record_cap: usize) -> Self {
         Timeline {
             records: Mutex::new(Ring::new(record_cap)),
-            spans: Mutex::new(Ring::new(span_cap)),
             memory: Mutex::new(None),
             top: Mutex::new((0, Vec::new())),
             next_run: AtomicU32::new(0),
@@ -279,14 +240,6 @@ impl Timeline {
             return;
         }
         self.records.lock().unwrap().push(rec);
-    }
-
-    /// Appends one shard span (no-op while recording is disabled).
-    pub fn record_shard(&self, span: ShardSpan) {
-        if !crate::enabled() {
-            return;
-        }
-        self.spans.lock().unwrap().push(span);
     }
 
     /// Offers a memory sample; the timeline keeps the one with the
@@ -329,16 +282,6 @@ impl Timeline {
         self.records.lock().unwrap().dropped
     }
 
-    /// Shard spans in chronological order.
-    pub fn shard_spans(&self) -> Vec<ShardSpan> {
-        self.spans.lock().unwrap().snapshot()
-    }
-
-    /// Shard spans overwritten because the ring was full.
-    pub fn shard_spans_dropped(&self) -> u64 {
-        self.spans.lock().unwrap().dropped
-    }
-
     /// The retained memory breakdown, if any run sampled one.
     pub fn memory(&self) -> Option<MemoryBreakdown> {
         self.memory.lock().unwrap().clone()
@@ -349,19 +292,17 @@ impl Timeline {
         self.top.lock().unwrap().1.clone()
     }
 
-    /// Clears everything: both rings, the retained memory sample and
-    /// top-K table, and the run-id counter.
+    /// Clears everything: the record ring, the retained memory sample
+    /// and top-K table, and the run-id counter.
     pub fn reset(&self) {
         self.records.lock().unwrap().clear();
-        self.spans.lock().unwrap().clear();
         *self.memory.lock().unwrap() = None;
         *self.top.lock().unwrap() = (0, Vec::new());
         self.next_run.store(0, Ordering::Relaxed);
     }
 
     /// Renders the timeline as one JSON object:
-    /// `{"records": [...], "records_dropped": N, "shard_span_count": N,
-    /// "shard_spans_dropped": N, "memory": {...}|null,
+    /// `{"records": [...], "records_dropped": N, "memory": {...}|null,
     /// "top_pointers": [...]}`. Level sentinels export as negative
     /// numbers (seed `-1`, mixed `-2`, overhead `-3`, unranked `-4`).
     pub fn export_json(&self) -> String {
@@ -374,8 +315,7 @@ impl Timeline {
             let _ = write!(
                 out,
                 "{{\"run\":{},\"wave\":{},\"level\":{},\"pops\":{},\"objects\":{},\
-                 \"words\":{},\"resolve_ns\":{},\"propagate_ns\":{},\"merge_ns\":{},\
-                 \"shards\":{},\"busy_ns\":{},\"idle_ns\":{}}}",
+                 \"words\":{},\"resolve_ns\":{},\"propagate_ns\":{},\"merge_ns\":{}}}",
                 r.run,
                 r.wave,
                 level_json(r.level),
@@ -385,24 +325,9 @@ impl Timeline {
                 r.resolve_ns,
                 r.propagate_ns,
                 r.merge_ns,
-                r.shards,
-                r.busy_ns,
-                r.idle_ns,
             );
         }
-        // One guard per ring: a second `spans` lock inside the same
-        // statement would deadlock on the still-live first guard.
-        let (span_count, spans_dropped) = {
-            let spans = self.spans.lock().unwrap();
-            (spans.buf.len(), spans.dropped)
-        };
-        let _ = write!(
-            out,
-            "],\"records_dropped\":{},\"shard_span_count\":{},\"shard_spans_dropped\":{},",
-            self.records_dropped(),
-            span_count,
-            spans_dropped,
-        );
+        let _ = write!(out, "],\"records_dropped\":{},", self.records_dropped());
         match self.memory() {
             Some(m) => {
                 let _ = write!(
@@ -459,7 +384,7 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
-        let t = Timeline::new(4, 4);
+        let t = Timeline::new(4);
         for w in 0..10 {
             t.record_wave(rec(w));
         }
@@ -476,15 +401,13 @@ mod tests {
     fn disabled_timeline_is_inert() {
         let _enabled = crate::lock_enabled();
         crate::set_enabled(false);
-        let t = Timeline::new(4, 4);
+        let t = Timeline::new(4);
         t.record_wave(rec(1));
-        t.record_shard(ShardSpan { run: 1, wave: 1, level: 0, shard: 0, start_us: 0, dur_us: 1 });
         assert!(!t.offer_memory(MemoryBreakdown { rep_words: 10, ..Default::default() }));
         assert!(!t.offer_top_pointers(5, vec![]));
         assert_eq!(t.begin_run(), 0);
         crate::set_enabled(true);
         assert!(t.records().is_empty());
-        assert!(t.shard_spans().is_empty());
         assert!(t.memory().is_none());
         assert!(t.top_pointers().is_empty());
     }
@@ -493,7 +416,7 @@ mod tests {
     fn memory_retains_largest_rep_words() {
         let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
-        let t = Timeline::new(4, 4);
+        let t = Timeline::new(4);
         assert!(t.offer_memory(MemoryBreakdown { run: 1, rep_words: 100, ..Default::default() }));
         assert!(!t.offer_memory(MemoryBreakdown { run: 2, rep_words: 50, ..Default::default() }));
         assert!(t.offer_memory(MemoryBreakdown {
@@ -515,7 +438,7 @@ mod tests {
     fn export_json_parses_and_maps_sentinels() {
         let _enabled = crate::lock_enabled();
         crate::set_enabled(true);
-        let t = Timeline::new(8, 8);
+        let t = Timeline::new(8);
         t.record_wave(WaveRecord { run: 1, wave: 1, level: LEVEL_SEED, ..Default::default() });
         t.record_wave(WaveRecord { run: 1, wave: 1, level: 7, pops: 2, ..Default::default() });
         t.offer_top_pointers(

@@ -61,10 +61,19 @@ impl std::fmt::Debug for CtxId {
 }
 
 /// Hash-consing arena for contexts. Index 0 is always the empty context.
+///
+/// [`ContextArena::append_truncated`] and [`ContextArena::truncate`] run
+/// once per dispatched receiver and per allocation, and almost always
+/// hit an existing context. They build the candidate in one reused
+/// scratch buffer and probe the map with a borrowed `&[CtxElem]`
+/// (`Vec<T>: Borrow<[T]>` hashes identically), so a hit allocates
+/// nothing; only a miss copies the candidate into a fresh `Vec`.
 #[derive(Debug)]
 pub struct ContextArena {
     ctxs: Vec<Vec<CtxElem>>,
     map: FastMap<Vec<CtxElem>, CtxId>,
+    /// Candidate buffer of the allocation-free probes.
+    scratch: Vec<CtxElem>,
 }
 
 impl Default for ContextArena {
@@ -79,6 +88,7 @@ impl ContextArena {
         let mut arena = ContextArena {
             ctxs: Vec::new(),
             map: FastMap::default(),
+            scratch: Vec::new(),
         };
         arena.intern(Vec::new());
         arena
@@ -104,18 +114,36 @@ impl ContextArena {
                 return Err(format!("duplicate context at index {i}"));
             }
         }
-        Ok(ContextArena { ctxs, map })
+        Ok(ContextArena {
+            ctxs,
+            map,
+            scratch: Vec::new(),
+        })
     }
 
     /// Interns a context, returning its id.
     pub fn intern(&mut self, elems: Vec<CtxElem>) -> CtxId {
-        if let Some(&id) = self.map.get(&elems) {
-            return id;
+        match self.map.get(&elems) {
+            Some(&id) => id,
+            None => self.push_new(elems),
         }
+    }
+
+    /// Registers a context known to be absent from the map.
+    fn push_new(&mut self, elems: Vec<CtxElem>) -> CtxId {
         let id = CtxId(u32::try_from(self.ctxs.len()).expect("too many contexts"));
         self.map.insert(elems.clone(), id);
         self.ctxs.push(elems);
         id
+    }
+
+    /// Interns the contents of the scratch buffer: a borrowed-slice
+    /// probe first, an owned copy only on a miss.
+    fn intern_scratch(&mut self) -> CtxId {
+        match self.map.get(self.scratch.as_slice()) {
+            Some(&id) => id,
+            None => self.push_new(self.scratch.clone()),
+        }
     }
 
     /// Returns the elements of a context.
@@ -140,10 +168,11 @@ impl ContextArena {
         }
         let base_elems = &self.ctxs[base.index()];
         let keep = base_elems.len().min(k - 1);
-        let mut elems = Vec::with_capacity(keep + 1);
-        elems.extend_from_slice(&base_elems[base_elems.len() - keep..]);
-        elems.push(tail);
-        self.intern(elems)
+        self.scratch.clear();
+        self.scratch
+            .extend_from_slice(&base_elems[base_elems.len() - keep..]);
+        self.scratch.push(tail);
+        self.intern_scratch()
     }
 
     /// Interns the most recent `k` elements of `base`.
@@ -152,8 +181,9 @@ impl ContextArena {
         if elems.len() <= k {
             return base;
         }
-        let elems = elems[elems.len() - k..].to_vec();
-        self.intern(elems)
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&elems[elems.len() - k..]);
+        self.intern_scratch()
     }
 }
 
@@ -427,6 +457,51 @@ mod tests {
         let c2 = arena.append_truncated(c1, cs(2), 2);
         let c3 = arena.append_truncated(c2, cs(3), 2);
         assert_eq!(arena.elems(c3), &[cs(2), cs(3)]);
+    }
+
+    /// `append_truncated` probes with a borrowed slice and allocates only
+    /// on a miss; either way it must return exactly the id `intern`
+    /// assigns the explicit elements — on a fresh arena and on one
+    /// rebuilt by `from_raw` (snapshot restore).
+    #[test]
+    fn append_truncated_agrees_with_explicit_intern() {
+        let cs = |i| CtxElem::CallSite(CallSiteId::from_usize(i));
+        let base_elems = vec![cs(1), cs(2), cs(3)];
+        let explicit = |k: usize, tail: CtxElem| -> Vec<CtxElem> {
+            let keep = base_elems.len().min(k - 1);
+            let mut v = base_elems[base_elems.len() - keep..].to_vec();
+            v.push(tail);
+            v
+        };
+        for k in 1..=3 {
+            // Miss: the two arenas create the context by different
+            // routes and must agree on its id and contents.
+            let mut probed = ContextArena::new();
+            let mut interned = ContextArena::new();
+            let base = probed.intern(base_elems.clone());
+            assert_eq!(interned.intern(base_elems.clone()), base);
+            let miss = probed.append_truncated(base, cs(4), k);
+            assert_eq!(interned.intern(explicit(k, cs(4))), miss, "k={k}: miss id");
+            assert_eq!(probed.elems(miss), explicit(k, cs(4)).as_slice(), "k={k}");
+            // Hit: same id again, no new context.
+            let len = probed.len();
+            assert_eq!(probed.append_truncated(base, cs(4), k), miss, "k={k}: hit id");
+            assert_eq!(probed.intern(explicit(k, cs(4))), miss, "k={k}: intern hit");
+            assert_eq!(probed.len(), len, "k={k}: a hit created a context");
+
+            // The same on an arena rebuilt from its raw table.
+            let raw: Vec<Vec<CtxElem>> =
+                (0..probed.len()).map(|i| probed.ctxs[i].clone()).collect();
+            let mut restored = ContextArena::from_raw(raw).expect("valid table");
+            assert_eq!(restored.append_truncated(base, cs(4), k), miss, "k={k}: restored hit");
+            let fresh = restored.append_truncated(base, cs(5), k);
+            assert_eq!(fresh.index(), len, "k={k}: restored miss takes the next id");
+            assert_eq!(restored.intern(explicit(k, cs(5))), fresh, "k={k}: restored miss");
+            // `truncate` goes through the same probe.
+            assert_eq!(restored.truncate(fresh, k), fresh);
+            let last = restored.truncate(fresh, 1);
+            assert_eq!(restored.elems(last), &[cs(5)], "k={k}: truncate");
+        }
     }
 
     #[test]

@@ -109,6 +109,12 @@ pub struct AnalysisStats {
     /// extraction). Not part of the snapshot format: restored results
     /// read 0.
     pub order_search_edges: u64,
+    /// Dispatch groups bound: one per run of consecutive receivers of a
+    /// delta (or a replayed receiver set) sharing `(target, callee
+    /// context)`. Binding receiver by receiver would make this equal
+    /// the receiver count. Not part of the snapshot format: restored
+    /// results read 0.
+    pub dispatch_groups: u64,
 }
 
 impl AnalysisStats {
@@ -141,6 +147,7 @@ impl AnalysisStats {
         obs::counter("pta.mask_ranges").add(self.mask_ranges);
         obs::counter("pta.range_union_hits").add(self.range_union_hits);
         obs::counter("pta.order_search_edges").add(self.order_search_edges);
+        obs::counter("pta.dispatch_groups").add(self.dispatch_groups);
         let peak = obs::gauge("pta.pts_peak_words");
         if self.pts_peak_words as i64 > peak.get() {
             peak.set(self.pts_peak_words as i64);

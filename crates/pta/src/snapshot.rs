@@ -111,8 +111,9 @@ pub struct RawResult {
     pub cg_edges: Vec<(u32, u32)>,
     /// Context-sensitive call-graph edge count.
     pub cs_cg_edge_count: u64,
-    /// The run's counters, carried verbatim (a restored result reports
-    /// the statistics of the run that produced the snapshot).
+    /// The run's counters (a restored result reports the statistics of
+    /// the run that produced the snapshot), minus the ones the snapshot
+    /// format does not serialize, which read 0.
     pub stats: AnalysisStats,
 }
 
@@ -218,7 +219,13 @@ pub fn extract(result: &AnalysisResult) -> RawResult {
         reachable_methods,
         cg_edges,
         cs_cg_edge_count: result.cs_cg_edge_count as u64,
-        stats: result.stats.clone(),
+        // Counters outside the snapshot format read 0, as they will
+        // after a save/load round trip.
+        stats: AnalysisStats {
+            order_search_edges: 0,
+            dispatch_groups: 0,
+            ..result.stats.clone()
+        },
     }
 }
 

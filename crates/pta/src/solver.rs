@@ -62,6 +62,22 @@
 //! cycle provably converge to identical sets by mutual subset
 //! inclusion).
 //!
+//! # Receiver-batched dispatch
+//!
+//! A call fires for every object that reaches its receiver variable —
+//! per popped delta, and for the whole existing set when the call
+//! registers. Both go through `dispatch_batch`, which walks the
+//! receivers in ascending id order, resolves the target once per run of
+//! same-type ids (contiguous under hierarchy numbering), and groups
+//! consecutive receivers sharing `(target, callee context)`. Each group
+//! seeds the callee's `this` with one `add_objects` and binds once.
+//! Binding is bind-once: argument and return edges are a function of
+//! the context-sensitive call edge alone, and edges are never removed,
+//! so `bind_call` wires them only when `cs_cg_edges` reports the edge
+//! as new. Callee contexts are probed without allocating
+//! ([`ContextArena::append_truncated`]). `pta.dispatch_groups` counts
+//! the groups bound.
+//!
 //! # Hash-consed rows
 //!
 //! Representative points-to sets and pending deltas live behind
@@ -528,6 +544,9 @@ struct Solver<'a, S, H> {
     dispatch_cache: FastMap<(CallSiteId, TypeId), Option<MethodId>>,
     /// Per-method return variables (cached).
     return_vars: Vec<Vec<VarId>>,
+    /// Receiver buffer of the current dispatch group, reused across
+    /// [`Solver::dispatch_batch`] calls.
+    dispatch_group: Vec<ObjId>,
 
     worklist: VecDeque<PtrId>,
     /// Newly reachable `(context, method)` pairs awaiting statement
@@ -603,6 +622,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             cs_cg_edges: FastSet::default(),
             dispatch_cache: FastMap::default(),
             return_vars,
+            dispatch_group: Vec::new(),
             worklist: VecDeque::new(),
             pending_methods: VecDeque::new(),
             stats: AnalysisStats::default(),
@@ -994,7 +1014,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                     self.tl.batch(std::mem::take(&mut cur));
                 }
                 cur.level = level;
-                cur.shards = 1;
                 cur_any = true;
                 cur.pops += 1;
                 cur.objects += delta.len() as u64;
@@ -1364,9 +1383,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         let n_calls = self.calls[i].len();
         for k in 0..n_calls {
             let call = self.calls[i][k];
-            for obj in delta.iter() {
-                self.dispatch_call(call, obj);
-            }
+            self.dispatch_batch(call, delta);
         }
     }
 
@@ -1386,11 +1403,11 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // does not pin `self` (statement processing needs `&mut`).
         let program = self.program;
         for &stmt in program.method(method).body() {
-            self.process_stmt(ctx, method, stmt);
+            self.process_stmt(ctx, stmt);
         }
     }
 
-    fn process_stmt(&mut self, ctx: CtxId, method: MethodId, stmt: Stmt) {
+    fn process_stmt(&mut self, ctx: CtxId, stmt: Stmt) {
         match stmt {
             Stmt::New { lhs, site } => {
                 let repr = self.heap.repr(site);
@@ -1462,7 +1479,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                             site_id,
                             target,
                         );
-                        self.bind_call(ctx, site_id, callee_ctx, target, None);
+                        self.bind_call(ctx, site_id, callee_ctx, target);
                     }
                     (&CallKind::Special { recv }, &CallTarget::Exact(target)) => {
                         self.register_receiver_call(ctx, recv, site_id, Some(target));
@@ -1479,7 +1496,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 // Handled at call-binding time via `return_vars`.
             }
         }
-        let _ = method;
     }
 
     fn register_receiver_call(
@@ -1498,63 +1514,126 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         };
         self.calls[rp.index()].push(call);
         let existing = self.pts[rp.index()].clone();
-        for obj in existing.iter() {
-            self.dispatch_call(call, obj);
-        }
+        self.dispatch_batch(call, &existing);
     }
 
-    fn dispatch_call(&mut self, call: PendingCall, recv_obj: ObjId) {
+    /// The dispatch target of `call` on a receiver of type `ty`, or
+    /// `None` when the call cannot resolve: no implementation for the
+    /// type (e.g. an abstract class leak) or an abstract target.
+    fn resolve_target(&mut self, call: PendingCall, ty: TypeId) -> Option<MethodId> {
         let target = match call.fixed_target {
             Some(t) => Some(t),
-            None => {
-                let site = self.program.call_site(call.site);
-                match site.target() {
-                    CallTarget::Signature { name, arity } => {
-                        let ty = self.objs.ty(recv_obj);
-                        match self.dispatch_cache.get(&(call.site, ty)) {
-                            Some(&t) => t,
-                            None => {
-                                let t = self.program.dispatch(ty, name, *arity);
-                                self.dispatch_cache.insert((call.site, ty), t);
-                                t
-                            }
+            None => match self.program.call_site(call.site).target() {
+                CallTarget::Signature { name, arity } => {
+                    match self.dispatch_cache.get(&(call.site, ty)) {
+                        Some(&t) => t,
+                        None => {
+                            let t = self.program.dispatch(ty, name, *arity);
+                            self.dispatch_cache.insert((call.site, ty), t);
+                            t
                         }
                     }
-                    CallTarget::Exact(t) => Some(*t),
                 }
-            }
+                CallTarget::Exact(t) => Some(*t),
+            },
         };
-        let Some(target) = target else {
-            // No concrete implementation: the call site cannot resolve
-            // for this receiver type (e.g. an abstract class leak).
-            return;
-        };
-        if self.program.method(target).is_abstract() {
-            return;
-        }
-        let callee_ctx = self.selector.callee_context(
-            &mut self.arena,
-            &self.objs,
-            self.program,
-            call.caller_ctx,
-            call.site,
-            recv_obj,
-            target,
-        );
-        self.bind_call(call.caller_ctx, call.site, callee_ctx, target, Some(recv_obj));
+        target.filter(|&t| !self.program.method(t).is_abstract())
     }
 
+    /// Dispatches `call` on every receiver in `objs` — a popped delta
+    /// or, at registration, the receiver's whole existing set — with
+    /// one bind per group of consecutive receivers sharing `(target,
+    /// callee context)`.
+    ///
+    /// Receivers arrive in ascending id order; under hierarchy
+    /// numbering same-type objects are contiguous, so the target is
+    /// resolved once per run of same-type ids. A receiver the call
+    /// cannot resolve for is skipped without closing the open group.
+    /// Each group seeds the callee's `this` with one `add_objects` and
+    /// then binds once.
+    /// Groups are emitted in first-receiver order, so pointers are
+    /// created in the same order as binding receiver by receiver would.
+    fn dispatch_batch(&mut self, call: PendingCall, objs: &PtsSet<ObjId>) {
+        let mut group = std::mem::take(&mut self.dispatch_group);
+        group.clear();
+        let mut cur: Option<(MethodId, CtxId)> = None;
+        let mut resolved: Option<(TypeId, Option<MethodId>)> = None;
+        for obj in objs.iter() {
+            let ty = self.objs.ty(obj);
+            let target = match resolved {
+                Some((rty, t)) if rty == ty => t,
+                _ => {
+                    let t = self.resolve_target(call, ty);
+                    resolved = Some((ty, t));
+                    t
+                }
+            };
+            let Some(target) = target else {
+                continue;
+            };
+            let callee_ctx = self.selector.callee_context(
+                &mut self.arena,
+                &self.objs,
+                self.program,
+                call.caller_ctx,
+                call.site,
+                obj,
+                target,
+            );
+            if cur != Some((target, callee_ctx)) {
+                if let Some((t, c)) = cur {
+                    self.bind_group(call, t, c, &group);
+                }
+                group.clear();
+                cur = Some((target, callee_ctx));
+            }
+            group.push(obj);
+        }
+        if let Some((t, c)) = cur {
+            self.bind_group(call, t, c, &group);
+        }
+        self.dispatch_group = group;
+    }
+
+    /// Binds one dispatch group: `this` of `target` under `callee_ctx`
+    /// receives exactly the group's receivers, then the call edge is
+    /// bound.
+    fn bind_group(
+        &mut self,
+        call: PendingCall,
+        target: MethodId,
+        callee_ctx: CtxId,
+        group: &[ObjId],
+    ) {
+        self.stats.dispatch_groups += 1;
+        if let Some(this) = self.program.method(target).this() {
+            let tp = self.var_ptr(callee_ctx, this);
+            self.add_objects(tp, group.iter().copied());
+        }
+        self.bind_call(call.caller_ctx, call.site, callee_ctx, target);
+    }
+
+    /// Binds the context-sensitive call edge `(caller_ctx, site) →
+    /// (callee_ctx, target)`: marks the callee reachable and wires
+    /// arguments to parameters and returns to the result variable.
+    ///
+    /// That wiring is a function of the edge alone, and edges are never
+    /// removed, so it runs only the first time the edge is inserted; a
+    /// repeat bind is a no-op.
     fn bind_call(
         &mut self,
         caller_ctx: CtxId,
         site_id: CallSiteId,
         callee_ctx: CtxId,
         target: MethodId,
-        recv_obj: Option<ObjId>,
     ) {
+        if !self
+            .cs_cg_edges
+            .insert((caller_ctx, site_id, callee_ctx, target))
+        {
+            return;
+        }
         self.cg_edges.insert((site_id, target));
-        self.cs_cg_edges
-            .insert((caller_ctx, site_id, callee_ctx, target));
         self.mark_reachable(callee_ctx, target);
 
         // Borrow the callee and site through a copied-out program
@@ -1562,11 +1641,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // binding stays allocation-free.
         let program = self.program;
         let callee = program.method(target);
-        // `this` receives exactly the dispatching object.
-        if let (Some(this), Some(obj)) = (callee.this(), recv_obj) {
-            let tp = self.var_ptr(callee_ctx, this);
-            self.add_objects(tp, [obj]);
-        }
         // Arguments to parameters.
         let site = program.call_site(site_id);
         for (&arg, &param) in site.args().iter().zip(callee.params().iter()) {

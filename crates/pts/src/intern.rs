@@ -24,11 +24,13 @@
 //! plus a length word), never over the in-memory representation, so a
 //! small-vec set and its promoted dense twin intern to the same entry —
 //! mirroring `PtsSet`'s representation-independent `PartialEq`. A
-//! fingerprint hit is additionally verified by exact element
-//! comparison before two sets are merged (collisions park in a bucket
-//! list), so adopting the canonical `Arc` never changes observable
-//! contents: every solver result is bit-identical to the un-interned
-//! run, which is what keeps the golden parity fingerprints stable.
+//! fingerprint hit is additionally verified by exact content
+//! comparison (`PtsSet::eq`: slices or bitmap words where the
+//! representations match) before two sets are merged (collisions park
+//! in a bucket list), so adopting the canonical `Arc` never changes
+//! observable contents: every solver result is bit-identical to the
+//! un-interned run, which is what keeps the golden parity fingerprints
+//! stable.
 //!
 //! Within one interner generation, two *live sealed* handles are
 //! content-equal if and only if their ids are equal: a table entry is

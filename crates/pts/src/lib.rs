@@ -287,6 +287,33 @@ impl<T: Elem> PtsSet<T> {
         }
     }
 
+    /// Removes `elem`; returns `true` if it was present. A dense set
+    /// keeps its representation and its word count, so the bitmap may
+    /// end in zero words.
+    pub fn remove(&mut self, elem: T) -> bool {
+        let i = elem.into_index();
+        match &mut self.repr {
+            Repr::Small(v) => match u32::try_from(i).map(|key| v.binary_search(&key)) {
+                Ok(Ok(pos)) => {
+                    v.remove(pos);
+                    true
+                }
+                _ => false,
+            },
+            Repr::Dense { words, len } => {
+                let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
+                match words.get_mut(w) {
+                    Some(word) if *word & b != 0 => {
+                        *word &= !b;
+                        *len -= 1;
+                        true
+                    }
+                    _ => false,
+                }
+            }
+        }
+    }
+
     /// Converts the small representation to a bitmap.
     fn promote(&mut self) {
         if let Repr::Small(v) = &self.repr {
@@ -700,8 +727,27 @@ fn for_range_words(ranges: &IdRanges, n_words: usize, mut f: impl FnMut(usize, u
 impl<T: Elem> PartialEq for PtsSet<T> {
     /// Structural equality over the *elements*, independent of
     /// representation: a promoted set equals its small twin.
+    ///
+    /// Every interner fingerprint hit runs this comparison, so it works
+    /// on the representation where it can: two small sets compare as
+    /// slices, two dense sets word by word over their common prefix,
+    /// with any words past the shorter bitmap required to be zero (a
+    /// bitmap may keep trailing zero words after [`PtsSet::remove`] or
+    /// a masked union). Only mixed pairs walk the elements.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        if self.len() != other.len() {
+            return false;
+        }
+        match (&self.repr, &other.repr) {
+            (Repr::Small(a), Repr::Small(b)) => a == b,
+            (Repr::Dense { words: a, .. }, Repr::Dense { words: b, .. }) => {
+                let n = a.len().min(b.len());
+                a[..n] == b[..n]
+                    && a[n..].iter().all(|&w| w == 0)
+                    && b[n..].iter().all(|&w| w == 0)
+            }
+            _ => self.iter().eq(other.iter()),
+        }
     }
 }
 

@@ -161,3 +161,37 @@ fn sealing_shares_and_make_mut_unshares() {
         assert_eq!(a == b, !changed, "equality after divergence, trial {trial}");
     }
 }
+
+/// Representation twins — a small set, its forced-dense copy, and a
+/// dense copy with trailing zero words — seal onto one interned id and
+/// one allocation.
+#[test]
+fn interner_dedups_representation_twins() {
+    let mut rng = SplitMix64::new(0xa4093822299f31d0);
+    for trial in 0..100 {
+        let interner = SetInterner::new();
+        let (canonical, oracle) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
+        dense.clear();
+        dense.extend(oracle.iter().copied());
+        let mut trailing = dense.clone();
+        let high = UNIVERSE as u32 + 640;
+        trailing.insert(high);
+        trailing.remove(high);
+        let mut handles: Vec<PtsHandle<u32>> = [canonical, dense, trailing]
+            .into_iter()
+            .map(PtsHandle::from_set)
+            .collect();
+        for h in &mut handles {
+            h.seal(&interner);
+        }
+        for h in &handles[1..] {
+            assert_eq!(h.addr(), handles[0].addr(), "twin kept its own allocation, trial {trial}");
+            assert_eq!(*h, handles[0], "twins compare unequal, trial {trial}");
+        }
+        // The empty set is pre-interned; any other content adds one.
+        let want = if oracle.is_empty() { 1 } else { 2 };
+        assert_eq!(interner.interned(), want, "interned count, trial {trial}");
+        assert_matches(&handles[0], &oracle, &format!("trial {trial}"));
+    }
+}

@@ -231,3 +231,65 @@ fn union_with_matches_extend() {
         assert_matches(&b, &union_o, &format!("union_with, trial {trial}"));
     }
 }
+
+/// Three representations of `oracle`'s contents: the canonical build
+/// (small up to `SMALL_MAX` elements, dense past it), a forced-dense
+/// bitmap, and a dense bitmap that keeps trailing zero words after a
+/// high element is inserted and removed again.
+fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 3] {
+    let canonical: PtsSet<u32> = oracle.iter().copied().collect();
+    let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
+    dense.clear();
+    dense.extend(oracle.iter().copied());
+    let mut trailing = dense.clone();
+    let high = UNIVERSE as u32 + 640;
+    assert!(trailing.insert(high));
+    assert!(trailing.remove(high));
+    assert!(!trailing.remove(high), "second remove of {high}");
+    [("canonical", canonical), ("dense", dense), ("trailing-zero", trailing)]
+}
+
+#[test]
+fn remove_matches_oracle() {
+    let mut rng = SplitMix64::new(0x243f6a8885a308d3);
+    for trial in 0..200 {
+        let (mut set, mut oracle) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        for _ in 0..16 {
+            let v = rng.below(UNIVERSE) as u32;
+            assert_eq!(set.remove(v), oracle.remove(&v), "remove({v}), trial {trial}");
+            assert_matches(&set, &oracle, &format!("after remove({v}), trial {trial}"));
+        }
+    }
+}
+
+/// `PtsSet` equality agrees with the oracle's for every pair of
+/// representations: small vs small compares slices, dense vs dense
+/// compares words (trailing zero words included), mixed pairs walk.
+#[test]
+fn equality_matches_oracle_across_representations() {
+    let mut rng = SplitMix64::new(0x13198a2e03707344);
+    for trial in 0..300 {
+        let (_, a) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        // Equal contents, a one-element difference, or an unrelated set.
+        let b = match rng.below(3) {
+            0 => a.clone(),
+            1 => {
+                let mut b = a.clone();
+                let v = rng.below(UNIVERSE) as u32;
+                if !b.remove(&v) {
+                    b.insert(v);
+                }
+                b
+            }
+            _ => random_set(&mut rng, 3 * SMALL_MAX as u64).1,
+        };
+        let want = a == b;
+        for (ka, ra) in &representations(&a) {
+            assert_matches(ra, &a, &format!("{ka} build, trial {trial}"));
+            for (kb, rb) in &representations(&b) {
+                assert_eq!(ra == rb, want, "{ka} == {kb}, trial {trial}");
+                assert_eq!(rb == ra, want, "{kb} == {ka} (symmetry), trial {trial}");
+            }
+        }
+    }
+}

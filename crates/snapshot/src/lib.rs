@@ -288,6 +288,7 @@ fn stats_from_words(w: &[u64; 25]) -> Result<AnalysisStats, SnapshotError> {
         mask_ranges: w[23],
         range_union_hits: w[24],
         order_search_edges: 0,
+        dispatch_groups: 0,
     })
 }
 

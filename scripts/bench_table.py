@@ -278,7 +278,7 @@ def check_serve(path: Path):
 # Per-record keys in PROFILE_pta.json's "profile.records" entries.
 PROFILE_RECORD_KEYS = [
     "run", "wave", "level", "pops", "objects", "words",
-    "resolve_ns", "propagate_ns", "merge_ns", "shards", "busy_ns", "idle_ns",
+    "resolve_ns", "propagate_ns", "merge_ns",
 ]
 
 

@@ -49,7 +49,7 @@ prof = doc["profile"]
 records = prof["records"]
 assert records, "profile has no timeline records"
 keys = {"run", "wave", "level", "pops", "objects", "words",
-        "resolve_ns", "propagate_ns", "merge_ns", "shards", "busy_ns", "idle_ns"}
+        "resolve_ns", "propagate_ns", "merge_ns"}
 for rec in records:
     missing = keys - rec.keys()
     assert not missing, f"timeline record missing {sorted(missing)}"

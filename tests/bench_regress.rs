@@ -16,8 +16,9 @@
 //! to pairwise checking flips `hk_runs`/`equivalence_checks` nonzero
 //! immediately), and the amount of automaton work — `dfa_built`, one
 //! canonicalization per candidate — is pinned to a measured-at-commit
-//! bound the same way `worklist_pops` is, and so is the solver's
-//! order maintenance (edges scanned by repair searches, renumbers).
+//! bound the same way `worklist_pops` is, and so are the solver's
+//! order maintenance (edges scanned by repair searches, renumbers) and
+//! its call dispatch (receiver groups bound).
 //! Wall-clock itself is tracked by the committed BENCH records, which
 //! `scripts/bench_table.py` renders, and by the `perfbench` benchmark;
 //! counters, not seconds, are what CI can assert on.
@@ -160,6 +161,31 @@ fn order_maintenance_work_within_bounds() {
     assert_eq!(
         stats.collapse_sweeps, ORDER_RENUMBERS_BOUND,
         "order renumbers regressed past bound {ORDER_RENUMBERS_BOUND} \
+         (bound = measured-at-commit × 1.10; see module docs)"
+    );
+}
+
+/// 1.10 × the dispatch groups bound on the fixed workload (luindex,
+/// scale 2, 2cs, alloc-site heap) when receiver-batched dispatch
+/// landed: 3,971 measured → 4,368 bound. One group is one bind of a
+/// run of receivers sharing `(target, callee context)`; binding
+/// receiver by receiver makes groups equal receivers and blows past
+/// it.
+const DISPATCH_GROUPS_BOUND: u64 = 4_368;
+
+/// Deterministic work bound for call dispatch.
+#[test]
+fn dispatch_groups_within_bound() {
+    let w = workloads::dacapo::workload("luindex", 2);
+    let result = AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
+        .budget(Budget::seconds(120))
+        .run(&w.program)
+        .expect("luindex@2 under 2cs fits a 120s budget");
+    let groups = result.stats().dispatch_groups;
+    assert!(groups > 0, "no call was ever dispatched");
+    assert!(
+        groups <= DISPATCH_GROUPS_BOUND,
+        "dispatch_groups regressed: {groups} > bound {DISPATCH_GROUPS_BOUND} \
          (bound = measured-at-commit × 1.10; see module docs)"
     );
 }

@@ -143,8 +143,7 @@ fn chrome_trace_is_valid() {
                 assert!(ev.get("ts").unwrap().as_u64().is_some());
                 assert!(ev.get("dur").unwrap().as_u64().is_some());
                 let args = ev.get("args").unwrap();
-                // Span events carry a depth; shard events carry a wave.
-                assert!(args.get("depth").is_some() || args.get("wave").is_some());
+                assert!(args.get("depth").is_some(), "span event lacks a depth");
             }
             "i" => instants += 1,
             "M" => {
@@ -189,7 +188,7 @@ fn timeline_contents_are_deterministic_on_figure1() {
 fn timeline_ring_wraps_at_capacity() {
     use obs::timeline::{Timeline, WaveRecord};
     let _guard = lock();
-    let tl = Timeline::new(4, 2);
+    let tl = Timeline::new(4);
     for wave in 0..10u32 {
         tl.record_wave(WaveRecord { wave, pops: wave, ..WaveRecord::default() });
     }
@@ -217,7 +216,7 @@ fn timeline_export_roundtrips() {
         // Sentinel levels export as small negatives, real levels as >= 0.
         let level = rec.get("level").unwrap().as_f64().unwrap();
         assert!(level >= -4.0, "level {level} in range");
-        for key in ["pops", "resolve_ns", "propagate_ns", "merge_ns", "shards"] {
+        for key in ["pops", "resolve_ns", "propagate_ns", "merge_ns"] {
             assert!(rec.get(key).is_some(), "record lacks `{key}`");
         }
     }
