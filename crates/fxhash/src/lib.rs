@@ -171,24 +171,6 @@ impl Fingerprint128 {
     }
 }
 
-/// Fingerprints a stream of 32-bit words with a trailing length word,
-/// so streams that are prefixes of each other cannot collide. This is
-/// the canonical content identity for *element sets*: callers feed the
-/// elements in ascending order and two sets fingerprint identically
-/// exactly when they hold the same elements — independent of how the
-/// set is represented in memory. The `pts` interner keys its shards
-/// with this.
-pub fn fingerprint_u32s<I: IntoIterator<Item = u32>>(words: I) -> u128 {
-    let mut f = Fingerprint128::new();
-    let mut n: u64 = 0;
-    for w in words {
-        f.write_u32(w);
-        n += 1;
-    }
-    f.write_u64(n);
-    f.finish()
-}
-
 /// A murmur3-style 64-bit finalizer (xor-shift / multiply avalanche).
 #[inline]
 fn finalize(mut v: u64) -> u64 {
@@ -273,15 +255,5 @@ mod tests {
         let mut zero = Fingerprint128::new();
         zero.write_u64(0);
         assert_ne!(empty, zero.finish());
-    }
-
-    #[test]
-    fn fingerprint_u32s_is_length_disambiguated() {
-        // A set and a strict prefix of it must not collide, and the
-        // fingerprint is a pure function of the element stream.
-        assert_ne!(fingerprint_u32s([1, 2, 3]), fingerprint_u32s([1, 2]));
-        assert_ne!(fingerprint_u32s([]), fingerprint_u32s([0]));
-        assert_eq!(fingerprint_u32s([5, 9]), fingerprint_u32s(vec![5, 9]));
-        assert_ne!(fingerprint_u32s([5, 9]), fingerprint_u32s([9, 5]));
     }
 }

@@ -207,6 +207,15 @@ pub trait ContextSelector {
         callee: MethodId,
     ) -> CtxId;
 
+    /// Whether [`ContextSelector::callee_context`] reads its `recv`
+    /// argument. A selector answering `false` promises that the callee
+    /// context is a function of the caller context, the call site and
+    /// the callee alone; the solver then computes it once per call and
+    /// target instead of once per receiver object. Every selector must
+    /// state its answer: a wrong `false` would analyze receivers under
+    /// another receiver's context.
+    fn reads_receiver(&self) -> bool;
+
     /// The context for a statically bound callee (static calls).
     fn static_callee_context(
         &self,
@@ -241,6 +250,10 @@ impl ContextSelector for ContextInsensitive {
         _callee: MethodId,
     ) -> CtxId {
         arena.empty()
+    }
+
+    fn reads_receiver(&self) -> bool {
+        false
     }
 
     fn static_callee_context(
@@ -294,6 +307,11 @@ impl ContextSelector for CallSiteSensitive {
         _callee: MethodId,
     ) -> CtxId {
         arena.append_truncated(caller, CtxElem::CallSite(site), self.k)
+    }
+
+    fn reads_receiver(&self) -> bool {
+        // The context is the caller context plus the call site.
+        false
     }
 
     fn static_callee_context(
@@ -353,6 +371,10 @@ impl ContextSelector for ObjectSensitive {
         arena.append_truncated(hctx, CtxElem::Alloc(objs.alloc(recv)), self.k)
     }
 
+    fn reads_receiver(&self) -> bool {
+        true
+    }
+
     fn static_callee_context(
         &self,
         _arena: &mut ContextArena,
@@ -410,6 +432,10 @@ impl ContextSelector for TypeSensitive {
         arena.append_truncated(hctx, CtxElem::Type(containing), self.k)
     }
 
+    fn reads_receiver(&self) -> bool {
+        true
+    }
+
     fn static_callee_context(
         &self,
         _arena: &mut ContextArena,
@@ -432,6 +458,7 @@ impl ContextSelector for TypeSensitive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_context_is_index_zero() {
@@ -523,6 +550,70 @@ mod tests {
         assert_eq!(t0, arena.empty());
         // Truncating to a longer length is the identity.
         assert_eq!(arena.truncate(c, 5), c);
+    }
+
+    /// A selector that says it ignores the receiver must give every
+    /// receiver of a call the same callee context, whatever the
+    /// receiver's type, allocation site or heap context: the solver
+    /// asks such a selector once per call and target. Selectors that
+    /// read the receiver must tell these receivers apart, so the
+    /// fixture can see the difference.
+    #[test]
+    fn receiver_blind_selectors_ignore_the_receiver() {
+        let program = jir::parse(
+            "class A { method m(this) { return; } }
+             class B extends A { }
+             class F { static method mk() { n = new B; return n; } }
+             class Main {
+               entry static method main() {
+                 a = new A; b = new B; c = call F::mk();
+                 x = a; x = b; x = c;
+                 y = virt x.m();
+                 return;
+               }
+             }",
+        )
+        .expect("fixture parses");
+        let mut arena = ContextArena::new();
+        let sites: Vec<CallSiteId> = program.call_site_ids().collect();
+        let heap_ctxs = [arena.empty(), arena.intern(vec![CtxElem::CallSite(sites[0])])];
+        let mut objs = ObjTable::with_numbering(&program, crate::object::Numbering::Discovery);
+        let recvs: Vec<ObjId> = heap_ctxs
+            .iter()
+            .flat_map(|&h| program.alloc_ids().map(move |a| (h, a)))
+            .map(|(h, a)| objs.intern(h, a, &program))
+            .collect();
+        assert_eq!(recvs.len(), 6, "three sites under two heap contexts");
+        let callee = program.method_ids().next().expect("a method");
+        let callers = [arena.empty(), arena.intern(vec![CtxElem::CallSite(sites[1])])];
+
+        let selectors: [(&dyn ContextSelector, bool); 6] = [
+            (&ContextInsensitive, false),
+            (&CallSiteSensitive::new(1), false),
+            (&CallSiteSensitive::new(2), false),
+            (&CallSiteSensitive::new(3), false),
+            (&ObjectSensitive::new(2), true),
+            (&TypeSensitive::new(2), true),
+        ];
+        for (sel, reads) in selectors {
+            let name = sel.describe();
+            assert_eq!(sel.reads_receiver(), reads, "{name}");
+            for &caller in &callers {
+                for &site in &sites {
+                    let ctxs: BTreeSet<CtxId> = recvs
+                        .iter()
+                        .map(|&r| {
+                            sel.callee_context(&mut arena, &objs, &program, caller, site, r, callee)
+                        })
+                        .collect();
+                    if reads {
+                        assert!(ctxs.len() > 1, "{name}: receivers share one context");
+                    } else {
+                        assert_eq!(ctxs.len(), 1, "{name}: the receiver changed the context");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

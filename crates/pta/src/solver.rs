@@ -12,10 +12,14 @@
 //! The worklist holds dirty *pointers*, not `(pointer, objects)` pairs:
 //! each pointer carries one pending delta set into which all incoming
 //! news is coalesced until the pointer is popped. Popping forwards only
-//! that delta — never the full set — along copy edges via
-//! [`pts::PtsSet::union_into`], whose returned delta seeds the next
-//! hop. Type-filtered (cast) edges intersect against a per-type object
-//! mask with a word-wise AND instead of a per-object subtype walk.
+//! that delta — never the full set — along copy edges: the edge's
+//! contribution is [`pts::PtsSet::difference`] against the target,
+//! ORed into the target with [`pts::PtsSet::union_with`], and it seeds
+//! the next hop. Type-filtered (cast) edges restrict the contribution
+//! to the cast's compiled id runs
+//! ([`pts::PtsSet::difference_in_ranges`]) instead of walking objects
+//! through a subtype test. All three kernels work a 64-bit word at a
+//! time on a dense delta.
 //!
 //! # One wave driver over an incremental topological order
 //!
@@ -75,8 +79,10 @@
 //! the context-sensitive call edge alone, and edges are never removed,
 //! so `bind_call` wires them only when `cs_cg_edges` reports the edge
 //! as new. Callee contexts are probed without allocating
-//! ([`ContextArena::append_truncated`]). `pta.dispatch_groups` counts
-//! the groups bound.
+//! ([`ContextArena::append_truncated`]), and a selector that does not
+//! read the receiver ([`ContextSelector::reads_receiver`]: k-CFA and
+//! context-insensitive) is asked once per call and target rather than
+//! once per receiver. `pta.dispatch_groups` counts the groups bound.
 //!
 //! # Hash-consed rows
 //!
@@ -88,10 +94,12 @@
 //! [`crate::numbering`].) Context-sensitive runs produce thousands of
 //! bit-identical rows (the same receiver objects under many calling
 //! contexts); every [`SEAL_SWEEP_WAVES`] waves the solver *seals*
-//! dirty rows — re-interning their content so identical rows collapse
-//! onto one shared allocation — and evicts interner entries no live
-//! row references. Mutation is check-before-write: a propagation step
-//! first computes the contribution (`difference` /
+//! dirty rows — re-interning their content, keyed by a fingerprint of
+//! the set's nonzero bitmap words ([`pts::PtsSet::fingerprint`]), so
+//! identical rows collapse onto one shared allocation — and evicts
+//! interner entries no live row references. Each sweep is recorded in
+//! the timeline as solver overhead. Mutation is check-before-write: a
+//! propagation step first computes the contribution (`difference` /
 //! `difference_in_ranges`) against the target read-only, and only a
 //! non-empty contribution touches `make_mut`, so quiescent edges never
 //! break sharing. Sealing changes allocation identity, never content,
@@ -356,7 +364,7 @@ const TL_TOP_K: usize = 24;
 /// re-interned (deduplicating identical contents onto one shared
 /// allocation) and dead interner entries evicted every this many
 /// waves, and once more at finalize. Sealing hashes every dirty row's
-/// elements, so it stays off the per-wave hot path; between sweeps
+/// bitmap words, so it stays off the per-wave hot path; between sweeps
 /// mutated rows simply stay dirty and unique.
 const SEAL_SWEEP_WAVES: u64 = 64;
 
@@ -698,7 +706,9 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             // Seal before any memory sample so the sample sees the
             // deduplicated footprint the sweep just established.
             if self.stats.wave_rounds.is_multiple_of(SEAL_SWEEP_WAVES) {
+                let t0 = self.tl.now();
                 self.seal_dirty();
+                self.tl.overhead_since(t0);
             }
             if self.tl.on {
                 obs::counter("pta.live_wave_rounds").inc();
@@ -1553,9 +1563,18 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// then binds once.
     /// Groups are emitted in first-receiver order, so pointers are
     /// created in the same order as binding receiver by receiver would.
+    ///
+    /// A selector that does not read the receiver
+    /// ([`ContextSelector::reads_receiver`]) is asked for the callee
+    /// context only when the target changes, at the first receiver that
+    /// resolves to the new target — once per call when every receiver
+    /// resolves to one method. The selector is pure, so reusing its
+    /// answer creates the same contexts in the same order, with the
+    /// same ids, as asking per receiver.
     fn dispatch_batch(&mut self, call: PendingCall, objs: &PtsSet<ObjId>) {
         let mut group = std::mem::take(&mut self.dispatch_group);
         group.clear();
+        let per_receiver = self.selector.reads_receiver();
         let mut cur: Option<(MethodId, CtxId)> = None;
         let mut resolved: Option<(TypeId, Option<MethodId>)> = None;
         for obj in objs.iter() {
@@ -1571,15 +1590,18 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             let Some(target) = target else {
                 continue;
             };
-            let callee_ctx = self.selector.callee_context(
-                &mut self.arena,
-                &self.objs,
-                self.program,
-                call.caller_ctx,
-                call.site,
-                obj,
-                target,
-            );
+            let callee_ctx = match cur {
+                Some((t, c)) if t == target && !per_receiver => c,
+                _ => self.selector.callee_context(
+                    &mut self.arena,
+                    &self.objs,
+                    self.program,
+                    call.caller_ctx,
+                    call.site,
+                    obj,
+                    target,
+                ),
+            };
             if cur != Some((target, callee_ctx)) {
                 if let Some((t, c)) = cur {
                     self.bind_group(call, t, c, &group);

@@ -8,7 +8,7 @@
 //! — while keeping mutation cheap through copy-on-write:
 //!
 //! - [`SetInterner`] is a sharded content-addressed table mapping a
-//!   128-bit element fingerprint ([`fxhash::fingerprint_u32s`]) to the
+//!   128-bit content fingerprint ([`PtsSet::fingerprint`]) to the
 //!   canonical `Arc<PtsSet>` holding that content.
 //! - [`PtsHandle`] is what callers hold: an `Arc` to the set plus the
 //!   interned id the content was registered under. Reads go through
@@ -20,10 +20,12 @@
 //!
 //! # Why handle equality is sound
 //!
-//! Fingerprints are computed over the *element stream* (ascending ids
-//! plus a length word), never over the in-memory representation, so a
-//! small-vec set and its promoted dense twin intern to the same entry —
-//! mirroring `PtsSet`'s representation-independent `PartialEq`. A
+//! Fingerprints are computed over the ascending `(word index, nonzero
+//! bits)` pairs of the set's bitmap plus its length — a small set's ids
+//! are folded into the same pairs and zero words are skipped — never
+//! over the in-memory representation, so a small-vec set, its promoted
+//! dense twin and a bitmap with trailing zero words intern to the same
+//! entry, mirroring `PtsSet`'s representation-independent `PartialEq`. A
 //! fingerprint hit is additionally verified by exact content
 //! comparison (`PtsSet::eq`: slices or bitmap words where the
 //! representations match) before two sets are merged (collisions park
@@ -99,7 +101,7 @@ impl<T: Elem> SetInterner<T> {
         let empty = Arc::new(PtsSet::new());
         let shards: Vec<Mutex<Shard<T>>> =
             (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
-        let fp = fingerprint(&empty);
+        let fp = empty.fingerprint();
         shards[shard_of(fp)].lock().unwrap().insert(fp, vec![(0, empty.clone())]);
         SetInterner {
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
@@ -118,7 +120,7 @@ impl<T: Elem> SetInterner<T> {
             set: self.empty.clone(),
             id: 0,
             generation: self.generation,
-            fp: Some(fingerprint(&self.empty)),
+            fp: Some(self.empty.fingerprint()),
         }
     }
 
@@ -135,7 +137,7 @@ impl<T: Elem> SetInterner<T> {
     }
 
     /// Registers `set`'s content, returning the canonical `(id, Arc)`.
-    /// `fp` must be the element-stream fingerprint of `set` — passed in
+    /// `fp` must be [`PtsSet::fingerprint`] of `set` — passed in
     /// so a handle that already knows it (cached at a previous seal)
     /// skips the re-hash.
     fn intern(&self, set: &Arc<PtsSet<T>>, fp: u128) -> (u32, Arc<PtsSet<T>>) {
@@ -172,12 +174,6 @@ impl<T: Elem> SetInterner<T> {
     }
 }
 
-/// Element-stream fingerprint: representation-independent content
-/// identity (see the module docs).
-fn fingerprint<T: Elem>(set: &PtsSet<T>) -> u128 {
-    fxhash::fingerprint_u32s(set.iter().map(|e| e.into_index() as u32))
-}
-
 fn shard_of(fp: u128) -> usize {
     fp as usize & (SHARDS - 1)
 }
@@ -196,11 +192,11 @@ pub struct PtsHandle<T: Elem> {
     id: u32,
     /// Generation of the interner that assigned `id` (0 while dirty).
     generation: u32,
-    /// Cached element-stream fingerprint of `set`, computed at most
+    /// Cached [`PtsSet::fingerprint`] of `set`, computed at most
     /// once per content: a seal stores it, [`PtsHandle::make_mut`]
     /// invalidates it, so re-sealing an unchanged row (e.g. into a
     /// different interner, or after a no-op mutation cycle ended in
-    /// `seal`) never re-hashes the elements.
+    /// `seal`) never re-hashes the set.
     fp: Option<u128>,
 }
 
@@ -242,7 +238,7 @@ impl<T: Elem> PtsHandle<T> {
     /// Mutable access to the set. Marks the handle dirty and clones
     /// the allocation if it is shared (copy-on-write). Callers should
     /// check that they actually have something to write first —
-    /// `difference` / `difference_masked` against the target — so
+    /// `difference` / `difference_in_ranges` against the target — so
     /// quiescent edges never trigger the copy.
     pub fn make_mut(&mut self) -> &mut PtsSet<T> {
         self.id = DIRTY;
@@ -256,12 +252,12 @@ impl<T: Elem> PtsHandle<T> {
     /// untouched, so sweeping a mostly-clean row store is cheap; a
     /// handle whose fingerprint survived (cloned from a sealed handle,
     /// or sealed before into another interner) reuses it instead of
-    /// re-hashing its elements.
+    /// re-hashing the set.
     pub fn seal(&mut self, interner: &SetInterner<T>) {
         if self.is_sealed() {
             return;
         }
-        let fp = *self.fp.get_or_insert_with(|| fingerprint(&self.set));
+        let fp = *self.fp.get_or_insert_with(|| self.set.fingerprint());
         let (id, canon) = interner.intern(&self.set, fp);
         self.set = canon;
         self.id = id;

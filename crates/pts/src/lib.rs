@@ -14,17 +14,26 @@
 //!   become word-wise operations, O(universe / 64) regardless of how
 //!   many objects the set holds.
 //!
-//! The two operations the solver lives on:
+//! The solver's kernels work on whole 64-bit words wherever the
+//! source operand is dense:
 //!
+//! - [`PtsSet::difference`] / [`PtsSet::difference_in_ranges`] — the
+//!   contribution of a delta to a copy edge's target (`self \ other`,
+//!   optionally restricted to a cast's id runs), computed read-only;
+//! - [`PtsSet::union_with`] — ORs a contribution into the target row
+//!   (or a pending delta) without building a delta;
 //! - [`PtsSet::union_into`] — unions `self` into a target and returns
 //!   the **delta** (the elements genuinely new to the target) as a
-//!   fresh set. Difference propagation falls out: the returned delta is
-//!   exactly what must be forwarded to the target's consumers, and an
-//!   empty delta means the edge is quiescent.
-//! - [`PtsSet::union_into_masked`] — the same, but elements must also
-//!   be present in a *mask* set. Type-filtered (cast) edges AND the
-//!   mask word-wise instead of walking objects and querying a type
-//!   hierarchy per element.
+//!   fresh set. An empty delta means the edge is quiescent.
+//!
+//! Each reads the other operand a word at a time, whatever its
+//! representation, and builds its output a word at a time: a small
+//! output takes the word's ids, and a dense output ORs the word in.
+//! An output promotes exactly where inserting its elements one by one
+//! would, so kernel outputs have the representation (and
+//! [`PtsSet::mem_words`]) of an element-by-element build. Only a small
+//! source — at most [`SMALL_MAX`] elements — is walked element by
+//! element.
 //!
 //! Iteration ([`PtsSet::iter`]) is always in ascending id order, borrows
 //! the set, and allocates nothing; [`PtsSet::to_vec`] is the escape
@@ -35,7 +44,7 @@
 //! tests use `u32`.
 //!
 //! Sets that live long enough to repeat — the solver's representative
-//! rows, per-type masks, and result storage — go behind the
+//! rows and result storage — go behind the
 //! hash-consing layer in [`intern`]: a sharded [`intern::SetInterner`]
 //! deduplicates identical contents and hands out copy-on-write
 //! [`intern::PtsHandle`]s whose equality fast-paths on the interned
@@ -94,9 +103,8 @@ const WORD_BITS: usize = 64;
 /// so the subtype cone behind each cast filter is a handful of runs;
 /// storing the runs instead of a materialized mask set turns cast
 /// filtering into range-bounded word arithmetic
-/// ([`PtsSet::difference_in_ranges`], [`PtsSet::union_masked_ranges`])
-/// and shrinks the mask footprint from bitmap words to one word per
-/// run.
+/// ([`PtsSet::difference_in_ranges`]) and shrinks the mask footprint
+/// from bitmap words to one word per run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IdRanges {
     /// Ascending, pairwise-disjoint, non-adjacent (coalesced) runs.
@@ -363,38 +371,18 @@ impl<T: Elem> PtsSet<T> {
     }
 
     /// Unions `self` into `target`; returns the delta (elements of
-    /// `self` that were new to `target`). O(words) when both sides are
-    /// dense.
+    /// `self` that were new to `target`). A dense source promotes the
+    /// target and runs one word-wise pass that ORs each word into the
+    /// target and appends its new bits to the delta a word at a time; a
+    /// small source (at most [`SMALL_MAX`] elements) inserts element by
+    /// element.
     pub fn union_into(&self, target: &mut PtsSet<T>) -> PtsSet<T> {
-        self.union_impl(None, target)
-    }
-
-    /// Unions `self ∩ mask` into `target`; returns the delta. The mask
-    /// intersection is a word-wise AND when the representations allow.
-    pub fn union_into_masked(&self, mask: &PtsSet<T>, target: &mut PtsSet<T>) -> PtsSet<T> {
-        self.union_impl(Some(mask), target)
-    }
-
-    fn union_impl(&self, mask: Option<&PtsSet<T>>, target: &mut PtsSet<T>) -> PtsSet<T> {
         let mut delta = PtsSet::new();
-        match (&self.repr, mask) {
-            // Word-wise path: self dense, mask (if any) dense, and the
-            // target promoted to dense (an unmasked union makes it a
-            // superset of self, so promotion is not premature; a masked
-            // union from a dense source promotes too — the source being
-            // dense means heavy traffic flows through this pointer).
-            (Repr::Dense { words, .. }, None) => {
-                target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
-                    unreachable!("just promoted")
-                };
-                if tw.len() < words.len() {
-                    tw.resize(words.len(), 0);
-                }
+        match &self.repr {
+            // The union makes the target a superset of a dense source,
+            // so promoting it is never premature.
+            Repr::Dense { words, .. } => {
+                let (tw, tlen) = target.dense_mut(words.len());
                 for (w, (t, &s)) in tw.iter_mut().zip(words.iter()).enumerate() {
                     let add = s & !*t;
                     if add != 0 {
@@ -404,42 +392,9 @@ impl<T: Elem> PtsSet<T> {
                     }
                 }
             }
-            (
-                Repr::Dense { words, .. },
-                Some(PtsSet {
-                    repr: Repr::Dense { words: mw, .. },
-                    ..
-                }),
-            ) => {
-                target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
-                    unreachable!("just promoted")
-                };
-                let n = words.len().min(mw.len());
-                if tw.len() < n {
-                    tw.resize(n, 0);
-                }
-                for (w, ((t, &s), &m)) in tw.iter_mut().zip(words.iter()).zip(mw.iter()).enumerate()
-                {
-                    let add = s & m & !*t;
-                    if add != 0 {
-                        *t |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
-                    }
-                }
-            }
-            // Element-wise path: some participant is small, so walking
-            // the (short) source is cheaper than promoting anyone.
-            _ => {
-                for e in self.iter() {
-                    if mask.is_some_and(|m| !m.contains(e)) {
-                        continue;
-                    }
+            Repr::Small(v) => {
+                for &i in v {
+                    let e = T::from_index(i as usize);
                     if target.insert(e) {
                         delta.insert(e);
                     }
@@ -449,75 +404,70 @@ impl<T: Elem> PtsSet<T> {
         delta
     }
 
-    /// Appends the set bits of `add` at word position `w`. Internal to
-    /// the word-wise union paths: words arrive in ascending order.
+    /// Promotes `self` to a bitmap of at least `n_words` words and
+    /// borrows its words and population count.
+    fn dense_mut(&mut self, n_words: usize) -> (&mut Vec<u64>, &mut u32) {
+        self.promote();
+        let Repr::Dense { words, len } = &mut self.repr else {
+            unreachable!("just promoted")
+        };
+        if words.len() < n_words {
+            words.resize(n_words, 0);
+        }
+        (words, len)
+    }
+
+    /// Appends the bits of `add` at word position `w` to an output
+    /// under construction. Words arrive in ascending order (a word may
+    /// repeat with disjoint, higher bits), so a small output appends
+    /// its ids in order, and a dense one ORs the whole word in.
+    ///
+    /// The small output promotes exactly when inserting the bits one
+    /// at a time would: once it would exceed [`SMALL_MAX`] elements.
+    /// Either way the bitmap ends at the word of the largest element,
+    /// so the representation and [`PtsSet::mem_words`] match an
+    /// element-by-element build.
     fn push_word(&mut self, w: usize, add: u64) {
-        let base = w * WORD_BITS;
-        let mut bits = add;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            // Ascending arrival order makes small inserts O(1) pushes.
-            self.insert(T::from_index(base + b));
-        }
-    }
-
-    /// Returns `(self ∩ mask) \ other` as a fresh set, without touching
-    /// `other`. Fully word-wise when all three sets are dense.
-    ///
-    /// This is the read-only probe of the solver's **parallel wave
-    /// shards**: worker threads compute each copy edge's contribution
-    /// against a frozen view of the target sets (no `&mut` anywhere),
-    /// and the sequential merge applies the contributions afterwards
-    /// with [`PtsSet::union_into_from_shards`].
-    pub fn difference_masked(&self, mask: &PtsSet<T>, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        match (&self.repr, &mask.repr, &other.repr) {
-            (
-                Repr::Dense { words, .. },
-                Repr::Dense { words: mw, .. },
-                Repr::Dense { words: ow, .. },
-            ) => {
-                for (w, &s) in words.iter().enumerate() {
-                    let keep = s
-                        & mw.get(w).copied().unwrap_or(0)
-                        & !ow.get(w).copied().unwrap_or(0);
-                    if keep != 0 {
-                        out.push_word(w, keep);
-                    }
+        if let Repr::Small(v) = &mut self.repr {
+            if v.len() + add.count_ones() as usize <= SMALL_MAX {
+                let base = (w * WORD_BITS) as u32;
+                debug_assert!(v.last().is_none_or(|&l| l < base + add.trailing_zeros()));
+                let mut bits = add;
+                while bits != 0 {
+                    v.push(base + bits.trailing_zeros());
+                    bits &= bits - 1;
                 }
-            }
-            _ => {
-                for e in self.iter() {
-                    if mask.contains(e) && !other.contains(e) {
-                        out.insert(e);
-                    }
-                }
+                return;
             }
         }
-        out
+        let (words, len) = self.dense_mut(w + 1);
+        debug_assert_eq!(words[w] & add, 0, "pushed bits already present");
+        words[w] |= add;
+        *len += add.count_ones();
     }
 
-    /// Returns `(self ∩ ranges) \ other` as a fresh set — the
-    /// range-compiled twin of [`PtsSet::difference_masked`], reading
-    /// the mask as coalesced id runs instead of a materialized set.
+    /// Returns `(self ∩ ranges) \ other` as a fresh set: a cast-filtered
+    /// copy edge's contribution to its target, reading the filter as
+    /// coalesced id runs.
     ///
-    /// Dense/dense pairs do range-bounded word arithmetic: only the
+    /// A dense `self` does range-bounded word arithmetic: only the
     /// words each run overlaps are touched, with partial boundary
-    /// words masked off. Anything else walks `self`'s elements through
-    /// a run cursor ([`PtsSet::iter_in_ranges`]).
+    /// words masked off, and `other` is read a word at a time whatever
+    /// its representation. A small `self` walks its elements through a
+    /// run cursor ([`PtsSet::iter_in_ranges`]).
     pub fn difference_in_ranges(&self, ranges: &IdRanges, other: &PtsSet<T>) -> PtsSet<T> {
         let mut out = PtsSet::new();
-        match (&self.repr, &other.repr) {
-            (Repr::Dense { words, .. }, Repr::Dense { words: ow, .. }) => {
+        match &self.repr {
+            Repr::Dense { words, .. } => {
+                let mut ow = other.word_reader();
                 for_range_words(ranges, words.len(), |w, m| {
-                    let keep = words[w] & m & !ow.get(w).copied().unwrap_or(0);
+                    let keep = words[w] & m & !ow.word(w);
                     if keep != 0 {
                         out.push_word(w, keep);
                     }
                 });
             }
-            _ => {
+            Repr::Small(_) => {
                 for e in self.iter_in_ranges(ranges) {
                     if !other.contains(e) {
                         out.insert(e);
@@ -526,43 +476,6 @@ impl<T: Elem> PtsSet<T> {
             }
         }
         out
-    }
-
-    /// Unions `self ∩ ranges` into `target`; returns the delta — the
-    /// range-compiled twin of [`PtsSet::union_into_masked`].
-    pub fn union_masked_ranges(&self, ranges: &IdRanges, target: &mut PtsSet<T>) -> PtsSet<T> {
-        let mut delta = PtsSet::new();
-        match &self.repr {
-            Repr::Dense { words, .. } => {
-                target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
-                    unreachable!("just promoted")
-                };
-                if tw.len() < words.len() {
-                    tw.resize(words.len(), 0);
-                }
-                for_range_words(ranges, words.len(), |w, m| {
-                    let add = words[w] & m & !tw[w];
-                    if add != 0 {
-                        tw[w] |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
-                    }
-                });
-            }
-            Repr::Small(_) => {
-                for e in self.iter_in_ranges(ranges) {
-                    if target.insert(e) {
-                        delta.insert(e);
-                    }
-                }
-            }
-        }
-        delta
     }
 
     /// Range-bounded iteration: the elements of `self ∩ ranges` in
@@ -581,54 +494,30 @@ impl<T: Elem> PtsSet<T> {
         })
     }
 
-    /// Unions every shard set into `target`, returning the combined
-    /// delta (elements genuinely new to `target`) as one fresh set.
+    /// Returns `self \ other` as a fresh set. A dense `self` runs one
+    /// word-wise pass (`other` read a word at a time whatever its
+    /// representation); a small `self` walks its elements.
     ///
-    /// This is the deterministic merge half of the solver's parallel
-    /// wave propagation: per-thread scratch contributions for one target
-    /// pointer are applied *in slice order*, so the result — and the
-    /// returned delta — depends only on the order of `shards`, never on
-    /// how many threads produced them.
-    pub fn union_into_from_shards<'a>(
-        shards: impl IntoIterator<Item = &'a PtsSet<T>>,
-        target: &mut PtsSet<T>,
-    ) -> PtsSet<T>
-    where
-        T: 'a,
-    {
-        let mut delta = PtsSet::new();
-        for shard in shards {
-            let d = shard.union_into(target);
-            if delta.is_empty() {
-                delta = d;
-            } else {
-                delta.union_with(&d);
-            }
-        }
-        delta
-    }
-
-    /// Returns `self \ other` as a fresh set. Word-wise when both sides
-    /// are dense; otherwise walks `self`.
-    ///
-    /// This is the collapse-time primitive of the solver's cycle
-    /// elimination: when a strongly connected component's members are
-    /// merged ("take and merge"), the representative's pending delta
-    /// must cover everything some member's consumers have not seen yet —
-    /// exactly `merged \ member` for each member.
+    /// This is the solver's propagation primitive: the contribution of
+    /// a delta to a copy edge's target, computed read-only so that an
+    /// empty contribution never un-shares the target row; and, when a
+    /// strongly connected component's members are merged, the part of
+    /// the merged set some member's consumers have not seen yet.
     pub fn difference(&self, other: &PtsSet<T>) -> PtsSet<T> {
         let mut out = PtsSet::new();
-        match (&self.repr, &other.repr) {
-            (Repr::Dense { words, .. }, Repr::Dense { words: ow, .. }) => {
+        match &self.repr {
+            Repr::Dense { words, .. } => {
+                let mut ow = other.word_reader();
                 for (w, &s) in words.iter().enumerate() {
-                    let keep = s & !ow.get(w).copied().unwrap_or(0);
+                    let keep = s & !ow.word(w);
                     if keep != 0 {
                         out.push_word(w, keep);
                     }
                 }
             }
-            _ => {
-                for e in self.iter() {
+            Repr::Small(v) => {
+                for &i in v {
+                    let e = T::from_index(i as usize);
                     if !other.contains(e) {
                         out.insert(e);
                     }
@@ -638,11 +527,17 @@ impl<T: Elem> PtsSet<T> {
         out
     }
 
-    /// Unions `other` into `self` without computing a delta.
+    /// Unions `other` into `self` without computing a delta. A dense
+    /// `other` promotes `self` and ORs the words in; a small `other`
+    /// inserts element by element.
     pub fn union_with(&mut self, other: &PtsSet<T>) {
         match &other.repr {
-            Repr::Dense { .. } => {
-                let _ = other.union_into(self);
+            Repr::Dense { words, .. } => {
+                let (tw, tlen) = self.dense_mut(words.len());
+                for (t, &s) in tw.iter_mut().zip(words.iter()) {
+                    *tlen += (s & !*t).count_ones();
+                    *t |= s;
+                }
             }
             Repr::Small(v) => {
                 for &i in v {
@@ -650,6 +545,62 @@ impl<T: Elem> PtsSet<T> {
                 }
             }
         }
+    }
+
+    /// A bitmap-word view of `self` for the word-wise kernels, which
+    /// read a second operand one word at a time in ascending word
+    /// order.
+    fn word_reader(&self) -> WordReader<'_> {
+        match &self.repr {
+            Repr::Small(v) => WordReader::Small { ids: v, pos: 0 },
+            Repr::Dense { words, .. } => WordReader::Dense(words),
+        }
+    }
+
+    /// The content fingerprint the interner keys its table with: a
+    /// 128-bit hash of the ascending `(word index, nonzero bits)` pairs
+    /// of the set's bitmap, then its length.
+    ///
+    /// A small set is folded into the same stream (its ids grouped by
+    /// word), and zero words are skipped, so the value depends only on
+    /// the elements: a small set, its promoted twin and a bitmap with
+    /// trailing zero words all fingerprint alike, matching
+    /// representation-independent equality. A dense set hashes one pair
+    /// per nonzero word instead of one value per element.
+    pub fn fingerprint(&self) -> u128 {
+        let mut f = fxhash::Fingerprint128::new();
+        let mut pair = |w: usize, bits: u64| {
+            f.write_u64(w as u64);
+            f.write_u64(bits);
+        };
+        match &self.repr {
+            Repr::Small(v) => {
+                // The pair being filled; emitted once an id lands in a
+                // later word.
+                let mut cur = (0usize, 0u64);
+                for &i in v {
+                    let w = i as usize / WORD_BITS;
+                    if w != cur.0 && cur.1 != 0 {
+                        pair(cur.0, cur.1);
+                        cur.1 = 0;
+                    }
+                    cur.0 = w;
+                    cur.1 |= 1u64 << (i as usize % WORD_BITS);
+                }
+                if cur.1 != 0 {
+                    pair(cur.0, cur.1);
+                }
+            }
+            Repr::Dense { words, .. } => {
+                for (w, &bits) in words.iter().enumerate() {
+                    if bits != 0 {
+                        pair(w, bits);
+                    }
+                }
+            }
+        }
+        f.write_u64(self.len() as u64);
+        f.finish()
     }
 
     /// Returns `true` if the sets share an element. Word-wise AND when
@@ -724,6 +675,38 @@ fn for_range_words(ranges: &IdRanges, n_words: usize, mut f: impl FnMut(usize, u
     }
 }
 
+/// One operand of a word-wise kernel, read a bitmap word at a time.
+/// Word indices must be non-decreasing across calls (a repeat is
+/// allowed, for the boundary word two ranges share).
+enum WordReader<'a> {
+    Dense(&'a [u64]),
+    /// A small set's sorted ids; `pos` is the first id not in an
+    /// earlier word than the last one read.
+    Small { ids: &'a [u32], pos: usize },
+}
+
+impl WordReader<'_> {
+    /// The operand's bitmap word `w` (zero past its end).
+    fn word(&mut self, w: usize) -> u64 {
+        match self {
+            WordReader::Dense(words) => words.get(w).copied().unwrap_or(0),
+            WordReader::Small { ids, pos } => {
+                while *pos < ids.len() && (ids[*pos] as usize) / WORD_BITS < w {
+                    *pos += 1;
+                }
+                let mut bits = 0u64;
+                for &i in &ids[*pos..] {
+                    if i as usize / WORD_BITS != w {
+                        break;
+                    }
+                    bits |= 1u64 << (i as usize % WORD_BITS);
+                }
+                bits
+            }
+        }
+    }
+}
+
 impl<T: Elem> PartialEq for PtsSet<T> {
     /// Structural equality over the *elements*, independent of
     /// representation: a promoted set equals its small twin.
@@ -732,8 +715,8 @@ impl<T: Elem> PartialEq for PtsSet<T> {
     /// on the representation where it can: two small sets compare as
     /// slices, two dense sets word by word over their common prefix,
     /// with any words past the shorter bitmap required to be zero (a
-    /// bitmap may keep trailing zero words after [`PtsSet::remove`] or
-    /// a masked union). Only mixed pairs walk the elements.
+    /// bitmap may keep trailing zero words after [`PtsSet::remove`]).
+    /// Only mixed pairs walk the elements.
     fn eq(&self, other: &Self) -> bool {
         if self.len() != other.len() {
             return false;
@@ -873,16 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_union_filters() {
-        let src: PtsSet<u32> = (0u32..40).collect();
-        let mask: PtsSet<u32> = (0u32..40).filter(|i| i % 2 == 0).collect();
-        let mut target = PtsSet::new();
-        let delta = src.union_into_masked(&mask, &mut target);
-        assert_eq!(delta.len(), 20);
-        assert!(target.iter().all(|i: u32| i.is_multiple_of(2)));
-    }
-
-    #[test]
     fn equality_crosses_representations() {
         let small: PtsSet<u32> = [3u32, 9].into_iter().collect();
         let mut dense: PtsSet<u32> = (0u32..200).collect();
@@ -918,49 +891,20 @@ mod tests {
     }
 
     #[test]
-    fn difference_masked_all_paths() {
-        // Small everything.
-        let src: PtsSet<u32> = [1u32, 2, 3, 4].into_iter().collect();
-        let mask: PtsSet<u32> = [2u32, 3, 9].into_iter().collect();
-        let other: PtsSet<u32> = [3u32].into_iter().collect();
-        assert_eq!(src.difference_masked(&mask, &other).to_vec(), vec![2]);
-        // Dense everything, including words past the shorter operands.
-        let big_src: PtsSet<u32> = (0u32..300).collect();
-        let big_mask: PtsSet<u32> = (0u32..300).filter(|i| i % 3 == 0).collect();
-        let big_other: PtsSet<u32> = (0u32..150).collect();
-        let got = big_src.difference_masked(&big_mask, &big_other);
-        let want: Vec<u32> = (150u32..300).filter(|i| i % 3 == 0).collect();
-        assert_eq!(got.to_vec(), want);
-        // Mixed representations agree with the dense path.
-        assert_eq!(
-            big_src.difference_masked(&mask, &other).to_vec(),
-            vec![2, 9]
-        );
-        // Empty mask yields an empty result.
-        assert!(src
-            .difference_masked(&PtsSet::new(), &PtsSet::new())
-            .is_empty());
-    }
-
-    #[test]
-    fn union_into_from_shards_merges_in_order() {
-        let a: PtsSet<u32> = [1u32, 2].into_iter().collect();
-        let b: PtsSet<u32> = [2u32, 3, 100].into_iter().collect();
-        let c: PtsSet<u32> = (200u32..280).collect(); // dense shard
-        let mut target: PtsSet<u32> = [1u32, 250].into_iter().collect();
-        let delta = PtsSet::union_into_from_shards([&a, &b, &c], &mut target);
-        let mut want: Vec<u32> = vec![2, 3, 100];
-        want.extend((200u32..280).filter(|&i| i != 250));
-        assert_eq!(delta.to_vec(), want);
-        // {1, 2, 3, 100} plus the dense 200..280 run.
-        assert_eq!(target.len(), 4 + 80);
-        // Quiescent second application: every shard already applied.
-        assert!(PtsSet::union_into_from_shards([&a, &b, &c], &mut target).is_empty());
-        // No shards: no delta, target untouched.
-        let before = target.to_vec();
-        let no_shards: [&PtsSet<u32>; 0] = [];
-        assert!(PtsSet::union_into_from_shards(no_shards, &mut target).is_empty());
-        assert_eq!(target.to_vec(), before);
+    fn fingerprint_is_length_disambiguated() {
+        // A set and a strict prefix of it must not collide, and the
+        // fingerprint is a pure function of the elements, not of the
+        // insertion order or the representation.
+        let fp = |ids: &[u32]| ids.iter().copied().collect::<PtsSet<u32>>().fingerprint();
+        assert_ne!(fp(&[1, 2, 3]), fp(&[1, 2]));
+        assert_ne!(fp(&[]), fp(&[0]));
+        assert_ne!(fp(&[5]), fp(&[69]), "same bit, different word");
+        assert_eq!(fp(&[5, 9]), fp(&[9, 5]));
+        let many: Vec<u32> = (0..40).map(|i| i * 3).collect();
+        let mut dense: PtsSet<u32> = many.iter().copied().collect();
+        assert_eq!(dense.fingerprint(), fp(&many));
+        dense.remove(0);
+        assert_eq!(dense.fingerprint(), fp(&many[1..]));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Driven by the in-tree SplitMix64 PRNG (`obs::rng`) so runs are
 //! deterministic and reproducible. Each trial interleaves inserts,
-//! unions, and masked unions through `make_mut` with seal sweeps at a
-//! random cadence — the same mutate-a-while-then-seal lifecycle the
+//! unions, and difference-then-union steps through `make_mut` with
+//! seal sweeps at a random cadence — the same mutate-a-while-then-seal lifecycle the
 //! solver's rows live through — and asserts that sealing never changes
 //! content, that handle equality coincides with content equality, and
 //! that the handle fast paths (`intersects`, `is_subset`) agree with
@@ -72,14 +72,15 @@ fn interned_rows_match_plain_sets_under_mutation_and_sealing() {
                     rows[i].plain.union_with(&src);
                     rows[i].oracle.extend(src_o);
                 }
+                // The solver's propagation step: the read-only
+                // contribution first, then a word-wise OR into the row.
                 2 => {
                     let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-                    let (mask, mask_o) = random_set(&mut rng, 6 * SMALL_MAX as u64);
-                    src.union_into_masked(&mask, rows[i].handle.make_mut());
-                    src.union_into_masked(&mask, &mut rows[i].plain);
-                    rows[i]
-                        .oracle
-                        .extend(src_o.intersection(&mask_o).copied());
+                    let d = src.difference(&rows[i].handle);
+                    assert_eq!(d, src.difference(&rows[i].plain), "contribution");
+                    rows[i].handle.make_mut().union_with(&d);
+                    rows[i].plain.union_with(&d);
+                    rows[i].oracle.extend(src_o);
                 }
                 // Copy another row wholesale — the solver's
                 // handle-sharing move (collapsed-cache fast path).

@@ -4,8 +4,11 @@
 //! deterministic and reproducible from the printed seed. Each trial
 //! mirrors a random operation sequence onto both a `PtsSet<u32>` and a
 //! `BTreeSet<u32>` and asserts they agree on membership, cardinality,
-//! iteration order, union deltas, masked unions, and intersection —
-//! deliberately crossing the small→dense promotion boundary.
+//! iteration order, union deltas, differences, range-filtered
+//! differences, fingerprints and intersection — deliberately crossing
+//! the small→dense promotion boundary. The word-wise kernels must also
+//! leave their outputs in the representation an element-by-element
+//! build would have (`mem_words` feeds the `pts_peak_words` metric).
 
 use obs::rng::SplitMix64;
 use pts::{IdRanges, PtsSet, SMALL_MAX};
@@ -64,29 +67,11 @@ fn union_into_delta_matches_oracle() {
         let delta_o: BTreeSet<u32> = src_o.difference(&dst_o).copied().collect();
         dst_o.extend(src_o.iter().copied());
 
-        assert_matches(&delta, &delta_o, &format!("delta, trial {trial}"));
-        assert_matches(&dst, &dst_o, &format!("union target, trial {trial}"));
+        assert_built_like_elements(&delta, &delta_o, &format!("delta, trial {trial}"));
+        assert_built_like_elements(&dst, &dst_o, &format!("union target, trial {trial}"));
         // Unioning again must be quiescent: empty delta, unchanged target.
         assert!(src.union_into(&mut dst).is_empty(), "requiescence, trial {trial}");
         assert_matches(&dst, &dst_o, &format!("post-requiescence, trial {trial}"));
-    }
-}
-
-#[test]
-fn masked_union_matches_oracle() {
-    let mut rng = SplitMix64::new(0x1234567812345678);
-    for trial in 0..200 {
-        let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-        let (mask, mask_o) = random_set(&mut rng, 6 * SMALL_MAX as u64);
-        let (mut dst, mut dst_o) = random_set(&mut rng, 2 * SMALL_MAX as u64);
-
-        let delta = src.union_into_masked(&mask, &mut dst);
-        let masked: BTreeSet<u32> = src_o.intersection(&mask_o).copied().collect();
-        let delta_o: BTreeSet<u32> = masked.difference(&dst_o).copied().collect();
-        dst_o.extend(masked.iter().copied());
-
-        assert_matches(&delta, &delta_o, &format!("masked delta, trial {trial}"));
-        assert_matches(&dst, &dst_o, &format!("masked target, trial {trial}"));
     }
 }
 
@@ -121,10 +106,8 @@ fn equality_is_representation_independent() {
     }
 }
 
-/// A random coalesced run list plus the equivalent materialized mask
-/// set and oracle — so every range op can be checked against the
-/// masked-set operation it replaces.
-fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, PtsSet<u32>, BTreeSet<u32>) {
+/// A random coalesced run list plus the oracle set of ids it covers.
+fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, BTreeSet<u32>) {
     let mut ids: BTreeSet<u32> = BTreeSet::new();
     for _ in 0..rng.below(6) {
         let lo = rng.below(UNIVERSE) as u32;
@@ -132,15 +115,14 @@ fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, PtsSet<u32>, BTreeSet<u32>)
         ids.extend(lo..(lo + len).min(UNIVERSE as u32));
     }
     let ranges = IdRanges::from_sorted_ids(ids.iter().copied());
-    let mask: PtsSet<u32> = ids.iter().copied().collect();
-    (ranges, mask, ids)
+    (ranges, ids)
 }
 
 #[test]
 fn id_ranges_coalesce_and_answer_membership() {
     let mut rng = SplitMix64::new(0x5eed5eed5eed5eed);
     for trial in 0..200 {
-        let (ranges, _, ids) = random_ranges(&mut rng);
+        let (ranges, ids) = random_ranges(&mut rng);
         // Runs must be ascending, disjoint, non-adjacent, and cover
         // exactly the oracle ids.
         for w in ranges.runs().windows(2) {
@@ -168,43 +150,28 @@ fn id_ranges_coalesce_and_answer_membership() {
     }
 }
 
+/// `difference_in_ranges` returns the oracle's elements in an
+/// element-by-element representation, whatever the representations of
+/// its operands.
 #[test]
 fn difference_in_ranges_matches_masked_set_oracle() {
     let mut rng = SplitMix64::new(0xc0ffee00c0ffee00);
     for trial in 0..300 {
-        let (src, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, mask, mask_o) = random_ranges(&mut rng);
-        let (other, other_o) = random_set(&mut rng, 3 * SMALL_MAX as u64);
-
-        let got = src.difference_in_ranges(&ranges, &other);
-        let want = src.difference_masked(&mask, &other);
-        assert_eq!(got, want, "range vs mask difference, trial {trial}");
+        let (_, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
+        let (ranges, mask_o) = random_ranges(&mut rng);
+        let (_, other_o) = random_set(&mut rng, 3 * SMALL_MAX as u64);
         let want_o: BTreeSet<u32> = src_o
             .iter()
             .filter(|e| mask_o.contains(e) && !other_o.contains(e))
             .copied()
             .collect();
-        assert_matches(&got, &want_o, &format!("range difference, trial {trial}"));
-    }
-}
-
-#[test]
-fn union_masked_ranges_matches_masked_union_oracle() {
-    let mut rng = SplitMix64::new(0xbadc0de5badc0de5);
-    for trial in 0..300 {
-        let (src, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, mask, mask_o) = random_ranges(&mut rng);
-        let (mut dst_r, dst_o0) = random_set(&mut rng, 3 * SMALL_MAX as u64);
-        let mut dst_m = dst_r.clone();
-
-        let got = src.union_masked_ranges(&ranges, &mut dst_r);
-        let want = src.union_into_masked(&mask, &mut dst_m);
-        assert_eq!(got, want, "range vs mask union delta, trial {trial}");
-        assert_eq!(dst_r, dst_m, "range vs mask union target, trial {trial}");
-        let masked: BTreeSet<u32> = src_o.intersection(&mask_o).copied().collect();
-        let mut dst_o = dst_o0.clone();
-        dst_o.extend(masked.iter().copied());
-        assert_matches(&dst_r, &dst_o, &format!("range union target, trial {trial}"));
+        for (ks, src) in &representations(&src_o) {
+            for (ko, other) in &representations(&other_o) {
+                let got = src.difference_in_ranges(&ranges, other);
+                let ctx = format!("range difference {ks} \\ {ko}, trial {trial}");
+                assert_built_like_elements(&got, &want_o, &ctx);
+            }
+        }
     }
 }
 
@@ -213,7 +180,7 @@ fn iter_in_ranges_matches_filtered_iteration() {
     let mut rng = SplitMix64::new(0x1ce1ce1ce1ce1ce1);
     for trial in 0..200 {
         let (set, set_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, _, mask_o) = random_ranges(&mut rng);
+        let (ranges, mask_o) = random_ranges(&mut rng);
         let got: Vec<u32> = set.iter_in_ranges(&ranges).collect();
         let want: Vec<u32> = set_o.iter().filter(|e| mask_o.contains(e)).copied().collect();
         assert_eq!(got, want, "range-bounded iteration, trial {trial}");
@@ -228,7 +195,7 @@ fn union_with_matches_extend() {
         let (mut b, b_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
         b.union_with(&a);
         let union_o: BTreeSet<u32> = a_o.union(&b_o).copied().collect();
-        assert_matches(&b, &union_o, &format!("union_with, trial {trial}"));
+        assert_built_like_elements(&b, &union_o, &format!("union_with, trial {trial}"));
     }
 }
 
@@ -291,5 +258,105 @@ fn equality_matches_oracle_across_representations() {
                 assert_eq!(rb == ra, want, "{kb} == {ka} (symmetry), trial {trial}");
             }
         }
+    }
+}
+
+/// An element-by-element build of `oracle`: the representation every
+/// kernel output must match.
+fn element_build(oracle: &BTreeSet<u32>) -> PtsSet<u32> {
+    let mut set = PtsSet::new();
+    for &v in oracle {
+        set.insert(v);
+    }
+    set
+}
+
+/// `set` holds exactly `oracle` and has the footprint of an
+/// element-by-element build.
+fn assert_built_like_elements(set: &PtsSet<u32>, oracle: &BTreeSet<u32>, ctx: &str) {
+    assert_matches(set, oracle, ctx);
+    assert_eq!(
+        set.mem_words(),
+        element_build(oracle).mem_words(),
+        "mem_words differs from an element-by-element build: {ctx}"
+    );
+}
+
+/// Small sets, their promoted dense twins, and dense twins with
+/// trailing zero words all fingerprint alike; a one-element change
+/// moves the fingerprint.
+#[test]
+fn fingerprint_is_representation_independent() {
+    let mut rng = SplitMix64::new(0xa0761d6478bd642f);
+    for trial in 0..300 {
+        let (_, oracle) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        let reps = representations(&oracle);
+        let fp = reps[0].1.fingerprint();
+        for (kind, set) in &reps[1..] {
+            assert_eq!(set.fingerprint(), fp, "{kind} twin, trial {trial}");
+        }
+        let mut other = oracle.clone();
+        let v = rng.below(UNIVERSE) as u32;
+        if !other.remove(&v) {
+            other.insert(v);
+        }
+        for (kind, set) in &representations(&other) {
+            assert_ne!(set.fingerprint(), fp, "{kind} one-element change, trial {trial}");
+        }
+    }
+}
+
+/// `difference` returns the oracle's elements in an element-by-element
+/// representation, whatever the representations of its operands.
+#[test]
+fn difference_matches_oracle_and_element_build() {
+    let mut rng = SplitMix64::new(0xe7037ed1a0b428db);
+    for trial in 0..200 {
+        let (_, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
+        let (_, other_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
+        let want_o: BTreeSet<u32> = src_o.difference(&other_o).copied().collect();
+        for (ks, src) in &representations(&src_o) {
+            for (ko, other) in &representations(&other_o) {
+                let ctx = format!("{ks} \\ {ko}, trial {trial}");
+                assert_built_like_elements(&src.difference(other), &want_o, &ctx);
+            }
+        }
+    }
+}
+
+/// The small→dense promotion of a kernel output at 16 → 17 elements,
+/// including when the boundary falls inside one bitmap word (one push,
+/// or two pushes of the same word from two ranges) and when it falls
+/// on a later word.
+#[test]
+fn kernel_outputs_promote_at_the_element_boundary() {
+    let limit = SMALL_MAX as u32;
+    for n in (limit - 2)..=(limit + 2) {
+        // All `n` survivors in word 0, in one push.
+        let src: PtsSet<u32> = (0u32..64).collect();
+        let other: PtsSet<u32> = (n..64).collect();
+        let want: BTreeSet<u32> = (0..n).collect();
+        assert_built_like_elements(&src.difference(&other), &want, &format!("one word, n={n}"));
+        let mut target = other.clone();
+        let delta = src.union_into(&mut target);
+        assert_built_like_elements(&delta, &want, &format!("union_into delta, n={n}"));
+
+        // Two ranges in word 0: the same word pushed twice.
+        let ranges = IdRanges::from_sorted_ids((0u32..8).chain(9..n + 1));
+        let want: BTreeSet<u32> = (0u32..8).chain(9..n + 1).collect();
+        let empty = PtsSet::new();
+        assert_built_like_elements(
+            &src.difference_in_ranges(&ranges, &empty),
+            &want,
+            &format!("two ranges, one word, n={n}"),
+        );
+
+        // Ten survivors in word 0, the rest in word 1.
+        let src: PtsSet<u32> = (0u32..10).chain(64..64 + n - 10).collect();
+        let want: BTreeSet<u32> = src.iter().collect();
+        assert_built_like_elements(&src.difference(&empty), &want, &format!("two words, n={n}"));
+        let mut target = PtsSet::new();
+        target.union_with(&src);
+        assert_built_like_elements(&target, &want, &format!("union_with, n={n}"));
     }
 }

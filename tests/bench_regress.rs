@@ -17,8 +17,9 @@
 //! immediately), and the amount of automaton work — `dfa_built`, one
 //! canonicalization per candidate — is pinned to a measured-at-commit
 //! bound the same way `worklist_pops` is, and so are the solver's
-//! order maintenance (edges scanned by repair searches, renumbers) and
-//! its call dispatch (receiver groups bound).
+//! order maintenance (edges scanned by repair searches, renumbers), its
+//! call dispatch (receiver groups bound) and its physical points-to
+//! footprint (`pts_peak_words`).
 //! Wall-clock itself is tracked by the committed BENCH records, which
 //! `scripts/bench_table.py` renders, and by the `perfbench` benchmark;
 //! counters, not seconds, are what CI can assert on.
@@ -186,6 +187,32 @@ fn dispatch_groups_within_bound() {
     assert!(
         groups <= DISPATCH_GROUPS_BOUND,
         "dispatch_groups regressed: {groups} > bound {DISPATCH_GROUPS_BOUND} \
+         (bound = measured-at-commit × 1.10; see module docs)"
+    );
+}
+
+/// 1.10 × the physical points-to footprint (`pts_peak_words`) of the
+/// fixed workload (luindex, scale 2, 2cs, alloc-site heap) when the
+/// set kernels went word-wise: 1,721 measured → 1,893 bound. Kernel
+/// outputs must keep the representation an element-by-element build
+/// gives them — sorted ids up to 16 elements, a bitmap past that — so
+/// a kernel that promotes its small outputs to bitmaps early blows
+/// past it.
+const PTS_PEAK_WORDS_BOUND: u64 = 1_893;
+
+/// Deterministic bound on the set representation's footprint.
+#[test]
+fn pts_peak_words_within_bound() {
+    let w = workloads::dacapo::workload("luindex", 2);
+    let result = AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
+        .budget(Budget::seconds(120))
+        .run(&w.program)
+        .expect("luindex@2 under 2cs fits a 120s budget");
+    let words = result.stats().pts_peak_words;
+    assert!(words > 0, "no points-to set was ever stored");
+    assert!(
+        words <= PTS_PEAK_WORDS_BOUND,
+        "pts_peak_words regressed: {words} > bound {PTS_PEAK_WORDS_BOUND} \
          (bound = measured-at-commit × 1.10; see module docs)"
     );
 }
