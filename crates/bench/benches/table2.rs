@@ -20,7 +20,6 @@ fn main() {
                         heap,
                         &prepared.mahjong.mom,
                         budget,
-                        1,
                     )
                 });
             }

@@ -11,7 +11,7 @@
 //! [`bench::cli::CommonOpts`] — the same parser and `--help` section
 //! `repro` uses. `--threads` sizes Mahjong's automaton construction
 //! (results are bit-identical for any count); the pre-analysis solver
-//! is sequential and ignores it.
+//! is sequential.
 //! `--paranoid` re-verifies every signature-directed merge with
 //! Hopcroft–Karp (the runs appear in the `mahjong.hk_runs` counter,
 //! which is 0 on the default fast path). Set `OBS_DISABLE=1` to turn
@@ -83,9 +83,8 @@ fn main() {
 
     // The pre-analysis is a plain context-insensitive run; `--budget`
     // routes through the same `AnalysisConfig` builder every other
-    // entry point uses (its `.threads` is accepted and ignored).
-    let mut pre_cfg = AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
-        .threads(config.threads);
+    // entry point uses.
+    let mut pre_cfg = AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction);
     if let Some(secs) = budget_secs {
         pre_cfg = pre_cfg.time_limit_secs(secs);
     }
@@ -124,6 +123,7 @@ fn main() {
         scale: 0,
         budget_secs: budget_secs.unwrap_or(0),
         threads: config.threads,
+        nproc: bench::cli::nproc(),
     };
     common.emit_artifacts("mahjong-cli", &header);
 }

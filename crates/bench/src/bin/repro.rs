@@ -14,15 +14,16 @@
 //! repro --exp all
 //! ```
 //!
-//! `--threads` sets Mahjong's merge-phase and the serve bench's worker
-//! count (`0`, the default, means one per available hardware thread);
-//! the solver is sequential and ignores it. `--metrics-json` dumps the
-//! telemetry registry as JSON-Lines and `--trace` writes a Chrome
-//! `trace_event` file (load it in `about:tracing` or Perfetto). The
-//! benchmark record lands at `--bench-json PATH` when given, otherwise
-//! as `BENCH_pta.json` next to the `--metrics-json` file; a Mahjong
-//! phase record (`BENCH_mahjong.json`) is written as a sibling. An
-//! existing record is never overwritten unless `--force` is passed. `--exp all`
+//! `--threads` sets the worker count of Mahjong's merge phase in
+//! `--exp table2` and of the serve bench (`0`, the default, means one
+//! per available hardware thread); the solver is sequential.
+//! `--metrics-json` dumps the telemetry registry as JSON-Lines and
+//! `--trace` writes a Chrome `trace_event` file (load it in
+//! `about:tracing` or Perfetto). The benchmark record lands at
+//! `--bench-json PATH` when given, otherwise as `BENCH_pta.json` next
+//! to the `--metrics-json` file; a Mahjong phase record
+//! (`BENCH_mahjong.json`) is written as a sibling. An existing record
+//! is never overwritten unless `--force` is passed. `--exp all`
 //! additionally prints a per-experiment phase-time summary
 //! (pre-analysis vs. Mahjong vs. the main analysis). Set
 //! `OBS_DISABLE=1` to turn recording into no-ops.
@@ -276,6 +277,7 @@ fn main() {
         scale: args.scale,
         budget_secs: args.budget,
         threads: args.threads,
+        nproc: cli::nproc(),
     };
     args.common.emit_artifacts("repro", &header);
     if args.profile {
@@ -371,7 +373,6 @@ fn serve_pipeline(args: &Args, budget: Budget) {
             heap_kind,
             &prepared.mahjong.mom,
             budget,
-            args.threads,
         )
         .unwrap_or_else(|_| {
             die(format!("{name} ({}) exceeded the {}s budget", args.analysis, args.budget))
@@ -429,10 +430,10 @@ fn serve_pipeline(args: &Args, budget: Budget) {
         opts.queries, report.wall_secs, report.qps, warm_start_ms
     );
     println!();
-    println!("| class | count | p50 | p99 |");
-    println!("|---|---|---|---|");
-    for (name, s) in &report.classes {
-        println!("| {name} | {} | {} ns | {} ns |", s.count, s.p50_ns, s.p99_ns);
+    println!("| class | count |");
+    println!("|---|---|");
+    for (name, count) in &report.classes {
+        println!("| {name} | {count} |");
     }
     println!();
 
@@ -444,6 +445,7 @@ fn serve_pipeline(args: &Args, budget: Budget) {
         source: source.to_owned(),
         warm_start_ms,
         fingerprint,
+        nproc: cli::nproc(),
     };
     let target = args
         .serve_json
@@ -672,7 +674,7 @@ fn table1(args: &Args) {
 fn motivation(args: &Args, budget: Budget) {
     println!("## Section 2.1 — pmd under 3obj / T-3obj / M-3obj (scale {})", args.scale);
     println!();
-    let (_prepared, m) = bench::motivation(args.scale, budget, args.threads);
+    let (_prepared, m) = bench::motivation(args.scale, budget);
     println!("| config | time | #cg edges | #fail-casts | #poly |");
     println!("|---|---|---|---|---|");
     for (name, run) in [("3obj", &m.obj3), ("T-3obj", &m.t_obj3), ("M-3obj", &m.m_obj3)] {
@@ -692,7 +694,7 @@ fn pre_analysis(args: &Args) {
     println!("## Section 6.1.1 — pre-analysis statistics (scale {})", args.scale);
     println!();
     println!(
-        "| program | ci | FPG build | Mahjong | FPG objects | FPG edges | avg NFA | max NFA | !single-type | equiv checks |"
+        "| program | ci | FPG build | Mahjong | FPG objects | FPG edges | avg NFA | max NFA | !single-type | HK runs |"
     );
     println!("|---|---|---|---|---|---|---|---|---|---|");
     for name in &args.programs {
@@ -709,7 +711,7 @@ fn pre_analysis(args: &Args) {
             s.avg_nfa_states,
             s.max_nfa_states,
             s.not_single_type,
-            s.equivalence_checks,
+            s.hk_runs,
         );
     }
     println!();

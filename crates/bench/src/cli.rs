@@ -30,8 +30,9 @@ use std::time::Duration;
 pub struct CommonOpts {
     /// Worker count as given (`None` = flag absent, the binary's
     /// default applies; `Some(0)` = one per available hardware thread;
-    /// resolve with [`CommonOpts::resolve_threads`]). Drives Mahjong's
-    /// merge phase and the serve bench; the solver ignores it.
+    /// resolve with [`CommonOpts::resolve_threads`]). Sizes Mahjong's
+    /// merge phase (in `mahjong_cli` and `repro --exp table2`) and the
+    /// serve bench; the solver is sequential.
     pub threads: Option<usize>,
     /// `--metrics-json PATH`: dump the telemetry registry as
     /// JSON-Lines on exit.
@@ -53,8 +54,9 @@ impl CommonOpts {
     /// by every binary so the documentation cannot drift either.
     pub const HELP: &'static str = "\
 shared options:
-  --threads N          Mahjong merge / serve worker count (0 = one per
-                       hardware thread); the solver is sequential
+  --threads N          worker count of Mahjong's merge phase (mahjong_cli,
+                       repro --exp table2) and of the serve bench (0 = one
+                       per hardware thread); the solver is sequential
   --metrics-json PATH  dump the telemetry registry as JSON-Lines
   --trace PATH         write a Chrome trace_event file (about:tracing)
   --bench-json PATH    write the benchmark record here (default:
@@ -110,7 +112,7 @@ shared options:
     /// `default` of 0) mean one shard per available hardware thread.
     pub fn resolve_threads(&self, default: usize) -> usize {
         match self.threads.unwrap_or(default) {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            0 => nproc(),
             n => n,
         }
     }
@@ -195,8 +197,17 @@ pub struct RecordHeader {
     pub scale: usize,
     /// Time budget in seconds.
     pub budget_secs: u64,
-    /// Resolved shard count.
+    /// Resolved `--threads` worker count (see [`CommonOpts::threads`]).
     pub threads: usize,
+    /// Hardware threads of the host ([`nproc`]).
+    pub nproc: usize,
+}
+
+/// Hardware threads available to the process
+/// ([`std::thread::available_parallelism`], 1 when unknown): the host
+/// stamp of every benchmark record.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Exits with status 1 if `bench` already exists and `force` is off —
@@ -227,8 +238,7 @@ pub fn bench_pta_path(metrics_path: &str) -> String {
 
 /// The Mahjong benchmark record lands next to the pta record:
 /// `BENCH_pta.json` → `BENCH_mahjong.json`, and any other
-/// `BENCH_<label>.json` → `BENCH_mahjong_<label>.json` (the pairing
-/// `scripts/bench_table.py` reassembles).
+/// `BENCH_<label>.json` → `BENCH_mahjong_<label>.json`.
 pub fn bench_mahjong_path(bench_path: &str) -> String {
     let p = std::path::Path::new(bench_path);
     let name = p
@@ -254,26 +264,25 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
     let phase = |name: &str| r.phase_time(name).as_secs_f64();
     format!(
         "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"budget_secs\": {},\n  \"threads\": {},\n  \
+         \"nproc\": {},\n  \
          \"phase_secs\": {{\n    \"pre_analysis\": {:.6},\n    \"mahjong\": {:.6},\n    \
          \"main_analysis\": {:.6}\n  }},\n  \
-         \"worklist_pops\": {},\n  \"propagated_objects\": {},\n  \"delta_objects\": {},\n  \
+         \"worklist_pops\": {},\n  \"propagated_objects\": {},\n  \
          \"copy_edges\": {},\n  \"pts_peak_words\": {},\n  \
          \"pts_interned\": {},\n  \"pts_dedup_hits\": {},\n  \"intern_probe_ns\": {},\n  \
          \"scc_collapsed_ptrs\": {},\n  \"collapse_sweeps\": {},\n  \"order_search_edges\": {},\n  \
-         \"wave_rounds\": {},\n  \
-         \"par_shards\": {},\n  \"par_steal_none\": {},\n  \"wave_barrier_ns\": {},\n  \
-         \"par_merge_shards\": {},\n  \"mask_ranges\": {},\n  \"range_union_hits\": {}\n}}\n",
+         \"wave_rounds\": {},\n  \"mask_ranges\": {},\n  \"range_union_hits\": {}\n}}\n",
         h.exp,
         h.scale,
         h.budget_secs,
         h.threads,
+        h.nproc,
         phase("pre_analysis"),
         phase("mahjong.fpg_build") + phase("mahjong.automata_build")
             + phase("mahjong.equivalence_check"),
         phase("main_analysis"),
         obs::counter("pta.worklist_pops").get(),
         obs::counter("pta.propagated_objects").get(),
-        obs::counter("pta.delta_objects").get(),
         obs::counter("pta.copy_edges").get(),
         obs::gauge("pta.pts_peak_words").get(),
         obs::counter("pta.pts_interned").get(),
@@ -283,10 +292,6 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
         obs::counter("pta.collapse_sweeps").get(),
         obs::counter("pta.order_search_edges").get(),
         obs::counter("pta.wave_rounds").get(),
-        obs::counter("pta.par_shards").get(),
-        obs::counter("pta.par_steal_none").get(),
-        obs::counter("pta.wave_barrier_ns").get(),
-        obs::counter("pta.par_merge_shards").get(),
         obs::counter("pta.mask_ranges").get(),
         obs::counter("pta.range_union_hits").get(),
     )
@@ -298,7 +303,7 @@ pub fn bench_mahjong_json(h: &RecordHeader) -> String {
     let r = obs::registry();
     let phase = |name: &str| r.phase_time(name).as_secs_f64();
     format!(
-        "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"threads\": {},\n  \
+        "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"threads\": {},\n  \"nproc\": {},\n  \
          \"phase_secs\": {{\n    \"fpg_build\": {:.6},\n    \"automata_build\": {:.6},\n    \
          \"equivalence_check\": {:.6}\n  }},\n  \
          \"objects\": {},\n  \"merged_objects\": {},\n  \"not_single_type\": {},\n  \
@@ -307,6 +312,7 @@ pub fn bench_mahjong_json(h: &RecordHeader) -> String {
         h.exp,
         h.scale,
         h.threads,
+        h.nproc,
         phase("mahjong.fpg_build"),
         phase("mahjong.automata_build"),
         phase("mahjong.equivalence_check"),

@@ -122,28 +122,19 @@ impl RunOutcome {
 }
 
 /// Runs one `(sensitivity, heap)` configuration under a budget.
-/// `threads` is forwarded to [`AnalysisConfig::threads`], which the
-/// sequential solver ignores.
 pub fn run_configuration(
     program: &Program,
     sensitivity: Sensitivity,
     heap: HeapKind,
     mom: &MergedObjectMap,
     budget: Budget,
-    threads: usize,
 ) -> RunOutcome {
     match heap {
-        HeapKind::AllocSite => {
-            run_with_heap(program, sensitivity, AllocSiteAbstraction, budget, threads)
+        HeapKind::AllocSite => run_with_heap(program, sensitivity, AllocSiteAbstraction, budget),
+        HeapKind::AllocType => {
+            run_with_heap(program, sensitivity, AllocTypeAbstraction::new(program), budget)
         }
-        HeapKind::AllocType => run_with_heap(
-            program,
-            sensitivity,
-            AllocTypeAbstraction::new(program),
-            budget,
-            threads,
-        ),
-        HeapKind::Mahjong => run_with_heap(program, sensitivity, mom.clone(), budget, threads),
+        HeapKind::Mahjong => run_with_heap(program, sensitivity, mom.clone(), budget),
     }
 }
 
@@ -152,36 +143,15 @@ fn run_with_heap<H: HeapAbstraction>(
     sensitivity: Sensitivity,
     heap: H,
     budget: Budget,
-    threads: usize,
 ) -> RunOutcome {
-    // The span (and elapsed time) covers only the solver run: client
-    // metrics computed by `RunOutcome::from_result` are reporting
-    // cost, not analysis cost, and the timeline's attribution check
-    // (timeline records vs. `main_analysis` wall) relies on the span
-    // bounding solver work alone.
-    let (result, elapsed) = {
-        let _phase = obs::span("main_analysis");
-        let start = Instant::now();
-        let result = match sensitivity {
-            Sensitivity::Ci => AnalysisConfig::new(ContextInsensitive, heap)
-                .budget(budget)
-                .threads(threads)
-                .run(program),
-            Sensitivity::Cs(k) => AnalysisConfig::new(CallSiteSensitive::new(k), heap)
-                .budget(budget)
-                .threads(threads)
-                .run(program),
-            Sensitivity::Obj(k) => AnalysisConfig::new(ObjectSensitive::new(k), heap)
-                .budget(budget)
-                .threads(threads)
-                .run(program),
-            Sensitivity::Type(k) => AnalysisConfig::new(TypeSensitive::new(k), heap)
-                .budget(budget)
-                .threads(threads)
-                .run(program),
-        };
-        (result, start.elapsed())
-    };
+    // The elapsed time (like the `main_analysis` span) covers only the
+    // solver run: client metrics computed by `RunOutcome::from_result`
+    // are reporting cost, not analysis cost, and the timeline's
+    // attribution check (timeline records vs. `main_analysis` wall)
+    // relies on the span bounding solver work alone.
+    let start = Instant::now();
+    let result = result_with_heap(program, sensitivity, heap, budget);
+    let elapsed = start.elapsed();
     match result {
         Ok(r) => RunOutcome::from_result(program, &r, elapsed),
         Err(_) => RunOutcome::unscalable(),
@@ -197,20 +167,13 @@ pub fn run_for_result(
     heap: HeapKind,
     mom: &MergedObjectMap,
     budget: Budget,
-    threads: usize,
 ) -> Result<AnalysisResult, pta::Unscalable> {
     match heap {
-        HeapKind::AllocSite => {
-            result_with_heap(program, sensitivity, AllocSiteAbstraction, budget, threads)
+        HeapKind::AllocSite => result_with_heap(program, sensitivity, AllocSiteAbstraction, budget),
+        HeapKind::AllocType => {
+            result_with_heap(program, sensitivity, AllocTypeAbstraction::new(program), budget)
         }
-        HeapKind::AllocType => result_with_heap(
-            program,
-            sensitivity,
-            AllocTypeAbstraction::new(program),
-            budget,
-            threads,
-        ),
-        HeapKind::Mahjong => result_with_heap(program, sensitivity, mom.clone(), budget, threads),
+        HeapKind::Mahjong => result_with_heap(program, sensitivity, mom.clone(), budget),
     }
 }
 
@@ -219,26 +182,19 @@ fn result_with_heap<H: HeapAbstraction>(
     sensitivity: Sensitivity,
     heap: H,
     budget: Budget,
-    threads: usize,
 ) -> Result<AnalysisResult, pta::Unscalable> {
     let _phase = obs::span("main_analysis");
     match sensitivity {
-        Sensitivity::Ci => AnalysisConfig::new(ContextInsensitive, heap)
-            .budget(budget)
-            .threads(threads)
-            .run(program),
-        Sensitivity::Cs(k) => AnalysisConfig::new(CallSiteSensitive::new(k), heap)
-            .budget(budget)
-            .threads(threads)
-            .run(program),
-        Sensitivity::Obj(k) => AnalysisConfig::new(ObjectSensitive::new(k), heap)
-            .budget(budget)
-            .threads(threads)
-            .run(program),
-        Sensitivity::Type(k) => AnalysisConfig::new(TypeSensitive::new(k), heap)
-            .budget(budget)
-            .threads(threads)
-            .run(program),
+        Sensitivity::Ci => AnalysisConfig::new(ContextInsensitive, heap).budget(budget).run(program),
+        Sensitivity::Cs(k) => {
+            AnalysisConfig::new(CallSiteSensitive::new(k), heap).budget(budget).run(program)
+        }
+        Sensitivity::Obj(k) => {
+            AnalysisConfig::new(ObjectSensitive::new(k), heap).budget(budget).run(program)
+        }
+        Sensitivity::Type(k) => {
+            AnalysisConfig::new(TypeSensitive::new(k), heap).budget(budget).run(program)
+        }
     }
 }
 
@@ -274,11 +230,8 @@ pub fn prepare(name: &str, scale: usize, config: &MahjongConfig) -> Prepared {
     let t = Instant::now();
     let pre = {
         let _phase = obs::span("pre_analysis");
-        // The Mahjong thread budget drives the CI pass too, so both
-        // halves of the pre-analysis pipeline scale together.
         AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
             .budget(Budget::seconds(600))
-            .threads(config.threads)
             .run(&program)
             .expect("pre-analysis fits its budget")
     };
@@ -321,8 +274,7 @@ pub struct Table2Row {
 }
 
 /// Runs the Table 2 matrix for one program with `threads` Mahjong
-/// merge-phase workers (the count is also forwarded to every solver
-/// run, which ignores it).
+/// merge-phase workers.
 pub fn table2_program(
     name: &str,
     scale: usize,
@@ -338,10 +290,8 @@ pub fn table2_program(
     let rows = Sensitivity::TABLE2
         .iter()
         .map(|&s| {
-            let baseline =
-                run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget, threads);
-            let mahjong =
-                run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget, threads);
+            let baseline = run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget);
+            let mahjong = run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget);
             let speedup = match (baseline.seconds, mahjong.seconds) {
                 (Some(b), Some(m)) if m > 0.0 => Some(b / m),
                 _ => None,
@@ -463,16 +413,15 @@ pub struct MotivationResult {
     pub m_obj3: RunOutcome,
 }
 
-/// Runs the motivation experiment (`threads` is forwarded to the
-/// solver runs, which ignore it).
-pub fn motivation(scale: usize, budget: Budget, threads: usize) -> (Prepared, MotivationResult) {
+/// Runs the motivation experiment.
+pub fn motivation(scale: usize, budget: Budget) -> (Prepared, MotivationResult) {
     let prepared = prepare("pmd", scale, &MahjongConfig::default());
     let mom = &prepared.mahjong.mom;
     let s = Sensitivity::Obj(3);
     let result = MotivationResult {
-        obj3: run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget, threads),
-        t_obj3: run_configuration(&prepared.program, s, HeapKind::AllocType, mom, budget, threads),
-        m_obj3: run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget, threads),
+        obj3: run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget),
+        t_obj3: run_configuration(&prepared.program, s, HeapKind::AllocType, mom, budget),
+        m_obj3: run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget),
     };
     (prepared, result)
 }
@@ -500,8 +449,8 @@ pub struct PreAnalysisStats {
     pub max_nfa_states: usize,
     /// Objects failing SINGLETYPE-CHECK.
     pub not_single_type: usize,
-    /// Equivalence checks performed.
-    pub equivalence_checks: u64,
+    /// Hopcroft–Karp runs (0 on the signature fast path).
+    pub hk_runs: u64,
 }
 
 /// Collects the Section 6.1.1 statistics for one prepared program.
@@ -517,7 +466,7 @@ pub fn pre_analysis_stats(name: &str, prepared: &Prepared) -> PreAnalysisStats {
         avg_nfa_states: stats.avg_nfa_states,
         max_nfa_states: stats.max_nfa_states,
         not_single_type: stats.not_single_type,
-        equivalence_checks: stats.equivalence_checks,
+        hk_runs: stats.hk_runs,
     }
 }
 
@@ -580,7 +529,6 @@ pub fn ablations(name: &str, scale: usize, budget: Budget) -> Vec<AblationRow> {
                 HeapKind::Mahjong,
                 &prepared.mahjong.mom,
                 budget,
-                1,
             );
             AblationRow {
                 name: label.to_owned(),

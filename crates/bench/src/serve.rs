@@ -15,9 +15,11 @@
 //! thread count or batch interleaving, and the order-independent
 //! XOR-folded [`ServeReport::checksum`] is bit-identical across
 //! configurations — the cross-thread determinism tests pin this.
-//! Per-query-class latencies land in log₂ histograms (mirrored into
-//! the `obs` registry under `serve.<class>_ns` when recording is
-//! enabled) and the whole report renders to the committed
+//! The driver measures throughput over the whole query phase and counts
+//! queries per class; it does not time single queries. Per-class
+//! latency is measured in one place, the repository benchmark's
+//! `serve` workload (`perfbench`, `serve.<class>_ns`), which times
+//! whole single-class batches. The report renders to the committed
 //! `BENCH_serve.json` via [`render_json`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +44,8 @@ pub enum Query {
 }
 
 impl Query {
-    /// The query's class label, as used in histograms and the bench
-    /// record (`"points_to"`, `"may_alias"`, `"call_targets"`,
-    /// `"cast_check"`).
+    /// The query's class label, as used in the bench record
+    /// (`"points_to"`, `"may_alias"`, `"call_targets"`, `"cast_check"`).
     pub fn class(&self) -> &'static str {
         match self {
             Query::PointsTo(_) => "points_to",
@@ -212,61 +213,6 @@ fn fnv_mix(h: &mut u64, x: u64) {
 pub const CLASSES: [&str; 5] =
     ["points_to", "may_alias", "call_targets", "cast_check", "not_found"];
 
-/// A log₂-bucketed latency histogram (bucket 0 = value 0, bucket `b` =
-/// values in `[2^(b-1), 2^b)`), mergeable across worker threads.
-#[derive(Clone, Copy, Debug)]
-struct Hist {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Hist {
-    fn new() -> Self {
-        Hist { buckets: [0; 64], count: 0 }
-    }
-
-    fn record(&mut self, v: u64) {
-        let b = if v == 0 { 0 } else { 64 - v.leading_zeros() as usize };
-        self.buckets[b.min(63)] += 1;
-        self.count += 1;
-    }
-
-    fn merge(&mut self, other: &Hist) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
-    /// The upper bound of the bucket holding the `q`-quantile
-    /// observation (0 when empty).
-    fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if b == 0 { 0 } else { (1u64 << b) - 1 };
-            }
-        }
-        u64::MAX
-    }
-}
-
-/// Latency summary for one query class.
-#[derive(Clone, Copy, Debug)]
-pub struct ClassStats {
-    /// Queries answered in this class.
-    pub count: u64,
-    /// Median latency (log₂-bucket upper bound), nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile latency (log₂-bucket upper bound), nanoseconds.
-    pub p99_ns: u64,
-}
-
 /// Benchmark configuration for [`run_bench`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOpts {
@@ -298,8 +244,8 @@ pub struct ServeReport {
     /// XOR-fold of all per-query digests — order-independent, so
     /// bit-identical across thread counts and batchings.
     pub checksum: u64,
-    /// Per-class latency stats, in [`CLASSES`] order.
-    pub classes: Vec<(&'static str, ClassStats)>,
+    /// Queries answered per class, in [`CLASSES`] order.
+    pub classes: Vec<(&'static str, u64)>,
 }
 
 /// Drives the concurrent query benchmark: `opts.threads` workers claim
@@ -316,7 +262,7 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
     let threads = opts.threads.max(1);
 
     struct WorkerOut {
-        hists: [Hist; 5],
+        counts: [u64; 5],
         checksum: u64,
     }
 
@@ -327,7 +273,7 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
                 let server = &server;
                 let cursor = &cursor;
                 scope.spawn(move || {
-                    let mut out = WorkerOut { hists: [Hist::new(); 5], checksum: 0 };
+                    let mut out = WorkerOut { counts: [0; 5], checksum: 0 };
                     loop {
                         let lo = cursor.fetch_add(opts.batch, Ordering::Relaxed);
                         if lo >= opts.queries {
@@ -336,16 +282,14 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
                         let hi = (lo + opts.batch).min(opts.queries);
                         for i in lo..hi {
                             let q = query_for(i, opts.seed, spaces);
-                            let t = Instant::now();
                             let answer = server.answer(q);
-                            let ns = t.elapsed().as_nanos() as u64;
                             // A NotFound answer is its own class: the
-                            // degraded path has its own latency story.
+                            // degraded path does different work.
                             let class = match answer {
                                 Ok(_) => CLASSES.iter().position(|c| *c == q.class()).unwrap(),
                                 Err(_) => 4,
                             };
-                            out.hists[class].record(ns);
+                            out.counts[class] += 1;
                             // Per-query digest folds the index, the
                             // class, and the answer (or the error id),
                             // then XORs into an order-free total.
@@ -373,24 +317,13 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
     });
     let wall_secs = start.elapsed().as_secs_f64();
 
-    let mut hists = [Hist::new(); 5];
+    let mut counts = [0u64; 5];
     let mut checksum = 0u64;
     for out in &outs {
-        for (a, b) in hists.iter_mut().zip(&out.hists) {
-            a.merge(b);
+        for (a, b) in counts.iter_mut().zip(&out.counts) {
+            *a += b;
         }
         checksum ^= out.checksum;
-    }
-    // Mirror the latency distributions into the global registry so
-    // --metrics-json exports carry them (no-op when recording is off).
-    for (name, hist) in CLASSES.iter().zip(&hists) {
-        let h = obs::histogram(&format!("serve.{name}_ns"));
-        for (b, &n) in hist.buckets.iter().enumerate() {
-            let v = if b == 0 { 0 } else { 1u64 << (b - 1) };
-            for _ in 0..n.min(1 << 16) {
-                h.record(v);
-            }
-        }
     }
     obs::counter("serve.queries").add(opts.queries);
 
@@ -399,13 +332,7 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
         wall_secs,
         qps: if wall_secs > 0.0 { opts.queries as f64 / wall_secs } else { 0.0 },
         checksum,
-        classes: CLASSES
-            .iter()
-            .zip(&hists)
-            .map(|(name, h)| {
-                (*name, ClassStats { count: h.count, p50_ns: h.quantile(0.50), p99_ns: h.quantile(0.99) })
-            })
-            .collect(),
+        classes: CLASSES.into_iter().zip(counts).collect(),
     }
 }
 
@@ -427,23 +354,22 @@ pub struct ServeHeader {
     pub warm_start_ms: f64,
     /// Canonical result fingerprint (see [`canonical_fingerprint`]).
     pub fingerprint: u64,
+    /// Hardware threads of the host ([`crate::cli::nproc`]).
+    pub nproc: usize,
 }
 
-/// Renders the committed `BENCH_serve.json` record
-/// (`scripts/bench_table.py` validates and tabulates this schema).
+/// Renders the committed `BENCH_serve.json` record (the repository's
+/// `tests/records.rs` pins the committed record to this schema).
 pub fn render_json(header: &ServeHeader, report: &ServeReport) -> String {
     let mut classes = String::new();
-    for (i, (name, s)) in report.classes.iter().enumerate() {
+    for (i, (name, count)) in report.classes.iter().enumerate() {
         let sep = if i + 1 == report.classes.len() { "" } else { "," };
-        classes.push_str(&format!(
-            "    \"{name}\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {} }}{sep}\n",
-            s.count, s.p50_ns, s.p99_ns
-        ));
+        classes.push_str(&format!("    \"{name}\": {{ \"count\": {count} }}{sep}\n"));
     }
     format!(
         "{{\n  \"exp\": \"serve\",\n  \"program\": \"{}\",\n  \"scale\": {},\n  \
          \"analysis\": \"{}\",\n  \"heap\": \"{}\",\n  \"source\": \"{}\",\n  \
-         \"threads\": {},\n  \"queries\": {},\n  \"batch\": {},\n  \"seed\": {},\n  \
+         \"threads\": {},\n  \"nproc\": {},\n  \"queries\": {},\n  \"batch\": {},\n  \"seed\": {},\n  \
          \"warm_start_ms\": {:.3},\n  \"fingerprint\": \"{:#018x}\",\n  \
          \"wall_secs\": {:.6},\n  \"qps\": {:.1},\n  \"checksum\": \"{:#018x}\",\n  \
          \"classes\": {{\n{classes}  }}\n}}\n",
@@ -453,6 +379,7 @@ pub fn render_json(header: &ServeHeader, report: &ServeReport) -> String {
         header.heap,
         header.source,
         report.opts.threads,
+        header.nproc,
         report.opts.queries,
         report.opts.batch,
         report.opts.seed,
@@ -618,10 +545,7 @@ mod tests {
                     ServeOpts { threads, queries: 5_000, batch, seed: 7 },
                 );
                 assert_eq!(base.checksum, other.checksum, "threads={threads} batch={batch}");
-                for ((n1, c1), (n2, c2)) in base.classes.iter().zip(&other.classes) {
-                    assert_eq!(n1, n2);
-                    assert_eq!(c1.count, c2.count, "class {n1} count under threads={threads}");
-                }
+                assert_eq!(base.classes, other.classes, "threads={threads} batch={batch}");
             }
         }
     }
@@ -634,10 +558,10 @@ mod tests {
             &r,
             ServeOpts { threads: 2, queries: 20_000, batch: 128, seed: 3 },
         );
-        for (name, stats) in &report.classes {
-            assert!(stats.count > 0, "class {name} never exercised");
+        for (name, count) in &report.classes {
+            assert!(*count > 0, "class {name} never exercised");
         }
-        let total: u64 = report.classes.iter().map(|(_, s)| s.count).sum();
+        let total: u64 = report.classes.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 20_000);
     }
 
@@ -653,6 +577,7 @@ mod tests {
             source: "fresh".into(),
             warm_start_ms: 1.5,
             fingerprint: canonical_fingerprint(&p, &r),
+            nproc: 2,
         };
         let json = render_json(&header, &report);
         for key in

@@ -120,10 +120,6 @@ pub struct MahjongStats {
     /// default fast path performs none, and `debug_assertions`-only
     /// collision checks are not counted).
     pub hk_runs: u64,
-    /// Equivalence tests performed. Since the signature rework this is
-    /// an alias of [`MahjongStats::hk_runs`], kept for callers of the
-    /// historical field.
-    pub equivalence_checks: u64,
     /// Load imbalance of the build shards, in percent: how far the most
     /// loaded shard exceeds the mean (0 when sequential or balanced).
     pub shard_skew_pct: f64,
@@ -145,7 +141,6 @@ impl MahjongStats {
         obs::counter("mahjong.objects").add(self.objects as u64);
         obs::counter("mahjong.merged_objects").add(self.merged_objects as u64);
         obs::counter("mahjong.not_single_type").add(self.not_single_type as u64);
-        obs::counter("mahjong.equivalence_checks").add(self.equivalence_checks);
         obs::counter("mahjong.dfa_built").add(self.dfa_built as u64);
         obs::counter("mahjong.sig_buckets").add(self.sig_buckets as u64);
         obs::counter("mahjong.hk_runs").add(self.hk_runs);
@@ -192,7 +187,6 @@ pub fn merge_equivalent_objects(fpg: &FieldPointsToGraph, config: &MahjongConfig
         let _phase = obs::span("mahjong.equivalence_check");
         merge_by_signature(&groups, &automata, config.paranoid, &mut stats)
     };
-    stats.equivalence_checks = stats.hk_runs;
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
     stats.publish();
@@ -255,7 +249,6 @@ pub fn merge_equivalent_objects_pairwise(
         }
         stats.sig_buckets += reps.len();
     }
-    stats.equivalence_checks = stats.hk_runs;
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
     stats.publish();
@@ -591,7 +584,6 @@ mod tests {
     fn fast_path_performs_zero_hk_runs() {
         let out = merge_equivalent_objects(&figure1_fpg(), &MahjongConfig::default());
         assert_eq!(out.stats.hk_runs, 0);
-        assert_eq!(out.stats.equivalence_checks, 0);
         // Three mergeable groups contribute one bucket each: {o2,o3}
         // and {o5,o6} share theirs; o1 sits alone in the A group's
         // second bucket.
@@ -625,7 +617,6 @@ mod tests {
         // Two merges re-verified + one representative-distinctness
         // check in the A group ({o2} rep vs o1 rep).
         assert_eq!(paranoid.stats.hk_runs, 3);
-        assert_eq!(paranoid.stats.equivalence_checks, 3);
     }
 
     #[test]
@@ -671,7 +662,7 @@ mod tests {
         b.alloc(t1);
         b.alloc(t2);
         let out = merge_equivalent_objects(&b.finish(), &MahjongConfig::default());
-        assert_eq!(out.stats.equivalence_checks, 0);
+        assert_eq!(out.stats.hk_runs, 0);
         assert_eq!(out.stats.dfa_built, 0);
         assert_eq!(out.stats.sig_buckets, 0);
         assert_eq!(out.stats.merged_objects, 2);

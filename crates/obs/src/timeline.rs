@@ -24,13 +24,12 @@
 //!
 //! `WaveRecord::level` is a position in the solver's topological order
 //! of the condensed copy graph (the label gap its pointers sit in), or
-//! one of four sentinels for work that has no single level:
+//! one of three sentinels for work that has no single level:
 //! [`LEVEL_SEED`] (statement processing / call-graph discovery),
-//! [`LEVEL_MIXED`] (coalesced small batches), [`LEVEL_OVERHEAD`]
-//! (cycle collapse, wave scheduling, solver init/finalize), and
-//! [`LEVEL_UNRANKED`] (reserved: pointers without a topological
-//! position; the current solver clamps real levels below it).
-//! The JSON export maps them to `-1`, `-2`, `-3`, and `-4`.
+//! [`LEVEL_MIXED`] (coalesced small batches), and [`LEVEL_OVERHEAD`]
+//! (cycle collapse, wave scheduling, solver init/finalize). Real
+//! levels are clamped below the sentinels. The JSON export maps them
+//! to `-1`, `-2`, and `-3`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -49,12 +48,6 @@ pub const LEVEL_MIXED: u32 = u32::MAX - 1;
 /// `WaveRecord::level` sentinel: solver bookkeeping — cycle collapse,
 /// wave heap construction, init and finalize. Exported as `-3`.
 pub const LEVEL_OVERHEAD: u32 = u32::MAX - 2;
-
-/// `WaveRecord::level` sentinel, reserved for pointers without a
-/// topological position (solvers that ranked pointers only at periodic
-/// sweeps emitted it for pointers interned since the last one). Real
-/// levels are clamped below it. Exported to JSON as `-4`.
-pub const LEVEL_UNRANKED: u32 = u32::MAX - 3;
 
 /// Ring capacity of the global wave-record ring (~6 MiB worst case).
 pub const DEFAULT_RECORD_CAP: usize = 65_536;
@@ -304,7 +297,7 @@ impl Timeline {
     /// Renders the timeline as one JSON object:
     /// `{"records": [...], "records_dropped": N, "memory": {...}|null,
     /// "top_pointers": [...]}`. Level sentinels export as negative
-    /// numbers (seed `-1`, mixed `-2`, overhead `-3`, unranked `-4`).
+    /// numbers (seed `-1`, mixed `-2`, overhead `-3`).
     pub fn export_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"records\":[");
@@ -367,7 +360,6 @@ fn level_json(level: u32) -> i64 {
         LEVEL_SEED => -1,
         LEVEL_MIXED => -2,
         LEVEL_OVERHEAD => -3,
-        LEVEL_UNRANKED => -4,
         l => l as i64,
     }
 }

@@ -41,16 +41,14 @@ pub struct AnalysisStats {
     /// Wall-clock spent assembling the result (`solver.finalize`).
     pub finalize_time: Duration,
     /// Worklist entries processed. One pop consumes a pointer's whole
-    /// coalesced delta, so this is typically far below `delta_objects`.
+    /// coalesced delta, so this is typically far below
+    /// `propagated_objects`.
     pub worklist_pops: u64,
     /// Objects pushed through the constraint graph: the sum of popped
-    /// delta sizes over pointers with at least one consumer (copy edge,
-    /// load, store, or call). Deltas popped at sink pointers die in
-    /// place and are excluded; `delta_objects` counts everything.
+    /// delta sizes. Only pointers with at least one consumer (copy
+    /// edge, load, store, or call) are ever queued, so every popped
+    /// object flows somewhere.
     pub propagated_objects: u64,
-    /// Total points-to set insertion events (every popped delta
-    /// object, consumers or not). Equals the sum of final set sizes.
-    pub delta_objects: u64,
     /// Copy edges in the final constraint graph.
     pub copy_edges: u64,
     /// Context-insensitive call-graph edges discovered.
@@ -87,15 +85,6 @@ pub struct AnalysisStats {
     /// Elementary union-find operations spent maintaining the collapse
     /// partition (see [`dsu::DisjointSets::ops`]).
     pub dsu_ops: u64,
-    /// Always 0: counted the shards of the retired level-parallel wave
-    /// driver, and stays because result snapshots serialize it.
-    pub par_shards: u64,
-    /// Always 0 (see `par_shards`).
-    pub par_steal_none: u64,
-    /// Always 0 (see `par_shards`).
-    pub wave_barrier_ns: u64,
-    /// Always 0 (see `par_shards`).
-    pub par_merge_shards: u64,
     /// Total `[lo, hi)` runs across all compiled cast range tables at
     /// the end of the run — the whole footprint of cast filtering
     /// under the hierarchy numbering (two words per run; compare the
@@ -128,7 +117,6 @@ impl AnalysisStats {
         }
         obs::counter("pta.worklist_pops").add(self.worklist_pops);
         obs::counter("pta.propagated_objects").add(self.propagated_objects);
-        obs::counter("pta.delta_objects").add(self.delta_objects);
         obs::counter("pta.copy_edges").add(self.copy_edges);
         obs::counter("pta.call_graph_edges").add(self.call_graph_edges);
         obs::counter("pta.reachable_method_contexts").add(self.reachable_method_contexts);
@@ -137,10 +125,6 @@ impl AnalysisStats {
         obs::counter("pta.collapse_sweeps").add(self.collapse_sweeps);
         obs::counter("pta.wave_rounds").add(self.wave_rounds);
         obs::counter("pta.dsu_ops").add(self.dsu_ops);
-        obs::counter("pta.par_shards").add(self.par_shards);
-        obs::counter("pta.par_steal_none").add(self.par_steal_none);
-        obs::counter("pta.par_merge_shards").add(self.par_merge_shards);
-        obs::counter("pta.wave_barrier_ns").add(self.wave_barrier_ns);
         obs::counter("pta.pts_interned").add(self.pts_interned);
         obs::counter("pta.pts_dedup_hits").add(self.pts_dedup_hits);
         obs::counter("pta.intern_probe_ns").add(self.intern_probe_ns);

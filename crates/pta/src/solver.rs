@@ -121,7 +121,6 @@ use jir::{
 };
 use obs::timeline::{
     HotPointer, MemoryBreakdown, WaveRecord, LEVEL_MIXED, LEVEL_OVERHEAD, LEVEL_SEED,
-    LEVEL_UNRANKED,
 };
 use pts::{IdRanges, PtsHandle, PtsSet, SetInterner};
 
@@ -276,8 +275,9 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
     /// Accepts a worker-thread count and ignores it: the solver runs
     /// one sequential wave driver (see the module docs), so every value
     /// — `0` ("auto") included — produces the same run, counters and
-    /// all. Kept so callers that size Mahjong's threads and the
-    /// solver's from one setting need no special case.
+    /// all. Kept only for the repository benchmark harness
+    /// (`perfbench`), which passes its thread count here; nothing else
+    /// in the workspace calls it outside `tests/thread_parity.rs`.
     pub fn threads(self, _n: usize) -> Self {
         self
     }
@@ -1019,7 +1019,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             self.stats.worklist_pops += 1;
             delta_hist.record(delta.len() as u64);
             if self.tl.on {
-                let level = (label / GAP).min(u64::from(LEVEL_UNRANKED - 1)) as u32;
+                let level = (label / GAP).min(u64::from(LEVEL_OVERHEAD - 1)) as u32;
                 if cur_any && cur.level != level {
                     self.tl.batch(std::mem::take(&mut cur));
                 }
@@ -1121,10 +1121,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
         self.stats.scc_collapsed_ptrs += (members.len() - 1) as u64;
         self.pts[r] = PtsHandle::from_set(merged);
-        if !pend.is_empty() {
-            self.pending[r] = PtsHandle::from_set(pend);
-            self.worklist.push_back(PtrId(r as u32));
-        }
+        self.queue_delta(PtrId(r as u32), pend);
     }
 
     // --- Pointer graph primitives ----------------------------------------
@@ -1333,14 +1330,9 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
     fn process(&mut self, ptr: PtrId, delta: &PtsSet<ObjId>) {
         let i = ptr.index();
-        self.stats.delta_objects += delta.len() as u64;
-        // "Propagated" counts only deltas that actually flow somewhere:
-        // a pointer with no outgoing edges, loads, stores, or calls is a
-        // sink and its delta dies here. (Sink deltas are no longer even
-        // queued, so the guard is belt-and-braces.)
-        if self.has_consumers(i) {
-            self.stats.propagated_objects += delta.len() as u64;
-        }
+        // Only pointers with consumers are queued (`queue_delta`, also
+        // after a collapse), so every popped object flows on.
+        self.stats.propagated_objects += delta.len() as u64;
 
         // Rows are append-only between collapse points; iterate a
         // snapshot of the length. An entry appended mid-processing

@@ -60,7 +60,7 @@ pub const MAGIC: [u8; 4] = *b"MJSN";
 /// Format version written by this library. Readers reject any other
 /// version — the format makes no cross-version compatibility promise
 /// (see `SERVING.md` for the policy).
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Section ids, in the order sections must appear in the file.
 const SECTION_IDS: [(u32, &str); 9] = [
@@ -228,7 +228,7 @@ impl Writer {
     }
 }
 
-fn stats_words(s: &AnalysisStats) -> [u64; 25] {
+fn stats_words(s: &AnalysisStats) -> [u64; 20] {
     [
         s.elapsed.as_nanos() as u64,
         s.init_time.as_nanos() as u64,
@@ -236,7 +236,6 @@ fn stats_words(s: &AnalysisStats) -> [u64; 25] {
         s.finalize_time.as_nanos() as u64,
         s.worklist_pops,
         s.propagated_objects,
-        s.delta_objects,
         s.copy_edges,
         s.call_graph_edges,
         s.reachable_method_contexts,
@@ -249,16 +248,12 @@ fn stats_words(s: &AnalysisStats) -> [u64; 25] {
         s.collapse_sweeps,
         s.wave_rounds,
         s.dsu_ops,
-        s.par_shards,
-        s.par_steal_none,
-        s.wave_barrier_ns,
-        s.par_merge_shards,
         s.mask_ranges,
         s.range_union_hits,
     ]
 }
 
-fn stats_from_words(w: &[u64; 25]) -> Result<AnalysisStats, SnapshotError> {
+fn stats_from_words(w: &[u64; 20]) -> Result<AnalysisStats, SnapshotError> {
     use std::time::Duration;
     Ok(AnalysisStats {
         elapsed: Duration::from_nanos(w[0]),
@@ -267,26 +262,21 @@ fn stats_from_words(w: &[u64; 25]) -> Result<AnalysisStats, SnapshotError> {
         finalize_time: Duration::from_nanos(w[3]),
         worklist_pops: w[4],
         propagated_objects: w[5],
-        delta_objects: w[6],
-        copy_edges: w[7],
-        call_graph_edges: w[8],
-        reachable_method_contexts: w[9],
-        context_count: usize::try_from(w[10])
+        copy_edges: w[6],
+        call_graph_edges: w[7],
+        reachable_method_contexts: w[8],
+        context_count: usize::try_from(w[9])
             .map_err(|_| SnapshotError::Malformed("context count overflows usize".into()))?,
-        pts_peak_words: w[11],
-        pts_interned: w[12],
-        pts_dedup_hits: w[13],
-        intern_probe_ns: w[14],
-        scc_collapsed_ptrs: w[15],
-        collapse_sweeps: w[16],
-        wave_rounds: w[17],
-        dsu_ops: w[18],
-        par_shards: w[19],
-        par_steal_none: w[20],
-        wave_barrier_ns: w[21],
-        par_merge_shards: w[22],
-        mask_ranges: w[23],
-        range_union_hits: w[24],
+        pts_peak_words: w[10],
+        pts_interned: w[11],
+        pts_dedup_hits: w[12],
+        intern_probe_ns: w[13],
+        scc_collapsed_ptrs: w[14],
+        collapse_sweeps: w[15],
+        wave_rounds: w[16],
+        dsu_ops: w[17],
+        mask_ranges: w[18],
+        range_union_hits: w[19],
         order_search_edges: 0,
         dispatch_groups: 0,
     })
@@ -657,7 +647,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     // STATS
     let mut r = Reader { buf: payloads[8], pos: 0 };
-    let mut words = [0u64; 25];
+    let mut words = [0u64; 20];
     for w in &mut words {
         *w = r.u64("stats counter")?;
     }
@@ -764,15 +754,18 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        let mut bytes = encode(&tiny_snapshot());
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        // Re-sign the header so the version check (not the checksum) fires.
-        let crc = crc32(&bytes[..12]);
-        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
-        ));
+        // v1 is the previous layout (25 stats words); 99 an unknown one.
+        for version in [1u32, 99] {
+            let mut bytes = encode(&tiny_snapshot());
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            // Re-sign the header so the version check (not the checksum) fires.
+            let crc = crc32(&bytes[..12]);
+            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                decode(&bytes),
+                Err(SnapshotError::UnsupportedVersion { found }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 # `repro --profile` on a
 # small two-thread workload and asserts the timeline parses, carries
 # per-level records, attributes ≥90% of the solver wall clock (order
-# repairs and cycle collapse included), and reports a nonzero
-# pending-delta peak; the
-# schema check validates every committed BENCH/PROFILE record. The
+# repairs and cycle collapse included), reports a nonzero
+# pending-delta peak, and anchors its memory breakdown to the physical
+# points-to peak (within 5%). The committed BENCH records are checked against
+# their writers' schemas by the test suite (`tests/records.rs`). The
 # serving smoke saves a luindex@2 snapshot, warm-starts `repro
 # --serve-bench` from it, and requires the save/load fingerprints to
 # match bit for bit (see SERVING.md).
@@ -60,6 +61,14 @@ covered = sum(r["resolve_ns"] + r["propagate_ns"] + r["merge_ns"] for r in recor
 if wall > 0.05 and prof["records_dropped"] == 0:
     assert covered >= 0.9 * wall, f"timeline covers {covered:.2f}s of {wall:.2f}s wall"
 assert doc["pending_peak_words"] > 0, "pending_peak_words never sampled a live delta"
+# Memory attribution: the retained sample is the largest one taken right
+# after a seal sweep, so its physical rep_words anchors to the physical
+# peak; the logical (per-row) footprint can only be larger.
+mem, peak = prof["memory"], doc["pts_peak_words"]
+if mem and peak:
+    rep = mem["rep_words"]
+    assert abs(rep - peak) <= 0.05 * peak, f"rep_words {rep} vs pts_peak_words {peak} (>5% off)"
+    assert mem["logical_words"] >= rep, f"logical_words {mem['logical_words']} < rep_words {rep}"
 print(f"tier1: profile smoke ok ({len(records)} records, "
       f"{covered:.2f}s/{wall:.2f}s attributed)")
 EOF
@@ -95,8 +104,6 @@ assert rec["qps"] > 0 and rec["warm_start_ms"] > 0, rec
 print(f"tier1: serve smoke ok ({rec['qps']:.0f} qps, "
       f"warm start {rec['warm_start_ms']:.1f} ms)")
 EOF
-
-python3 scripts/bench_table.py --check
 
 cargo run --release -q -p bench --bin mahjong_cli -- corpus/containers.jir \
     --threads 2 --metrics-json "$mahjong_metrics" > /dev/null

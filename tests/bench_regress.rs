@@ -13,16 +13,15 @@
 //!
 //! The Mahjong guard works the same way: the canonical-signature merge
 //! path must run **zero** Hopcroft–Karp equivalence checks (reverting
-//! to pairwise checking flips `hk_runs`/`equivalence_checks` nonzero
+//! to pairwise checking flips `hk_runs` nonzero
 //! immediately), and the amount of automaton work — `dfa_built`, one
 //! canonicalization per candidate — is pinned to a measured-at-commit
 //! bound the same way `worklist_pops` is, and so are the solver's
 //! order maintenance (edges scanned by repair searches, renumbers), its
 //! call dispatch (receiver groups bound) and its physical points-to
 //! footprint (`pts_peak_words`).
-//! Wall-clock itself is tracked by the committed BENCH records, which
-//! `scripts/bench_table.py` renders, and by the `perfbench` benchmark;
-//! counters, not seconds, are what CI can assert on.
+//! Wall-clock itself is measured by the `perfbench` benchmark (see
+//! `BENCHMARK.json`); counters, not seconds, are what CI can assert on.
 
 use mahjong::MahjongConfig;
 use pta::{AllocSiteAbstraction, AnalysisConfig, Budget, CallSiteSensitive};
@@ -72,7 +71,6 @@ fn mahjong_fast_path_stays_hk_free() {
         "fast path ran Hopcroft–Karp {} times; signatures should decide every merge",
         stats.hk_runs
     );
-    assert_eq!(stats.equivalence_checks, 0, "legacy alias must agree with hk_runs");
     assert!(stats.dfa_built > 0, "merge phase built no automata");
     assert!(
         stats.sig_buckets <= stats.dfa_built,
@@ -191,23 +189,24 @@ fn dispatch_groups_within_bound() {
     );
 }
 
-/// 1.10 × the physical points-to footprint (`pts_peak_words`) of the
-/// fixed workload (luindex, scale 2, 2cs, alloc-site heap) when the
-/// set kernels went word-wise: 1,721 measured → 1,893 bound. Kernel
+/// 1.10 × the physical points-to footprint (`pts_peak_words`) of pmd,
+/// scale 2, 1cs, alloc-site heap: 2,707 measured → 2,977 bound. Kernel
 /// outputs must keep the representation an element-by-element build
-/// gives them — sorted ids up to 16 elements, a bitmap past that — so
-/// a kernel that promotes its small outputs to bitmaps early blows
-/// past it.
-const PTS_PEAK_WORDS_BOUND: u64 = 1_893;
+/// gives them — sorted ids up to 16 elements, a bitmap past that. A
+/// kernel that promotes its small outputs to bitmaps early measures
+/// 3,343 here. This run, unlike the luindex@2 2cs run the other bounds
+/// use (1,721 → 1,726), carries enough small deltas cut from bitmap
+/// sources to show it.
+const PTS_PEAK_WORDS_BOUND: u64 = 2_977;
 
 /// Deterministic bound on the set representation's footprint.
 #[test]
 fn pts_peak_words_within_bound() {
-    let w = workloads::dacapo::workload("luindex", 2);
-    let result = AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
+    let w = workloads::dacapo::workload("pmd", 2);
+    let result = AnalysisConfig::new(CallSiteSensitive::new(1), AllocSiteAbstraction)
         .budget(Budget::seconds(120))
         .run(&w.program)
-        .expect("luindex@2 under 2cs fits a 120s budget");
+        .expect("pmd@2 under 1cs fits a 120s budget");
     let words = result.stats().pts_peak_words;
     assert!(words > 0, "no points-to set was ever stored");
     assert!(

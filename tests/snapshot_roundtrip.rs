@@ -150,8 +150,5 @@ fn restored_serving_is_thread_count_deterministic() {
     let one = serve::run_bench(&program, &restored, base);
     let four = serve::run_bench(&program, &restored, ServeOpts { threads: 4, ..base });
     assert_eq!(one.checksum, four.checksum);
-    for ((n1, c1), (n2, c2)) in one.classes.iter().zip(&four.classes) {
-        assert_eq!(n1, n2);
-        assert_eq!(c1.count, c2.count, "class {n1} count differs across thread counts");
-    }
+    assert_eq!(one.classes, four.classes, "class counts differ across thread counts");
 }
