@@ -1,7 +1,8 @@
 //! Deterministic 6-tuple sequential automata, Hopcroft–Karp equivalence
-//! (paper Algorithm 4), and Moore-style minimization.
+//! (paper Algorithm 4), and Moore partition refinement.
 
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 use dsu::DisjointSets;
 use fxhash::{FxHashMap, FxHashSet};
@@ -176,69 +177,78 @@ impl Dfa {
         homogeneous
     }
 
-    /// Returns the minimal DFA with the same behaviour (Moore partition
-    /// refinement over output sets). Not part of the paper's pipeline —
-    /// provided for analysis tooling and used by tests as an independent
-    /// equivalence oracle (`a.equivalent(b)` iff their reachable
-    /// minimizations are isomorphic).
-    pub fn minimize(&self) -> Dfa {
-        let n = self.state_count();
-        let alphabet = self.alphabet();
-
-        // Initial partition: by output set, with an extra implicit block
-        // for q_error (represented as block id usize::MAX).
-        let mut block_of: Vec<usize> = vec![0; n];
-        {
-            let mut blocks: Vec<&[Output]> = Vec::new();
-            for (q, slot) in block_of.iter_mut().enumerate() {
-                let out = self.output_set(StateId(q as u32));
-                match blocks.iter().position(|&b| b == out) {
-                    Some(i) => *slot = i,
-                    None => {
-                        *slot = blocks.len();
-                        blocks.push(out);
-                    }
-                }
-            }
-        }
-
-        // Refine by successor-block signature until the block count is
-        // stable. Each round either splits a block or terminates, so at
-        // most `n` rounds run.
-        let mut block_count = block_of.iter().copied().max().map_or(0, |m| m + 1);
+    /// Partitions the states into behavioural-equivalence classes by
+    /// Moore refinement: two states share a class iff they produce the
+    /// same output set on every word, rejection included (the relation
+    /// [`Dfa::equivalent`] decides for two start states).
+    ///
+    /// The initial blocks are the output sets. Each round keys a state
+    /// by its block and its sorted row with every successor replaced by
+    /// its block, `(block, [(symbol, block(succ))])`; a symbol missing
+    /// from the row leads to the error sink, which no real state
+    /// shares. Rounds repeat until the block count stops growing, at
+    /// most once per state. Every state is classified, reachable from
+    /// [`Dfa::start`] or not, so one automaton can carry many start
+    /// states (the Mahjong merge classifies all objects this way).
+    pub fn state_classes(&self) -> StateClasses {
+        let mut by_output: FxHashMap<&[Output], u32> = FxHashMap::default();
+        let mut class_of: Vec<u32> = self
+            .outputs
+            .iter()
+            .map(|out| {
+                let next = by_output.len() as u32;
+                *by_output.entry(out).or_insert(next)
+            })
+            .collect();
+        let mut classes = by_output.len();
+        let mut rounds = 0;
         loop {
-            let mut sig_to_block: FxHashMap<Vec<usize>, usize> = FxHashMap::default();
-            let mut new_block_of = vec![0; n];
-            for q in 0..n {
-                // Signature: (current block, successor block per symbol).
-                let mut sig = Vec::with_capacity(alphabet.len() + 1);
-                sig.push(block_of[q]);
-                for &sym in &alphabet {
-                    sig.push(match self.successor(StateId(q as u32), sym) {
-                        Some(s) => block_of[s.index()],
-                        None => usize::MAX, // q_error block
-                    });
-                }
-                let next_id = sig_to_block.len();
-                new_block_of[q] = *sig_to_block.entry(sig).or_insert(next_id);
-            }
-            let new_count = sig_to_block.len();
-            block_of = new_block_of;
-            if new_count == block_count {
+            rounds += 1;
+            let mut by_key: FxHashMap<RefineKey<'_>, u32> = FxHashMap::default();
+            let next_class_of: Vec<u32> = (0..class_of.len())
+                .map(|q| {
+                    let next = by_key.len() as u32;
+                    *by_key
+                        .entry(RefineKey {
+                            dfa: self,
+                            class_of: &class_of,
+                            q,
+                        })
+                        .or_insert(next)
+                })
+                .collect();
+            let stable = by_key.len() == classes;
+            classes = by_key.len();
+            drop(by_key);
+            class_of = next_class_of;
+            if stable {
                 break;
             }
-            block_count = new_count;
         }
+        StateClasses {
+            class_of,
+            classes,
+            rounds,
+        }
+    }
+
+    /// Returns the minimal DFA with the same behaviour: the quotient of
+    /// the reachable states by [`Dfa::state_classes`]. Not part of the
+    /// paper's pipeline — provided for analysis tooling and used by
+    /// tests as an independent equivalence oracle (`a.equivalent(b)`
+    /// iff their reachable minimizations are isomorphic).
+    pub fn minimize(&self) -> Dfa {
+        let block_of = self.state_classes().class_of;
 
         // Build the quotient automaton over blocks reachable from start.
         let mut builder = DfaPartsBuilder::default();
-        let mut block_state: FxHashMap<usize, StateId> = FxHashMap::default();
-        let mut rep_of_block: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut block_state: FxHashMap<u32, StateId> = FxHashMap::default();
+        let mut rep_of_block: FxHashMap<u32, usize> = FxHashMap::default();
         for (q, &block) in block_of.iter().enumerate() {
             rep_of_block.entry(block).or_insert(q);
         }
         let start_block = block_of[self.start.index()];
-        let mut get_state = |builder: &mut DfaPartsBuilder, block: usize| -> StateId {
+        let mut get_state = |builder: &mut DfaPartsBuilder, block: u32| -> StateId {
             if let Some(&s) = block_state.get(&block) {
                 return s;
             }
@@ -254,19 +264,65 @@ impl Dfa {
         while let Some(block) = worklist.pop() {
             let rep = rep_of_block[&block];
             let from = get_state(&mut builder, block);
-            for &sym in &alphabet {
-                if let Some(succ) = self.successor(StateId(rep as u32), sym) {
-                    let sb = block_of[succ.index()];
-                    let to = get_state(&mut builder, sb);
-                    builder.add_transition(from, sym, to);
-                    if seen.insert(sb) {
-                        worklist.push(sb);
-                    }
+            for (sym, succ) in self.transitions_of(StateId(rep as u32)) {
+                let sb = block_of[succ.index()];
+                let to = get_state(&mut builder, sb);
+                builder.add_transition(from, sym, to);
+                if seen.insert(sb) {
+                    worklist.push(sb);
                 }
             }
         }
         builder.finish(start_state)
     }
+}
+
+/// A state seen through the current partition of one refinement round:
+/// it hashes and compares as its key `(class, [(symbol, class(succ))])`,
+/// read straight from its row, so no key is ever materialized.
+struct RefineKey<'a> {
+    dfa: &'a Dfa,
+    class_of: &'a [u32],
+    q: usize,
+}
+
+impl RefineKey<'_> {
+    fn row(&self) -> impl Iterator<Item = (Symbol, u32)> + '_ {
+        self.dfa.transitions[self.q]
+            .iter()
+            .map(|&(sym, to)| (sym, self.class_of[to.index()]))
+    }
+}
+
+impl Hash for RefineKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.class_of[self.q].hash(state);
+        for entry in self.row() {
+            entry.hash(state);
+        }
+    }
+}
+
+impl PartialEq for RefineKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.class_of[self.q] == other.class_of[other.q] && self.row().eq(other.row())
+    }
+}
+
+impl Eq for RefineKey<'_> {}
+
+/// The behavioural-equivalence partition of a DFA's states, computed by
+/// [`Dfa::state_classes`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StateClasses {
+    /// Per state, its class id in `0..classes`, numbered in order of
+    /// first appearance by state id.
+    pub class_of: Vec<u32>,
+    /// Number of classes.
+    pub classes: usize,
+    /// Refinement rounds run, the last one being the round that found
+    /// the partition stable.
+    pub rounds: usize,
 }
 
 /// Low-level DFA assembly, used by subset construction and minimization.
@@ -407,6 +463,34 @@ mod tests {
             assert_eq!(a.behavior(&word), m.behavior(&word), "len {len}");
         }
         assert!(a.equivalent(&m));
+    }
+
+    #[test]
+    fn state_classes_cover_unreachable_states() {
+        // q0 -0-> q1 -0-> q2 and an unreachable q3 -0-> q4 with the
+        // same outputs as q1 -0-> q2: the partition covers every state.
+        let mut b = DfaPartsBuilder::default();
+        let q: Vec<StateId> = [0, 1, 2, 1, 2]
+            .iter()
+            .map(|&o| b.add_state(vec![Output(o)]))
+            .collect();
+        b.add_transition(q[0], Symbol(0), q[1]);
+        b.add_transition(q[1], Symbol(0), q[2]);
+        b.add_transition(q[3], Symbol(0), q[4]);
+        let classes = b.finish(q[0]).state_classes();
+        assert_eq!(classes.class_of[1], classes.class_of[3]);
+        assert_eq!(classes.class_of[2], classes.class_of[4]);
+        assert_eq!(classes.classes, 3);
+        assert_eq!(classes.rounds, 1, "the output partition is already stable");
+    }
+
+    #[test]
+    fn state_classes_split_a_chain_one_state_per_round() {
+        // Six same-output states: only the distance to the end of the
+        // chain tells them apart, and each round learns one more step.
+        let classes = chain(&[&[0_u32] as &[u32]; 6]).state_classes();
+        assert_eq!(classes.classes, 6);
+        assert_eq!(classes.rounds, 6, "five splitting rounds and one stable one");
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! - [`Dfa::equivalent`]: near-linear Hopcroft–Karp equivalence adapted
 //!   to output maps (paper Algorithm 4), with the implicit `q_error`
 //!   sink for missing transitions;
-//! - [`Dfa::minimize`]: Moore partition-refinement minimization, used as
-//!   an independent test oracle;
-//! - [`Dfa::canonical_form`] / [`Dfa::signature`]: the canonical
-//!   renumbering of the minimal DFA and its 128-bit fingerprint
-//!   ([`DfaSignature`]) — equivalence testing by signature equality,
-//!   the fast path of the Mahjong merge phase;
+//! - [`Dfa::state_classes`]: Moore partition refinement of a DFA's
+//!   states into behavioural-equivalence classes — one pass decides
+//!   equivalence for every pair of states at once, the merge phase of
+//!   Mahjong;
+//! - [`Dfa::minimize`]: the quotient by those classes, used as an
+//!   independent test oracle;
 //! - [`Behavior`]: the β function — the output set an automaton
 //!   produces on one input word.
 //!
@@ -58,12 +58,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod canon;
 mod dfa;
 mod nfa;
 mod types;
 
-pub use canon::DfaSignature;
-pub use dfa::{Dfa, DfaPartsBuilder};
+pub use dfa::{Dfa, DfaPartsBuilder, StateClasses};
 pub use nfa::{Nfa, NfaBuilder};
 pub use types::{Behavior, Output, StateId, Symbol};

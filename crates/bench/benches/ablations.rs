@@ -1,6 +1,5 @@
 //! Bench for the design-choice ablations DESIGN.md calls out:
-//! Condition 2 on/off, null modeling on/off, sequential vs parallel
-//! type-consistency checking, representative choice.
+//! Condition 2 on/off, representative choice.
 
 use bench::timing;
 use mahjong::{MahjongConfig, Representative};
@@ -16,20 +15,6 @@ fn main() {
             "no-condition2",
             MahjongConfig {
                 enforce_condition2: false,
-                ..MahjongConfig::default()
-            },
-        ),
-        (
-            "parallel-4",
-            MahjongConfig {
-                threads: 4,
-                ..MahjongConfig::default()
-            },
-        ),
-        (
-            "parallel-8",
-            MahjongConfig {
-                threads: 8,
                 ..MahjongConfig::default()
             },
         ),

@@ -3,18 +3,14 @@
 //!
 //! ```text
 //! mahjong-cli program.jir [--no-condition2] [--no-null] [--largest-repr]
-//!             [--paranoid] [--budget SECS] [shared options]
+//!             [--budget SECS] [shared options]
 //! ```
 //!
 //! The shared options (`--threads`, `--metrics-json`, `--trace`,
 //! `--bench-json`/`--force`, `--heartbeat`) are parsed by
 //! [`bench::cli::CommonOpts`] — the same parser and `--help` section
-//! `repro` uses. `--threads` sizes Mahjong's automaton construction
-//! (results are bit-identical for any count); the pre-analysis solver
-//! is sequential.
-//! `--paranoid` re-verifies every signature-directed merge with
-//! Hopcroft–Karp (the runs appear in the `mahjong.hk_runs` counter,
-//! which is 0 on the default fast path). Set `OBS_DISABLE=1` to turn
+//! `repro` uses. The pre-analysis solver and the merge are sequential,
+//! so `--threads` only stamps the record. Set `OBS_DISABLE=1` to turn
 //! all recording into no-ops.
 //!
 //! The paper ships Mahjong as a standalone tool that any
@@ -37,8 +33,6 @@ mahjong-cli options:
                        state
   --largest-repr       pick each class's largest object as the
                        representative (default: first)
-  --paranoid           re-verify every signature-directed merge with
-                       Hopcroft-Karp
   --budget SECS        abort the pre-analysis past this time budget";
 
 fn main() {
@@ -57,7 +51,6 @@ fn main() {
             "--no-condition2" => config.enforce_condition2 = false,
             "--no-null" => config.model_null = false,
             "--largest-repr" => config.representative = Representative::Largest,
-            "--paranoid" => config.paranoid = true,
             "--budget" => {
                 budget_secs = Some(
                     args.next()

@@ -14,9 +14,9 @@
 //! repro --exp all
 //! ```
 //!
-//! `--threads` sets the worker count of Mahjong's merge phase in
-//! `--exp table2` and of the serve bench (`0`, the default, means one
-//! per available hardware thread); the solver is sequential.
+//! `--threads` sets the worker count of the serve bench (`0`, the
+//! default, means one per available hardware thread); the solver and
+//! Mahjong's merge are sequential.
 //! `--metrics-json` dumps the telemetry registry as JSON-Lines and
 //! `--trace` writes a Chrome `trace_event` file (load it in
 //! `about:tracing` or Perfetto). The benchmark record lands at
@@ -574,11 +574,8 @@ fn all(args: &Args, budget: Budget) {
 
 fn table2(args: &Args, budget: Budget) {
     println!(
-        "## Table 2 — main results (scale {}, budget {}s, {} thread{})",
-        args.scale,
-        args.budget,
-        args.threads,
-        if args.threads == 1 { "" } else { "s" }
+        "## Table 2 — main results (scale {}, budget {}s)",
+        args.scale, args.budget
     );
     println!();
     println!(
@@ -586,7 +583,7 @@ fn table2(args: &Args, budget: Budget) {
     );
     println!("|---|---|---|---|---|---|---|---|---|");
     for name in &args.programs {
-        let (prepared, rows) = bench::table2_program(name, args.scale, budget, args.threads);
+        let (prepared, rows) = bench::table2_program(name, args.scale, budget);
         for (i, row) in rows.iter().enumerate() {
             let pre = if i == 0 {
                 format!(
@@ -694,7 +691,7 @@ fn pre_analysis(args: &Args) {
     println!("## Section 6.1.1 — pre-analysis statistics (scale {})", args.scale);
     println!();
     println!(
-        "| program | ci | FPG build | Mahjong | FPG objects | FPG edges | avg NFA | max NFA | !single-type | HK runs |"
+        "| program | ci | FPG build | Mahjong | FPG objects | FPG edges | avg NFA | max NFA | !single-type | states |"
     );
     println!("|---|---|---|---|---|---|---|---|---|---|");
     for name in &args.programs {
@@ -711,7 +708,7 @@ fn pre_analysis(args: &Args) {
             s.avg_nfa_states,
             s.max_nfa_states,
             s.not_single_type,
-            s.hk_runs,
+            s.machine_states,
         );
     }
     println!();

@@ -30,9 +30,8 @@ use std::time::Duration;
 pub struct CommonOpts {
     /// Worker count as given (`None` = flag absent, the binary's
     /// default applies; `Some(0)` = one per available hardware thread;
-    /// resolve with [`CommonOpts::resolve_threads`]). Sizes Mahjong's
-    /// merge phase (in `mahjong_cli` and `repro --exp table2`) and the
-    /// serve bench; the solver is sequential.
+    /// resolve with [`CommonOpts::resolve_threads`]). Sizes the serve
+    /// bench; the solver and Mahjong's merge are sequential.
     pub threads: Option<usize>,
     /// `--metrics-json PATH`: dump the telemetry registry as
     /// JSON-Lines on exit.
@@ -54,9 +53,9 @@ impl CommonOpts {
     /// by every binary so the documentation cannot drift either.
     pub const HELP: &'static str = "\
 shared options:
-  --threads N          worker count of Mahjong's merge phase (mahjong_cli,
-                       repro --exp table2) and of the serve bench (0 = one
-                       per hardware thread); the solver is sequential
+  --threads N          worker count of the serve bench (0 = one per
+                       hardware thread); the solver and Mahjong's merge
+                       are sequential
   --metrics-json PATH  dump the telemetry registry as JSON-Lines
   --trace PATH         write a Chrome trace_event file (about:tracing)
   --bench-json PATH    write the benchmark record here (default:
@@ -298,7 +297,8 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
 }
 
 /// The Mahjong pre-analysis record: per-phase wall-clock plus the
-/// signature-pipeline counters (`hk_runs` is 0 on the fast path).
+/// merge counters (candidates, classes, and the shared machine's states
+/// and refinement rounds).
 pub fn bench_mahjong_json(h: &RecordHeader) -> String {
     let r = obs::registry();
     let phase = |name: &str| r.phase_time(name).as_secs_f64();
@@ -307,8 +307,8 @@ pub fn bench_mahjong_json(h: &RecordHeader) -> String {
          \"phase_secs\": {{\n    \"fpg_build\": {:.6},\n    \"automata_build\": {:.6},\n    \
          \"equivalence_check\": {:.6}\n  }},\n  \
          \"objects\": {},\n  \"merged_objects\": {},\n  \"not_single_type\": {},\n  \
-         \"dfa_built\": {},\n  \"sig_buckets\": {},\n  \"hk_runs\": {},\n  \
-         \"canon_ns\": {},\n  \"shard_skew\": {}\n}}\n",
+         \"dfa_built\": {},\n  \"sig_buckets\": {},\n  \"machine_states\": {},\n  \
+         \"refine_rounds\": {}\n}}\n",
         h.exp,
         h.scale,
         h.threads,
@@ -321,9 +321,8 @@ pub fn bench_mahjong_json(h: &RecordHeader) -> String {
         obs::counter("mahjong.not_single_type").get(),
         obs::counter("mahjong.dfa_built").get(),
         obs::counter("mahjong.sig_buckets").get(),
-        obs::counter("mahjong.hk_runs").get(),
-        obs::counter("mahjong.canon_ns").get(),
-        obs::gauge("mahjong.shard_skew").get(),
+        obs::counter("mahjong.machine_states").get(),
+        obs::counter("mahjong.refine_rounds").get(),
     )
 }
 

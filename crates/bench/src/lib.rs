@@ -273,19 +273,9 @@ pub struct Table2Row {
     pub speedup: Option<f64>,
 }
 
-/// Runs the Table 2 matrix for one program with `threads` Mahjong
-/// merge-phase workers.
-pub fn table2_program(
-    name: &str,
-    scale: usize,
-    budget: Budget,
-    threads: usize,
-) -> (Prepared, Vec<Table2Row>) {
-    let config = MahjongConfig {
-        threads: threads.max(1),
-        ..MahjongConfig::default()
-    };
-    let prepared = prepare(name, scale, &config);
+/// Runs the Table 2 matrix for one program.
+pub fn table2_program(name: &str, scale: usize, budget: Budget) -> (Prepared, Vec<Table2Row>) {
+    let prepared = prepare(name, scale, &MahjongConfig::default());
     let mom = &prepared.mahjong.mom;
     let rows = Sensitivity::TABLE2
         .iter()
@@ -449,8 +439,8 @@ pub struct PreAnalysisStats {
     pub max_nfa_states: usize,
     /// Objects failing SINGLETYPE-CHECK.
     pub not_single_type: usize,
-    /// Hopcroft–Karp runs (0 on the signature fast path).
-    pub hk_runs: u64,
+    /// States of Mahjong's shared subset machine.
+    pub machine_states: usize,
 }
 
 /// Collects the Section 6.1.1 statistics for one prepared program.
@@ -466,7 +456,7 @@ pub fn pre_analysis_stats(name: &str, prepared: &Prepared) -> PreAnalysisStats {
         avg_nfa_states: stats.avg_nfa_states,
         max_nfa_states: stats.max_nfa_states,
         not_single_type: stats.not_single_type,
-        hk_runs: stats.hk_runs,
+        machine_states: stats.machine_states,
     }
 }
 
@@ -486,7 +476,7 @@ pub struct AblationRow {
 }
 
 /// Runs the design-choice ablations on one program: Condition 2 off,
-/// null modeling off, parallel threads, and representative choice.
+/// null modeling off, and representative choice.
 pub fn ablations(name: &str, scale: usize, budget: Budget) -> Vec<AblationRow> {
     let configs: Vec<(&str, MahjongConfig)> = vec![
         ("default", MahjongConfig::default()),
@@ -501,13 +491,6 @@ pub fn ablations(name: &str, scale: usize, budget: Budget) -> Vec<AblationRow> {
             "no-null-model",
             MahjongConfig {
                 model_null: false,
-                ..MahjongConfig::default()
-            },
-        ),
-        (
-            "parallel-8",
-            MahjongConfig {
-                threads: 8,
                 ..MahjongConfig::default()
             },
         ),

@@ -1,23 +1,24 @@
-//! NFA construction (Algorithm 2) and DFA conversion with the
-//! single-type check (Algorithm 3 + the SINGLETYPE-CHECK of
-//! Algorithm 1), computed directly over the shared FPG.
+//! NFA construction (Algorithm 2), DFA conversion with the single-type
+//! check (Algorithm 3 + the SINGLETYPE-CHECK of Algorithm 1), and the
+//! shared subset machine the merge phase decides equivalence on, all
+//! computed directly over the shared FPG.
 //!
 //! The paper's "Shared Sequential Automata" optimization (Section 5)
 //! observes that the per-object NFAs are all fragments of one structure:
-//! the FPG itself. We therefore never materialize per-object NFAs in the
-//! hot path — subset construction runs straight over FPG adjacency — and
-//! keep [`nfa_for_root`] only as an explicit-materialization reference
-//! used by tests to cross-validate the construction.
+//! the FPG itself. Subset construction therefore runs straight over FPG
+//! adjacency; [`nfa_for_root`] materializes one object's NFA only as a
+//! reference for tests.
 //!
-//! Sharing goes one level further than the paper spells out: the subset
-//! construction itself is memoized in a [`SubsetCtx`]. DFA states are
-//! *sets of FPG nodes*, and same-type objects overwhelmingly reach the
-//! same node sets (that is exactly why they merge). The context interns
-//! every state-set once, caches its output set, and caches its
-//! transition row — the `(field, successor-set)` list — so when the
-//! hundredth `HashMap` object walks the same entry/value sub-automaton,
-//! the successor sets and their outputs come from the cache instead of
-//! being recomputed from FPG adjacency.
+//! [`SharedMachine`] takes the sharing to the whole batch. DFA states
+//! are *sets of FPG nodes*, interned once in a [`SubsetCtx`] with their
+//! output set and transition row, so the states reachable from every
+//! candidate's start state `{o}` form one deterministic machine, and
+//! each object's DFA is exactly the part of it reachable from `{o}`.
+//! Two objects are equivalent iff their start states are equivalent in
+//! that machine, which one partition refinement decides for all of them
+//! at once ([`SharedMachine::root_classes`]). [`SubsetCtx::dfa_for_root`]
+//! still builds one object's DFA on its own; it serves the pairwise
+//! test oracle.
 
 use automata::{Dfa, DfaPartsBuilder, Nfa, NfaBuilder, Output, StateId, Symbol};
 use fxhash::FxHashMap;
@@ -41,8 +42,8 @@ pub fn output_of(fpg: &FieldPointsToGraph, node: FpgNode) -> Output {
 /// Figure 4): states are the FPG nodes reachable from `root`, input
 /// symbols are field ids, outputs are types.
 ///
-/// Reference implementation — the pipeline uses [`dfa_for_root`], which
-/// skips this materialization.
+/// Reference implementation: subset construction ([`dfa_for_root`],
+/// [`SharedMachine`]) skips this materialization.
 pub fn nfa_for_root(fpg: &FieldPointsToGraph, root: AllocId) -> Nfa {
     let nodes = fpg.reachable_from(FpgNode::Alloc(root));
     let mut builder = NfaBuilder::new();
@@ -78,15 +79,6 @@ pub enum RootAutomaton {
     Dfa(Dfa),
 }
 
-/// Statistics of one DFA construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BuildStats {
-    /// NFA states (reachable FPG nodes).
-    pub nfa_states: usize,
-    /// DFA states constructed before finishing or bailing.
-    pub dfa_states: usize,
-}
-
 /// An interned NFA state-set, identified by insertion order.
 type SetId = u32;
 
@@ -102,9 +94,7 @@ type SetId = u32;
 ///
 /// Structurally identical sub-automata — ubiquitous within a type group,
 /// since that is precisely what makes objects equivalent — are thereby
-/// built once per context rather than once per object. One context is
-/// used per merge shard; contexts are cheap (a few maps) and never
-/// shared across threads.
+/// built once per context rather than once per object.
 #[derive(Debug)]
 pub struct SubsetCtx<'g> {
     fpg: &'g FieldPointsToGraph,
@@ -167,30 +157,29 @@ impl<'g> SubsetCtx<'g> {
             self.row_hits += 1;
         } else {
             self.row_misses += 1;
-            let members = self.sets[id as usize].clone();
-            let mut fields: Vec<FieldId> = Vec::new();
+            // Every member's edges at once, grouped by field: a field
+            // no member has leads to q_error and gets no entry.
+            let fpg = self.fpg;
+            let members = &self.sets[id as usize];
+            let mut edges: Vec<(FieldId, FpgNode)> = Vec::new();
             for &node in members.iter() {
-                fields.extend(self.fpg.fields_of(node));
+                edges.extend_from_slice(fpg.edges_of(node));
             }
-            // Null self-loops: if null is a member, it follows every
-            // field the other members follow (a field no member defines
-            // leads to q_error anyway; a set whose only member is null
-            // keeps looping on the fields that got us there — we
-            // conservatively use the union of fields present).
-            fields.sort_unstable();
-            fields.dedup();
-            let mut row = Vec::with_capacity(fields.len());
-            for field in fields {
-                let mut next: Vec<FpgNode> = Vec::new();
-                for &node in members.iter() {
-                    next.extend(self.fpg.successors(node, field));
+            // Null self-loops: a null member follows every field the
+            // other members have (`Null` sorts last). A set whose only
+            // member is null has no fields, so it is a leaf.
+            if members.last() == Some(&FpgNode::Null) {
+                let fields: Vec<FieldId> = edges.iter().map(|&(f, _)| f).collect();
+                for f in fields {
+                    edges.extend(fpg.successors(FpgNode::Null, f).into_iter().map(|n| (f, n)));
                 }
-                next.sort_unstable();
-                next.dedup();
-                if next.is_empty() {
-                    continue;
-                }
-                row.push((field, self.intern(next)));
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            let mut row = Vec::new();
+            for group in edges.chunk_by(|a, b| a.0 == b.0) {
+                let next = group.iter().map(|&(_, n)| n).collect();
+                row.push((group[0].0, self.intern(next)));
             }
             self.rows[id as usize] = Some(row.into_boxed_slice());
         }
@@ -215,22 +204,12 @@ impl<'g> SubsetCtx<'g> {
     ///
     /// When `enforce_single_type` is `false` (the Condition-2 ablation),
     /// construction always completes and states may carry output sets.
-    pub fn dfa_for_root(
-        &mut self,
-        root: AllocId,
-        enforce_single_type: bool,
-    ) -> (RootAutomaton, BuildStats) {
-        let mut stats = BuildStats {
-            nfa_states: self.fpg.reachable_from(FpgNode::Alloc(root)).len(),
-            ..BuildStats::default()
-        };
-
+    pub fn dfa_for_root(&mut self, root: AllocId, enforce_single_type: bool) -> RootAutomaton {
         let mut builder = DfaPartsBuilder::default();
         let start_id = self.intern(vec![FpgNode::Alloc(root)]);
         let mut state_of: FxHashMap<SetId, StateId> = FxHashMap::default();
         let start = builder.add_state(self.outputs(start_id).to_vec());
         state_of.insert(start_id, start);
-        stats.dfa_states = 1;
         let mut worklist = vec![(start, start_id)];
 
         while let Some((dq, sid)) = worklist.pop() {
@@ -243,10 +222,9 @@ impl<'g> SubsetCtx<'g> {
                     None => {
                         let outputs = self.outputs(succ);
                         if enforce_single_type && outputs.len() > 1 {
-                            return (RootAutomaton::NotSingleType, stats);
+                            return RootAutomaton::NotSingleType;
                         }
                         let t = builder.add_state(outputs.to_vec());
-                        stats.dfa_states += 1;
                         state_of.insert(succ, t);
                         worklist.push((t, succ));
                         t
@@ -255,20 +233,152 @@ impl<'g> SubsetCtx<'g> {
                 builder.add_transition(dq, Symbol(field.as_u32()), target);
             }
         }
-        (RootAutomaton::Dfa(builder.finish(start)), stats)
+        RootAutomaton::Dfa(builder.finish(start))
     }
 }
 
 /// One-shot subset construction: [`SubsetCtx::dfa_for_root`] with a
-/// fresh, throwaway context. The pipeline batches many roots through a
-/// shared context instead; this entry point serves tests and callers
-/// that build a single automaton.
+/// fresh, throwaway context, for tests and callers that build a single
+/// automaton.
 pub fn dfa_for_root(
     fpg: &FieldPointsToGraph,
     root: AllocId,
     enforce_single_type: bool,
-) -> (RootAutomaton, BuildStats) {
+) -> RootAutomaton {
     SubsetCtx::new(fpg).dfa_for_root(root, enforce_single_type)
+}
+
+/// The shared subset machine of a batch of roots: every state-set
+/// reachable from any root's start state `{o}`, interned once, with the
+/// states that fail SINGLETYPE-CHECK marked.
+///
+/// Under Condition 2 a state is *bad* if its output set has more than
+/// one type or some path leads from it to such a state; a root whose
+/// start state is bad fails SINGLETYPE-CHECK, exactly as its own subset
+/// construction would have bailed. Multi-type states are not expanded
+/// (nothing behind them can rescue their predecessors). Successors of a
+/// good state are good, so the good states form a closed sub-machine.
+#[derive(Debug)]
+pub struct SharedMachine<'g> {
+    ctx: SubsetCtx<'g>,
+    starts: Vec<SetId>,
+    bad: Vec<bool>,
+}
+
+/// The equivalence classes of a batch of roots, computed by
+/// [`SharedMachine::root_classes`].
+#[derive(Clone, Debug)]
+pub struct RootClasses {
+    /// Per root, in the order given to [`SharedMachine::build`]: its
+    /// class id in `0..classes`, or `None` when it fails
+    /// SINGLETYPE-CHECK.
+    pub class_of: Vec<Option<u32>>,
+    /// Classes among all good states (a bound for the roots' ids).
+    pub classes: usize,
+    /// Partition refinement rounds run.
+    pub rounds: usize,
+}
+
+impl<'g> SharedMachine<'g> {
+    /// Interns `{root}` for every root and explores every state
+    /// reachable from them, then marks the bad states (only when
+    /// `enforce_single_type`; otherwise every state is expanded and
+    /// none is bad).
+    pub fn build(
+        fpg: &'g FieldPointsToGraph,
+        roots: &[AllocId],
+        enforce_single_type: bool,
+    ) -> Self {
+        let mut ctx = SubsetCtx::new(fpg);
+        let starts: Vec<SetId> = roots
+            .iter()
+            .map(|&root| ctx.intern(vec![FpgNode::Alloc(root)]))
+            .collect();
+        let multi_type = |ctx: &SubsetCtx<'_>, id: usize| ctx.outputs[id].len() > 1;
+        // Interning only appends, so one sweep over the ids reaches
+        // every state the rows discover.
+        let mut id = 0;
+        while id < ctx.sets.len() {
+            if !(enforce_single_type && multi_type(&ctx, id)) {
+                ctx.row(id as SetId);
+            }
+            id += 1;
+        }
+        let n = ctx.sets.len();
+        let mut bad = vec![false; n];
+        if enforce_single_type {
+            // One backward pass over the reversed rows from every
+            // multi-type state.
+            let mut preds: Vec<Vec<SetId>> = vec![Vec::new(); n];
+            for (from, row) in ctx.rows.iter().enumerate() {
+                for &(_, to) in row.as_deref().unwrap_or_default() {
+                    preds[to as usize].push(from as SetId);
+                }
+            }
+            let mut stack: Vec<SetId> = (0..n)
+                .filter(|&id| multi_type(&ctx, id))
+                .map(|id| id as SetId)
+                .collect();
+            for &id in &stack {
+                bad[id as usize] = true;
+            }
+            while let Some(id) = stack.pop() {
+                for &p in &preds[id as usize] {
+                    if !bad[p as usize] {
+                        bad[p as usize] = true;
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        SharedMachine { ctx, starts, bad }
+    }
+
+    /// Number of interned states, good and bad.
+    pub fn states(&self) -> usize {
+        self.ctx.interned_sets()
+    }
+
+    /// Partitions the good states by behaviour ([`Dfa::state_classes`],
+    /// with a missing transition leading to the error sink, as in
+    /// [`Dfa::equivalent`]) and returns each root's class.
+    pub fn root_classes(&self) -> RootClasses {
+        if self.bad.iter().all(|&bad| bad) {
+            return RootClasses {
+                class_of: vec![None; self.starts.len()],
+                classes: 0,
+                rounds: 0,
+            };
+        }
+        let mut state_of = vec![u32::MAX; self.bad.len()];
+        let mut builder = DfaPartsBuilder::default();
+        for (id, outputs) in self.ctx.outputs.iter().enumerate() {
+            if !self.bad[id] {
+                state_of[id] = builder.add_state(outputs.clone()).0;
+            }
+        }
+        for (id, row) in self.ctx.rows.iter().enumerate() {
+            if self.bad[id] {
+                continue;
+            }
+            let from = StateId(state_of[id]);
+            for &(field, to) in row.as_deref().expect("good states are expanded") {
+                let to = StateId(state_of[to as usize]);
+                builder.add_transition(from, Symbol(field.as_u32()), to);
+            }
+        }
+        let classes = builder.finish(StateId(0)).state_classes();
+        let class_of_set = |s: SetId| classes.class_of[state_of[s as usize] as usize];
+        RootClasses {
+            class_of: self
+                .starts
+                .iter()
+                .map(|&s| (!self.bad[s as usize]).then(|| class_of_set(s)))
+                .collect(),
+            classes: classes.classes,
+            rounds: classes.rounds,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -315,23 +425,25 @@ mod tests {
     #[test]
     fn figure2_roots_have_equivalent_dfas() {
         let (fpg, o1, o2) = figure2();
-        let (a1, s1) = dfa_for_root(&fpg, o1, true);
-        let (a2, s2) = dfa_for_root(&fpg, o2, true);
-        let (RootAutomaton::Dfa(d1), RootAutomaton::Dfa(d2)) = (a1, a2) else {
+        let (RootAutomaton::Dfa(d1), RootAutomaton::Dfa(d2)) =
+            (dfa_for_root(&fpg, o1, true), dfa_for_root(&fpg, o2, true))
+        else {
             panic!("both roots are single-type");
         };
         assert!(d1.equivalent(&d2), "o1 ≡ o2 (paper Example 2.6)");
-        assert_eq!(d1.signature(), d2.signature(), "signatures agree too");
-        assert_eq!(s1.nfa_states, 6); // o1, o3, o5, o7, o9, o11
-        assert_eq!(s2.nfa_states, 4); // o2, o4, o6, o8
+        // NFA sizes: o1, o3, o5, o7, o9, o11 and o2, o4, o6, o8.
+        assert_eq!(fpg.reachable_from(FpgNode::Alloc(o1)).len(), 6);
+        assert_eq!(fpg.reachable_from(FpgNode::Alloc(o2)).len(), 4);
+        let classes = SharedMachine::build(&fpg, &[o1, o2], true).root_classes();
+        assert_eq!(classes.class_of[0], classes.class_of[1], "one class in the shared machine");
+        assert!(classes.class_of[0].is_some());
     }
 
     #[test]
     fn dfa_matches_materialized_nfa() {
         let (fpg, o1, o2) = figure2();
         for root in [o1, o2] {
-            let (auto, _) = dfa_for_root(&fpg, root, true);
-            let RootAutomaton::Dfa(direct) = auto else {
+            let RootAutomaton::Dfa(direct) = dfa_for_root(&fpg, root, true) else {
                 panic!("single-type")
             };
             let via_nfa = nfa_for_root(&fpg, root).to_dfa();
@@ -343,10 +455,10 @@ mod tests {
     fn shared_ctx_matches_fresh_ctx_and_reuses_rows() {
         let (fpg, o1, o2) = figure2();
         let mut ctx = SubsetCtx::new(&fpg);
-        let (a1, s1) = ctx.dfa_for_root(o1, true);
-        let (a2, s2) = ctx.dfa_for_root(o2, true);
-        let (f1, t1) = dfa_for_root(&fpg, o1, true);
-        let (f2, t2) = dfa_for_root(&fpg, o2, true);
+        let a1 = ctx.dfa_for_root(o1, true);
+        let a2 = ctx.dfa_for_root(o2, true);
+        let f1 = dfa_for_root(&fpg, o1, true);
+        let f2 = dfa_for_root(&fpg, o2, true);
         let (
             RootAutomaton::Dfa(a1),
             RootAutomaton::Dfa(a2),
@@ -358,8 +470,6 @@ mod tests {
         };
         assert_eq!(a1, f1, "shared context is invisible to the result");
         assert_eq!(a2, f2);
-        assert_eq!(s1.dfa_states, t1.dfa_states);
-        assert_eq!(s2.dfa_states, t2.dfa_states);
         assert!(ctx.interned_sets() >= 4);
     }
 
@@ -382,9 +492,9 @@ mod tests {
         b.edge(shared, g, leaf);
         let fpg = b.finish();
         let mut ctx = SubsetCtx::new(&fpg);
-        let (a1, _) = ctx.dfa_for_root(r1, true);
+        let a1 = ctx.dfa_for_root(r1, true);
         let (hits_before, _) = ctx.row_cache();
-        let (a2, _) = ctx.dfa_for_root(r2, true);
+        let a2 = ctx.dfa_for_root(r2, true);
         let (hits_after, misses) = ctx.row_cache();
         assert!(
             hits_after > hits_before,
@@ -395,7 +505,6 @@ mod tests {
             panic!("single-type");
         };
         assert!(a1.equivalent(&a2));
-        assert_eq!(a1.signature(), a2.signature());
     }
 
     #[test]
@@ -411,12 +520,14 @@ mod tests {
         b.edge(o, f, ox);
         b.edge(o, f, oy);
         let fpg = b.finish();
-        let (auto, _) = dfa_for_root(&fpg, o, true);
-        assert!(matches!(auto, RootAutomaton::NotSingleType));
+        assert!(matches!(dfa_for_root(&fpg, o, true), RootAutomaton::NotSingleType));
         // Without Condition 2 the DFA completes with an output set.
-        let (auto, _) = dfa_for_root(&fpg, o, false);
-        let RootAutomaton::Dfa(d) = auto else { panic!() };
+        let RootAutomaton::Dfa(d) = dfa_for_root(&fpg, o, false) else { panic!() };
         assert!(!d.is_single_output());
+        // The shared machine agrees: bad under Condition 2, classified
+        // without it.
+        assert_eq!(SharedMachine::build(&fpg, &[o], true).root_classes().class_of, vec![None]);
+        assert!(SharedMachine::build(&fpg, &[o], false).root_classes().class_of[0].is_some());
     }
 
     #[test]
@@ -433,13 +544,14 @@ mod tests {
         b.edge(o1, f, od);
         b.null_edge(o2, f);
         let fpg = b.finish();
-        let (a1, _) = dfa_for_root(&fpg, o1, true);
-        let (a2, _) = dfa_for_root(&fpg, o2, true);
-        let (RootAutomaton::Dfa(d1), RootAutomaton::Dfa(d2)) = (a1, a2) else {
+        let (RootAutomaton::Dfa(d1), RootAutomaton::Dfa(d2)) =
+            (dfa_for_root(&fpg, o1, true), dfa_for_root(&fpg, o2, true))
+        else {
             panic!()
         };
         assert!(!d1.equivalent(&d2), "null-field object must stay separate");
-        assert_ne!(d1.signature(), d2.signature());
+        let classes = SharedMachine::build(&fpg, &[o1, o2], true).root_classes();
+        assert_ne!(classes.class_of[0], classes.class_of[1]);
     }
 
     #[test]
@@ -452,14 +564,12 @@ mod tests {
         b.edge(o1, f, o2);
         b.edge(o2, f, o1);
         let fpg = b.finish();
-        let (auto, stats) = dfa_for_root(&fpg, o1, true);
-        let RootAutomaton::Dfa(d) = auto else { panic!() };
-        assert!(stats.dfa_states <= 3);
+        let RootAutomaton::Dfa(d) = dfa_for_root(&fpg, o1, true) else { panic!() };
+        assert!(d.state_count() <= 3);
         // A self-loop-equivalent list: o1 ≡ o2.
-        let (RootAutomaton::Dfa(d2), _) = dfa_for_root(&fpg, o2, true) else {
-            panic!()
-        };
+        let RootAutomaton::Dfa(d2) = dfa_for_root(&fpg, o2, true) else { panic!() };
         assert!(d.equivalent(&d2));
-        assert_eq!(d.signature(), d2.signature());
+        let classes = SharedMachine::build(&fpg, &[o1, o2], true).root_classes();
+        assert_eq!(classes.class_of[0], classes.class_of[1]);
     }
 }

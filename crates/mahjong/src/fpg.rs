@@ -180,20 +180,7 @@ impl FieldPointsToGraph {
     /// Returns every node reachable from `root` (including `root`), in
     /// BFS order.
     pub fn reachable_from(&self, root: FpgNode) -> Vec<FpgNode> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen.insert(root);
-        queue.push_back(root);
-        while let Some(node) = queue.pop_front() {
-            order.push(node);
-            for &(_, to) in self.edges_of(node) {
-                if seen.insert(to) {
-                    queue.push_back(to);
-                }
-            }
-        }
-        order
+        Reach::new(self).walk(root).to_vec()
     }
 
     /// Iterates over all present allocation nodes.
@@ -207,6 +194,60 @@ impl FieldPointsToGraph {
     /// reported in paper Section 6.1.1).
     pub fn edge_count(&self) -> usize {
         self.edges.iter().map(Vec::len).sum()
+    }
+}
+
+/// Breadth-first reachability over one FPG with reusable scratch: a
+/// visit stamp per dense node index (allocation sites, then the null
+/// node) and a queue that doubles as the visit order, so a walk costs
+/// only the nodes it reaches and allocates nothing once warm.
+#[derive(Debug)]
+pub(crate) struct Reach<'g> {
+    fpg: &'g FieldPointsToGraph,
+    stamp: Vec<u32>,
+    epoch: u32,
+    order: Vec<FpgNode>,
+}
+
+impl<'g> Reach<'g> {
+    pub(crate) fn new(fpg: &'g FieldPointsToGraph) -> Self {
+        Reach {
+            fpg,
+            stamp: vec![0; fpg.alloc_count + 1],
+            epoch: 0,
+            order: Vec::new(),
+        }
+    }
+
+    /// Returns every node reachable from `root` (including `root`), in
+    /// BFS order.
+    pub(crate) fn walk(&mut self, root: FpgNode) -> &[FpgNode] {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.order.clear();
+        self.visit(root);
+        let mut head = 0;
+        while let Some(&node) = self.order.get(head) {
+            head += 1;
+            for &(_, to) in self.fpg.edges_of(node) {
+                self.visit(to);
+            }
+        }
+        &self.order
+    }
+
+    fn visit(&mut self, node: FpgNode) {
+        let slot = match node {
+            FpgNode::Alloc(a) => a.index(),
+            FpgNode::Null => self.fpg.alloc_count,
+        };
+        if self.stamp[slot] != self.epoch {
+            self.stamp[slot] = self.epoch;
+            self.order.push(node);
+        }
     }
 }
 
@@ -336,6 +377,26 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(&FpgNode::Alloc(o2)));
         assert!(!r.contains(&FpgNode::Alloc(o3)));
+    }
+
+    #[test]
+    fn one_reach_serves_many_walks() {
+        let mut b = FpgBuilder::new();
+        let t = b.ty("T");
+        let f = b.field("f");
+        let o1 = b.alloc(t);
+        let o2 = b.alloc(t);
+        let o3 = b.alloc(t);
+        b.edge(o1, f, o2);
+        b.null_edge(o2, f);
+        b.edge(o3, f, o1);
+        let g = b.finish();
+        let mut reach = Reach::new(&g);
+        for root in [o1, o2, o3, o1].map(FpgNode::Alloc) {
+            assert_eq!(reach.walk(root), g.reachable_from(root), "{root:?}");
+        }
+        let all = [o3, o1, o2].map(FpgNode::Alloc);
+        assert_eq!(reach.walk(FpgNode::Alloc(o3)), [&all[..], &[FpgNode::Null]].concat());
     }
 
     #[test]

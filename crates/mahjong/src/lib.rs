@@ -18,16 +18,14 @@
 //!
 //! 1. a fast context-insensitive pre-analysis ([`pta::pre_analysis`])
 //!    produces the field points-to graph ([`FieldPointsToGraph`]);
-//! 2. per object, the NFA builder + DFA converter (Algorithms 2–3,
-//!    [`build`] module) produce a deterministic automaton, bailing out on
-//!    objects that fail SINGLETYPE-CHECK (Condition 2);
-//! 3. each automaton is canonicalized once
-//!    ([`automata::Dfa::signature`]: minimization + BFS renumbering +
-//!    128-bit fingerprint), so type-consistency is decided by signature
-//!    equality instead of the paper's per-pair Hopcroft–Karp runs (the
-//!    pairwise pipeline survives as
-//!    [`merge_equivalent_objects_pairwise`], the verification oracle,
-//!    and as the [`MahjongConfig::paranoid`] runtime check);
+//! 2. the merge candidates' DFAs (Algorithms 2–3) are built as one
+//!    shared subset machine over the FPG ([`build::SharedMachine`]),
+//!    with the states that fail SINGLETYPE-CHECK (Condition 2) marked;
+//! 3. one Moore partition refinement of that machine
+//!    ([`automata::Dfa::state_classes`]) decides the equivalence of
+//!    every pair of candidates at once, in place of the paper's
+//!    per-pair Hopcroft–Karp runs (the pairwise pipeline survives as
+//!    [`merge_equivalent_objects_pairwise`], the test oracle);
 //! 4. the heap modeler (Algorithm 1, [`merge_equivalent_objects`])
 //!    produces the merged object map ([`pta::MergedObjectMap`]) that any
 //!    allocation-site-based points-to analysis can drop in.

@@ -1,44 +1,34 @@
 //! The Mahjong main algorithm (paper Algorithm 1): merging
-//! type-consistent objects with a disjoint-set forest, and the
-//! synchronization-free parallel driver of Section 5.
+//! type-consistent objects with a disjoint-set forest.
 //!
-//! # Equivalence by canonical signature
+//! # Equivalence by one partition of one machine
 //!
 //! The paper tests type-consistency with one Hopcroft–Karp run per
-//! same-type pair of candidate objects — near-linear per pair, but the
-//! pair count is quadratic in the worst case and in practice dominates
-//! the merge phase (~100k runs on the mid-size workloads). This
-//! implementation instead canonicalizes each object's automaton once
-//! ([`automata::Dfa::signature`]: Hopcroft minimization + BFS
-//! renumbering + 128-bit fingerprint) and groups objects by signature;
-//! two objects merge iff their signatures are equal. The minimal DFA is
-//! unique up to isomorphism and the BFS renumbering is purely
-//! structural, so signature grouping computes exactly the partition the
-//! pairwise runs would — see DESIGN.md §11 for the soundness argument
-//! and the collision policy.
+//! same-type pair of candidate objects. Every candidate's DFA, however,
+//! is a part of one shared subset machine ([`SharedMachine`]): the
+//! interned state-sets reachable from the candidates' start states
+//! `{o}`. Two objects are equivalent iff their start states are
+//! behaviourally equivalent states of that machine, so one Moore
+//! partition refinement over it ([`automata::Dfa::state_classes`])
+//! decides every pair at once; Condition 1 (same type) is the start
+//! states' output sets and Condition 2 a backward pass from the
+//! multi-type states. Within each type group the first member of each
+//! class becomes its representative. See DESIGN.md §11.
 //!
-//! Hopcroft–Karp stays on three paths:
-//!
-//! - `debug_assertions` builds re-check every signature-directed merge
-//!   (a collision would fire the assert instead of corrupting the map);
-//! - [`MahjongConfig::paranoid`] re-verifies every merge *and* the
-//!   pairwise distinctness of the class representatives at run time,
-//!   counting the runs in `mahjong.hk_runs`;
-//! - [`merge_equivalent_objects_pairwise`] is the full pairwise
-//!   reference pipeline, kept as the oracle for property tests.
-//!
-//! On the default fast path `mahjong.hk_runs` is **zero**.
+//! [`merge_equivalent_objects_pairwise`] keeps the paper's pairwise
+//! loop over per-object DFAs as the test oracle; nothing on the
+//! product path calls it.
 
 use std::time::{Duration, Instant};
 
-use automata::{Dfa, DfaSignature};
+use automata::Dfa;
 use dsu::DisjointSets;
 use fxhash::FxHashMap;
 use jir::AllocId;
 use pta::MergedObjectMap;
 
-use crate::build::{RootAutomaton, SubsetCtx};
-use crate::fpg::{FieldPointsToGraph, FpgNode, NodeType};
+use crate::build::{RootAutomaton, SharedMachine, SubsetCtx};
+use crate::fpg::{FieldPointsToGraph, FpgNode, NodeType, Reach};
 
 /// Which member of an equivalence class becomes its representative.
 ///
@@ -59,8 +49,9 @@ pub enum Representative {
 /// Configuration of the Mahjong pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct MahjongConfig {
-    /// Worker threads for automaton construction and canonicalization
-    /// (1 = sequential).
+    /// A no-op: the merge is one sequential pass over one machine. Kept
+    /// because the `perfbench` benchmark sets it, like
+    /// `pta::AnalysisConfig::threads`.
     pub threads: usize,
     /// Enforce Condition 2 of Definition 2.1 (SINGLETYPE-CHECK). The
     /// `false` setting is the ablation of paper Figure 3 / Example 2.4.
@@ -69,11 +60,6 @@ pub struct MahjongConfig {
     pub model_null: bool,
     /// Representative choice per equivalence class.
     pub representative: Representative,
-    /// Re-verify every signature-directed merge (and the pairwise
-    /// distinctness of class representatives) with Hopcroft–Karp,
-    /// counting the runs in `mahjong.hk_runs`. Off by default: the
-    /// fast path performs zero HK runs.
-    pub paranoid: bool,
 }
 
 impl Default for MahjongConfig {
@@ -83,7 +69,6 @@ impl Default for MahjongConfig {
             enforce_condition2: true,
             model_null: true,
             representative: Representative::Smallest,
-            paranoid: false,
         }
     }
 }
@@ -96,12 +81,10 @@ impl Default for MahjongConfig {
 /// registry under `mahjong.*` names (see [`MahjongStats::publish`]).
 #[derive(Clone, Debug, Default)]
 pub struct MahjongStats {
-    /// Time spent building per-object DFAs (subset construction).
+    /// Time spent building the shared machine (subset construction and
+    /// the SINGLETYPE-CHECK marking) and measuring NFA sizes.
     pub dfa_time: Duration,
-    /// Time spent canonicalizing DFAs (minimization + BFS renumbering
-    /// + fingerprinting), summed across shards.
-    pub canon_time: Duration,
-    /// Time spent grouping by signature and building the merged map.
+    /// Time spent refining the partition and building the merged map.
     pub merge_time: Duration,
     /// Objects (present allocation sites) examined.
     pub objects: usize,
@@ -110,20 +93,19 @@ pub struct MahjongStats {
     pub merged_objects: usize,
     /// Objects failing SINGLETYPE-CHECK.
     pub not_single_type: usize,
-    /// DFAs successfully constructed (objects passing SINGLETYPE-CHECK
-    /// in candidate groups).
+    /// Single-type candidates: objects in a type group of two or more
+    /// that pass SINGLETYPE-CHECK.
     pub dfa_built: usize,
-    /// Distinct signature buckets across all type groups — the number
-    /// of equivalence classes among the single-type candidates.
+    /// Equivalence classes among the single-type candidates, over all
+    /// type groups.
     pub sig_buckets: usize,
-    /// Hopcroft–Karp runs performed (paranoid verification only; the
-    /// default fast path performs none, and `debug_assertions`-only
-    /// collision checks are not counted).
-    pub hk_runs: u64,
-    /// Load imbalance of the build shards, in percent: how far the most
-    /// loaded shard exceeds the mean (0 when sequential or balanced).
-    pub shard_skew_pct: f64,
-    /// Average NFA size (reachable FPG nodes per object).
+    /// States of the shared subset machine (interned state-sets, good
+    /// and bad).
+    pub machine_states: usize,
+    /// Partition refinement rounds over the shared machine, the last
+    /// one being the round that found the partition stable.
+    pub refine_rounds: usize,
+    /// Average NFA size (reachable FPG nodes per candidate).
     pub avg_nfa_states: f64,
     /// Largest NFA (reachable FPG nodes).
     pub max_nfa_states: usize,
@@ -143,11 +125,9 @@ impl MahjongStats {
         obs::counter("mahjong.not_single_type").add(self.not_single_type as u64);
         obs::counter("mahjong.dfa_built").add(self.dfa_built as u64);
         obs::counter("mahjong.sig_buckets").add(self.sig_buckets as u64);
-        obs::counter("mahjong.hk_runs").add(self.hk_runs);
-        obs::counter("mahjong.canon_ns")
-            .add(u64::try_from(self.canon_time.as_nanos()).unwrap_or(u64::MAX));
+        obs::counter("mahjong.machine_states").add(self.machine_states as u64);
+        obs::counter("mahjong.refine_rounds").add(self.refine_rounds as u64);
         obs::gauge("mahjong.max_nfa_states").set(self.max_nfa_states as i64);
-        obs::gauge("mahjong.shard_skew").set(self.shard_skew_pct.round() as i64);
     }
 }
 
@@ -162,30 +142,46 @@ pub struct MahjongOutput {
     pub stats: MahjongStats,
 }
 
-/// Runs Algorithm 1 over an FPG: groups objects by type, builds and
-/// canonicalizes their automata, and merges signature-equal ones.
+/// Runs Algorithm 1 over an FPG: builds the shared subset machine of
+/// every merge candidate, partitions it once, and merges the candidates
+/// whose start states share a class.
 pub fn merge_equivalent_objects(fpg: &FieldPointsToGraph, config: &MahjongConfig) -> MahjongOutput {
     let mut stats = MahjongStats::default();
-    let groups = candidate_groups(fpg, &mut stats);
+    let candidates: Vec<AllocId> = candidate_groups(fpg, &mut stats).concat();
 
-    // Phase 1: build all shared automata beforehand (Section 5) and
-    // canonicalize each to its 128-bit signature, sharded across
-    // threads when configured. Each shard owns a private SubsetCtx, so
-    // interned state-sets are shared within a shard without locking.
     let dfa_start = Instant::now();
-    let automata = {
+    let machine = {
         let _phase = obs::span("mahjong.automata_build");
-        build_automata(fpg, &groups, config, &mut stats)
+        nfa_size_stats(fpg, &candidates, &mut stats);
+        SharedMachine::build(fpg, &candidates, config.enforce_condition2)
     };
-    stats.dfa_time = dfa_start.elapsed().saturating_sub(stats.canon_time);
-    collect_size_stats(&automata, &mut stats);
+    stats.machine_states = machine.states();
+    stats.dfa_time = dfa_start.elapsed();
 
-    // Phase 2: per-type signature grouping (zero HK runs on the fast
-    // path), then the merged object map.
     let merge_start = Instant::now();
     let pairs = {
         let _phase = obs::span("mahjong.equivalence_check");
-        merge_by_signature(&groups, &automata, config.paranoid, &mut stats)
+        let classes = machine.root_classes();
+        stats.refine_rounds = classes.rounds;
+        // Classes never span type groups (the start states' outputs
+        // differ), so one representative table serves every group.
+        let mut rep: Vec<Option<AllocId>> = vec![None; classes.classes];
+        let mut pairs = Vec::new();
+        for (&alloc, class) in candidates.iter().zip(classes.class_of) {
+            let Some(class) = class else {
+                stats.not_single_type += 1;
+                continue;
+            };
+            stats.dfa_built += 1;
+            match rep[class as usize] {
+                Some(first) => pairs.push((first, alloc)),
+                None => {
+                    rep[class as usize] = Some(alloc);
+                    stats.sig_buckets += 1;
+                }
+            }
+        }
+        pairs
     };
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
@@ -194,49 +190,47 @@ pub fn merge_equivalent_objects(fpg: &FieldPointsToGraph, config: &MahjongConfig
 }
 
 /// The pairwise Hopcroft–Karp reference pipeline: the paper's original
-/// merge loop, one HK run per (object, class representative) pair.
+/// merge loop, one DFA per candidate and one HK run per (object, class
+/// representative) pair.
 ///
-/// Kept as the independent oracle for the signature fast path — the
-/// property tests assert both pipelines produce bit-identical merged
-/// object maps. All equivalence tests are counted in
-/// [`MahjongStats::hk_runs`]. Sequential; `config.threads` and
-/// `config.paranoid` are ignored.
+/// Kept as the independent oracle for [`merge_equivalent_objects`] —
+/// the property tests assert both produce bit-identical merged object
+/// maps. Returns the output together with the number of HK runs.
 pub fn merge_equivalent_objects_pairwise(
     fpg: &FieldPointsToGraph,
     config: &MahjongConfig,
-) -> MahjongOutput {
+) -> (MahjongOutput, u64) {
     let mut stats = MahjongStats::default();
     let groups = candidate_groups(fpg, &mut stats);
+    nfa_size_stats(fpg, &groups.concat(), &mut stats);
 
     let dfa_start = Instant::now();
     let mut ctx = SubsetCtx::new(fpg);
-    let mut automata: FxHashMap<AllocId, RootInfo> = FxHashMap::default();
-    for &alloc in groups.iter().flatten() {
-        let (automaton, bstats) = ctx.dfa_for_root(alloc, config.enforce_condition2);
-        automata.insert(
-            alloc,
-            RootInfo {
-                automaton,
-                signature: None,
-                nfa_states: bstats.nfa_states,
-                dfa_states: bstats.dfa_states,
-            },
-        );
-    }
+    let automata: Vec<Vec<RootAutomaton>> = groups
+        .iter()
+        .map(|group| {
+            group
+                .iter()
+                .map(|&alloc| ctx.dfa_for_root(alloc, config.enforce_condition2))
+                .collect()
+        })
+        .collect();
     stats.dfa_time = dfa_start.elapsed();
-    collect_size_stats(&automata, &mut stats);
 
     let merge_start = Instant::now();
     let mut pairs = Vec::new();
-    for group in &groups {
+    let mut hk_runs = 0;
+    for (group, automata) in groups.iter().zip(&automata) {
         let mut reps: Vec<(AllocId, &Dfa)> = Vec::new();
-        for &alloc in group {
-            let RootAutomaton::Dfa(dfa) = &automata[&alloc].automaton else {
+        for (&alloc, automaton) in group.iter().zip(automata) {
+            let RootAutomaton::Dfa(dfa) = automaton else {
+                stats.not_single_type += 1;
                 continue; // fails SINGLETYPE-CHECK: never mergeable
             };
+            stats.dfa_built += 1;
             let mut merged = false;
             for &(rep, rep_dfa) in &reps {
-                stats.hk_runs += 1;
+                hk_runs += 1;
                 if dfa.equivalent(rep_dfa) {
                     pairs.push((rep, alloc));
                     merged = true;
@@ -252,23 +246,13 @@ pub fn merge_equivalent_objects_pairwise(
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
     stats.publish();
-    MahjongOutput { mom, stats }
-}
-
-/// Per-object automaton info.
-struct RootInfo {
-    automaton: RootAutomaton,
-    /// Canonical signature; `None` for `NotSingleType` objects and on
-    /// the pairwise oracle path (which never canonicalizes).
-    signature: Option<DfaSignature>,
-    nfa_states: usize,
-    dfa_states: usize,
+    (MahjongOutput { mom, stats }, hk_runs)
 }
 
 /// Groups present objects by exact type (TYPEOF guard, Algorithm 1
-/// line 5) and drops singleton groups — they can never merge, so their
-/// DFAs are never built. Groups are ordered by first member for
-/// deterministic sharding.
+/// line 5) and drops singleton groups — they can never merge, so they
+/// never enter the machine. Groups are ordered by first member, and
+/// members ascend within a group.
 fn candidate_groups(fpg: &FieldPointsToGraph, stats: &mut MahjongStats) -> Vec<Vec<AllocId>> {
     let mut by_type: FxHashMap<jir::TypeId, Vec<AllocId>> = FxHashMap::default();
     for alloc in fpg.present_allocs() {
@@ -285,223 +269,23 @@ fn candidate_groups(fpg: &FieldPointsToGraph, stats: &mut MahjongStats) -> Vec<V
     groups
 }
 
-/// Assigns type groups to `shards` bins, largest group first into the
-/// least-loaded bin (LPT scheduling). Returns per-shard group indices.
-fn assign_shards(groups: &[Vec<AllocId>], shards: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(groups[i].len()), i));
-    let mut load = vec![0usize; shards];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for g in order {
-        let target = (0..shards).min_by_key(|&s| (load[s], s)).expect("shards > 0");
-        load[target] += groups[g].len();
-        out[target].push(g);
-    }
-    out
-}
-
-/// Percent by which the most loaded shard exceeds the mean load.
-fn shard_skew_pct(loads: &[usize]) -> f64 {
-    let total: usize = loads.iter().sum();
-    if loads.is_empty() || total == 0 {
-        return 0.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    let max = *loads.iter().max().expect("non-empty") as f64;
-    (max / mean - 1.0) * 100.0
-}
-
-/// Builds the DFA and canonical signature of one candidate.
-fn build_one(
-    ctx: &mut SubsetCtx<'_>,
-    alloc: AllocId,
-    enforce_condition2: bool,
-    canon: &mut Duration,
-) -> RootInfo {
-    let (automaton, bstats) = ctx.dfa_for_root(alloc, enforce_condition2);
-    let signature = match &automaton {
-        RootAutomaton::Dfa(dfa) => {
-            let t = Instant::now();
-            let sig = dfa.signature();
-            *canon += t.elapsed();
-            Some(sig)
-        }
-        RootAutomaton::NotSingleType => None,
-    };
-    RootInfo {
-        automaton,
-        signature,
-        nfa_states: bstats.nfa_states,
-        dfa_states: bstats.dfa_states,
-    }
-}
-
-fn build_automata(
-    fpg: &FieldPointsToGraph,
-    groups: &[Vec<AllocId>],
-    config: &MahjongConfig,
-    stats: &mut MahjongStats,
-) -> FxHashMap<AllocId, RootInfo> {
-    let candidates: usize = groups.iter().map(Vec::len).sum();
-    if config.threads <= 1 || candidates < 64 {
-        let mut ctx = SubsetCtx::new(fpg);
-        let mut canon = Duration::ZERO;
-        let out = groups
-            .iter()
-            .flatten()
-            .map(|&alloc| {
-                (
-                    alloc,
-                    build_one(&mut ctx, alloc, config.enforce_condition2, &mut canon),
-                )
-            })
-            .collect();
-        stats.canon_time = canon;
-        return out;
-    }
-
-    let assignment = assign_shards(groups, config.threads);
-    let loads: Vec<usize> = assignment
-        .iter()
-        .map(|idxs| idxs.iter().map(|&g| groups[g].len()).sum())
-        .collect();
-    stats.shard_skew_pct = shard_skew_pct(&loads);
-
-    let mut out = FxHashMap::default();
-    let mut canon_total = Duration::ZERO;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = assignment
-            .iter()
-            .map(|idxs| {
-                scope.spawn(move || {
-                    let mut ctx = SubsetCtx::new(fpg);
-                    let mut canon = Duration::ZERO;
-                    let infos: Vec<(AllocId, RootInfo)> = idxs
-                        .iter()
-                        .flat_map(|&g| &groups[g])
-                        .map(|&alloc| {
-                            (
-                                alloc,
-                                build_one(&mut ctx, alloc, config.enforce_condition2, &mut canon),
-                            )
-                        })
-                        .collect();
-                    (infos, canon)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (infos, canon) = h.join().expect("automata worker panicked");
-            out.extend(infos);
-            canon_total += canon;
-        }
-    });
-    stats.canon_time = canon_total;
-    out
-}
-
-fn collect_size_stats(automata: &FxHashMap<AllocId, RootInfo>, stats: &mut MahjongStats) {
+/// Measures each candidate's NFA (its reachable FPG nodes, paper
+/// Section 6.1.1) with one reused walk.
+fn nfa_size_stats(fpg: &FieldPointsToGraph, candidates: &[AllocId], stats: &mut MahjongStats) {
+    let mut reach = Reach::new(fpg);
+    let nfa_hist = obs::enabled().then(|| obs::histogram("mahjong.nfa_states"));
     let mut nfa_total = 0usize;
-    let record_sizes = obs::enabled();
-    let (nfa_hist, dfa_hist) = (
-        obs::histogram("mahjong.nfa_states"),
-        obs::histogram("mahjong.dfa_states"),
-    );
-    for info in automata.values() {
-        nfa_total += info.nfa_states;
-        stats.max_nfa_states = stats.max_nfa_states.max(info.nfa_states);
-        if record_sizes {
-            nfa_hist.record(info.nfa_states as u64);
-            dfa_hist.record(info.dfa_states as u64);
-        }
-        match info.automaton {
-            RootAutomaton::NotSingleType => stats.not_single_type += 1,
-            RootAutomaton::Dfa(_) => stats.dfa_built += 1,
+    for &alloc in candidates {
+        let size = reach.walk(FpgNode::Alloc(alloc)).len();
+        nfa_total += size;
+        stats.max_nfa_states = stats.max_nfa_states.max(size);
+        if let Some(hist) = &nfa_hist {
+            hist.record(size as u64);
         }
     }
-    if !automata.is_empty() {
-        stats.avg_nfa_states = nfa_total as f64 / automata.len() as f64;
+    if !candidates.is_empty() {
+        stats.avg_nfa_states = nfa_total as f64 / candidates.len() as f64;
     }
-}
-
-/// Merges within each type group by canonical signature: objects with
-/// equal signatures are equivalent (minimal-DFA uniqueness), so each
-/// group reduces to one hash-bucket pass. Returns the union pairs.
-///
-/// In `paranoid` mode every signature-directed merge is re-verified
-/// with Hopcroft–Karp and the group's class representatives are checked
-/// pairwise distinct; the runs are counted in `stats.hk_runs`. A
-/// detected collision (signatures equal, automata inequivalent) is
-/// counted in `mahjong.sig_collisions` and the object is *not* merged —
-/// precision is lost to a finer partition, never soundness.
-fn merge_by_signature(
-    groups: &[Vec<AllocId>],
-    automata: &FxHashMap<AllocId, RootInfo>,
-    paranoid: bool,
-    stats: &mut MahjongStats,
-) -> Vec<(AllocId, AllocId)> {
-    let dfa_of = |alloc: AllocId| -> &Dfa {
-        match &automata[&alloc].automaton {
-            RootAutomaton::Dfa(d) => d,
-            RootAutomaton::NotSingleType => unreachable!("reps are always DFAs"),
-        }
-    };
-    let mut pairs = Vec::new();
-    for group in groups {
-        // Bucket -> class representatives (normally exactly one; more
-        // only after a detected collision in paranoid mode).
-        let mut buckets: FxHashMap<DfaSignature, Vec<AllocId>> = FxHashMap::default();
-        let mut rep_order: Vec<AllocId> = Vec::new();
-        for &alloc in group {
-            let info = &automata[&alloc];
-            let RootAutomaton::Dfa(dfa) = &info.automaton else {
-                continue; // fails SINGLETYPE-CHECK: never mergeable
-            };
-            let sig = info.signature.expect("signature computed for every DFA");
-            let reps = buckets.entry(sig).or_default();
-            let mut merged = false;
-            for &rep in reps.iter() {
-                if paranoid {
-                    stats.hk_runs += 1;
-                    if dfa.equivalent(dfa_of(rep)) {
-                        pairs.push((rep, alloc));
-                        merged = true;
-                        break;
-                    }
-                    obs::counter("mahjong.sig_collisions").inc();
-                } else {
-                    debug_assert!(
-                        dfa.equivalent(dfa_of(rep)),
-                        "signature collision: {alloc:?} vs {rep:?} share {sig:?} \
-                         but are inequivalent"
-                    );
-                    pairs.push((rep, alloc));
-                    merged = true;
-                    break;
-                }
-            }
-            if !merged {
-                reps.push(alloc);
-                rep_order.push(alloc);
-            }
-        }
-        stats.sig_buckets += buckets.len();
-        if paranoid {
-            // Completeness direction: distinct signatures must mean
-            // distinct behaviour, so representatives never merge.
-            for (i, &a) in rep_order.iter().enumerate() {
-                for &b in &rep_order[i + 1..] {
-                    stats.hk_runs += 1;
-                    assert!(
-                        !dfa_of(a).equivalent(dfa_of(b)),
-                        "canonicalization incomplete: {a:?} ≡ {b:?} \
-                         but their signatures differ"
-                    );
-                }
-            }
-        }
-    }
-    pairs
 }
 
 /// Applies the union pairs and builds the merged object map with a
@@ -580,43 +364,33 @@ mod tests {
         assert_eq!(sizes, vec![2, 2], "{{o2,o3}} and {{o5,o6}}");
     }
 
+    /// The product path decides every class by the one refinement of
+    /// the shared machine; no pairwise equivalence check runs on it
+    /// (only the oracle counts Hopcroft–Karp runs).
     #[test]
     fn fast_path_performs_zero_hk_runs() {
         let out = merge_equivalent_objects(&figure1_fpg(), &MahjongConfig::default());
-        assert_eq!(out.stats.hk_runs, 0);
-        // Three mergeable groups contribute one bucket each: {o2,o3}
-        // and {o5,o6} share theirs; o1 sits alone in the A group's
-        // second bucket.
+        // Three classes among the candidates: {o2,o3} and {o5,o6}
+        // share theirs; o1 sits alone in the A group's second class.
         assert_eq!(out.stats.sig_buckets, 3);
         assert_eq!(out.stats.dfa_built, 5, "o1,o2,o3 and o5,o6 (o4 is singleton-B)");
+        // Machine: {o1},{o2},{o3},{o5},{o6} and the successor {o4}
+        // (five starts plus one interned payload set).
+        assert_eq!(out.stats.machine_states, 6);
+        assert_eq!(out.stats.refine_rounds, 2, "one splitting round, one stable");
     }
 
     #[test]
     fn pairwise_oracle_matches_signature_path() {
         let fpg = figure1_fpg();
         let fast = merge_equivalent_objects(&fpg, &MahjongConfig::default());
-        let oracle = merge_equivalent_objects_pairwise(&fpg, &MahjongConfig::default());
+        let (oracle, hk_runs) = merge_equivalent_objects_pairwise(&fpg, &MahjongConfig::default());
         assert_eq!(fast.mom, oracle.mom, "bit-identical merged object maps");
         assert_eq!(fast.stats.merged_objects, oracle.stats.merged_objects);
         assert_eq!(fast.stats.sig_buckets, oracle.stats.sig_buckets);
-        assert!(oracle.stats.hk_runs > 0, "the oracle really ran HK");
-    }
-
-    #[test]
-    fn paranoid_mode_verifies_with_hk() {
-        let fpg = figure1_fpg();
-        let fast = merge_equivalent_objects(&fpg, &MahjongConfig::default());
-        let paranoid = merge_equivalent_objects(
-            &fpg,
-            &MahjongConfig {
-                paranoid: true,
-                ..MahjongConfig::default()
-            },
-        );
-        assert_eq!(fast.mom, paranoid.mom);
-        // Two merges re-verified + one representative-distinctness
-        // check in the A group ({o2} rep vs o1 rep).
-        assert_eq!(paranoid.stats.hk_runs, 3);
+        assert_eq!(fast.stats.dfa_built, oracle.stats.dfa_built);
+        assert_eq!(fast.stats.avg_nfa_states, oracle.stats.avg_nfa_states);
+        assert!(hk_runs > 0, "the oracle really ran HK");
     }
 
     #[test]
@@ -662,7 +436,7 @@ mod tests {
         b.alloc(t1);
         b.alloc(t2);
         let out = merge_equivalent_objects(&b.finish(), &MahjongConfig::default());
-        assert_eq!(out.stats.hk_runs, 0);
+        assert_eq!(out.stats.machine_states, 0);
         assert_eq!(out.stats.dfa_built, 0);
         assert_eq!(out.stats.sig_buckets, 0);
         assert_eq!(out.stats.merged_objects, 2);
@@ -670,9 +444,9 @@ mod tests {
 
     #[test]
     fn transitive_merging_needs_no_pairwise_checks() {
-        // Ten identical leaf objects: one signature bucket absorbs all
-        // of them — no equivalence run ever executes (the pairwise
-        // predecessor needed 9 here).
+        // Ten identical leaf objects: one class absorbs all of them —
+        // no equivalence run ever executes (the pairwise oracle needs
+        // 9 here).
         let mut b = FpgBuilder::new();
         let t = b.ty("T");
         for _ in 0..10 {
@@ -681,10 +455,9 @@ mod tests {
         let fpg = b.finish();
         let out = merge_equivalent_objects(&fpg, &MahjongConfig::default());
         assert_eq!(out.stats.merged_objects, 1);
-        assert_eq!(out.stats.hk_runs, 0);
         assert_eq!(out.stats.sig_buckets, 1);
-        let oracle = merge_equivalent_objects_pairwise(&fpg, &MahjongConfig::default());
-        assert_eq!(oracle.stats.hk_runs, 9, "one comparison per non-rep member");
+        let (oracle, hk_runs) = merge_equivalent_objects_pairwise(&fpg, &MahjongConfig::default());
+        assert_eq!(hk_runs, 9, "one comparison per non-rep member");
         assert_eq!(out.mom, oracle.mom);
     }
 
@@ -742,26 +515,5 @@ mod tests {
         assert!(out.stats.avg_nfa_states >= 1.0);
         assert!(out.stats.max_nfa_states >= 2, "A roots reach their payload");
         assert!(out.stats.dfa_time <= out.stats.dfa_time + out.stats.merge_time);
-    }
-
-    #[test]
-    fn lpt_shard_assignment_balances_load() {
-        let mk = |n: usize| (0..n).map(AllocId::from_usize).collect::<Vec<_>>();
-        let groups = vec![mk(5), mk(4), mk(3), mk(3), mk(1)];
-        let shards = assign_shards(&groups, 2);
-        let loads: Vec<usize> = shards
-            .iter()
-            .map(|idxs| idxs.iter().map(|&g| groups[g].len()).sum())
-            .collect();
-        // LPT: 5+3 vs 4+3+1 — perfectly balanced. Round-robin by
-        // descending size gave 5+3+1=9 vs 4+3=7.
-        assert_eq!(loads, vec![8, 8]);
-        assert_eq!(shard_skew_pct(&loads), 0.0);
-        // Every group assigned exactly once.
-        let mut all: Vec<usize> = shards.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-        // Skew reports imbalance when present.
-        assert!(shard_skew_pct(&[9, 7]) > 12.0);
     }
 }

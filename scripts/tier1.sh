@@ -7,11 +7,11 @@
 # every target, a warning-free rustdoc build (crate docs are part of
 # the deliverable), a `--threads 1` fig9 smoke run of the repro
 # pipeline (the solver is one sequential driver at any thread count),
-# and a sharded `mahjong_cli` smoke
-# that checks the telemetry export parses and carries the merge-phase
-# counters (in particular `mahjong.hk_runs`, which the signature fast
-# path keeps at zero, and `pta.pts_interned`, which is nonzero whenever
-# the solver's hash-consing seal sweeps ran). The profiler smoke runs
+# and a `mahjong_cli` smoke that checks the telemetry export parses and
+# carries the merge-phase counters (in particular
+# `mahjong.machine_states`, nonzero whenever the merge built its shared
+# subset machine, and `pta.pts_interned`, which is nonzero whenever the
+# solver's hash-consing seal sweeps ran). The profiler smoke runs
 # `repro --profile` on a
 # small two-thread workload and asserts the timeline parses, carries
 # per-level records, attributes ≥90% of the solver wall clock (order
@@ -116,10 +116,12 @@ with open(sys.argv[1]) as f:
         rec = json.loads(line)  # every line must be valid JSON
         if rec.get("type") == "counter":
             counters[rec["name"]] = rec["value"]
-assert "mahjong.hk_runs" in counters, f"mahjong.hk_runs missing from {sorted(counters)}"
-assert counters["mahjong.hk_runs"] == 0, f"fast path ran HK: {counters['mahjong.hk_runs']}"
+assert "mahjong.machine_states" in counters, \
+    f"mahjong.machine_states missing from {sorted(counters)}"
+assert counters["mahjong.machine_states"] > 0, "merge built no shared machine"
 assert "pta.pts_interned" in counters, f"pta.pts_interned missing from {sorted(counters)}"
 assert counters["pta.pts_interned"] > 0, "solver sealed no points-to sets"
-print(f"tier1: mahjong_cli smoke ok ({len(counters)} counters, hk_runs=0, "
+print(f"tier1: mahjong_cli smoke ok ({len(counters)} counters, "
+      f"machine_states={counters['mahjong.machine_states']}, "
       f"pts_interned={counters['pta.pts_interned']})")
 EOF

@@ -11,15 +11,13 @@
 //! Update `WORKLIST_POPS_BOUND` deliberately, with the measured value
 //! and the reason, whenever the solver's propagation strategy changes.
 //!
-//! The Mahjong guard works the same way: the canonical-signature merge
-//! path must run **zero** Hopcroft–Karp equivalence checks (reverting
-//! to pairwise checking flips `hk_runs` nonzero
-//! immediately), and the amount of automaton work — `dfa_built`, one
-//! canonicalization per candidate — is pinned to a measured-at-commit
-//! bound the same way `worklist_pops` is, and so are the solver's
-//! order maintenance (edges scanned by repair searches, renumbers), its
-//! call dispatch (receiver groups bound) and its physical points-to
-//! footprint (`pts_peak_words`).
+//! The Mahjong guard works the same way: the merge's work is the size
+//! of its shared subset machine (`machine_states`) and the rounds of
+//! the one partition refinement over it (`refine_rounds`), both pinned
+//! to measured-at-commit bounds the way `worklist_pops` is. So are the
+//! solver's order maintenance (edges scanned by repair searches,
+//! renumbers), its call dispatch (receiver groups bound) and its
+//! physical points-to footprint (`pts_peak_words`).
 //! Wall-clock itself is measured by the `perfbench` benchmark (see
 //! `BENCHMARK.json`); counters, not seconds, are what CI can assert on.
 
@@ -49,32 +47,21 @@ fn worklist_pops_does_not_regress() {
     );
 }
 
-/// 1.10 × the `dfa_built` measured for luindex@2 with the default
-/// Mahjong configuration when the canonical-signature path landed:
-/// 288 measured → 317 bound. One DFA is built (and canonicalized once)
-/// per merge candidate, so this bounds the whole automaton phase's
-/// work; a regression that re-runs subset construction per pair or
-/// stops skipping singleton type groups blows past it.
-const MAHJONG_DFA_BUILT_BOUND: usize = 317;
-
-/// The Mahjong merge phase on the fixed workload: signatures do all the
-/// equivalence work (no Hopcroft–Karp on the fast path) and the volume
-/// of automaton construction stays within the checked-in bound.
+/// The Mahjong merge phase on the fixed workload: equivalence is
+/// decided by the one refinement of the shared machine (the pairwise
+/// Hopcroft–Karp oracle is never on this path), and it still finds
+/// equivalent objects among the single-type candidates.
 #[test]
 fn mahjong_fast_path_stays_hk_free() {
     let w = workloads::dacapo::workload("luindex", 2);
     let prepared_pre = pta::pre_analysis(&w.program).expect("pre-analysis fits");
     let out = mahjong::build_heap_abstraction(&w.program, &prepared_pre, &MahjongConfig::default());
     let stats = &out.stats;
-    assert_eq!(
-        stats.hk_runs, 0,
-        "fast path ran Hopcroft–Karp {} times; signatures should decide every merge",
-        stats.hk_runs
-    );
-    assert!(stats.dfa_built > 0, "merge phase built no automata");
+    assert!(stats.dfa_built > 0, "merge phase found no single-type candidates");
+    assert!(stats.refine_rounds > 0, "no refinement ran over the shared machine");
     assert!(
         stats.sig_buckets <= stats.dfa_built,
-        "more buckets ({}) than automata ({})",
+        "more classes ({}) than candidates ({})",
         stats.sig_buckets,
         stats.dfa_built
     );
@@ -82,11 +69,39 @@ fn mahjong_fast_path_stays_hk_free() {
         stats.merged_objects < stats.objects,
         "luindex@2 has known equivalent objects; nothing merged"
     );
+}
+
+/// 1.10 × the shared subset machine's states measured for luindex@2
+/// with the default Mahjong configuration when the one-machine merge
+/// landed: 366 measured → 402 bound. Splitting the machine per type
+/// group (410 states) or per object (801) blows past it. Expanding past
+/// multi-type states does not: on this workload it discovers no new
+/// state.
+const MAHJONG_MACHINE_STATES_BOUND: usize = 402;
+
+/// The refinement rounds measured for the same run (2: one splitting
+/// round, one stable one). Moore refinement is deterministic, so an
+/// extra round means the machine or its initial partition changed.
+const MAHJONG_REFINE_ROUNDS_BOUND: usize = 2;
+
+/// The Mahjong merge phase on the fixed workload: one machine of
+/// bounded size, refined in a bounded number of rounds.
+#[test]
+fn mahjong_machine_work_within_bounds() {
+    let w = workloads::dacapo::workload("luindex", 2);
+    let prepared_pre = pta::pre_analysis(&w.program).expect("pre-analysis fits");
+    let out = mahjong::build_heap_abstraction(&w.program, &prepared_pre, &MahjongConfig::default());
+    let stats = &out.stats;
     assert!(
-        stats.dfa_built <= MAHJONG_DFA_BUILT_BOUND,
-        "dfa_built regressed: {} > bound {MAHJONG_DFA_BUILT_BOUND} \
+        stats.machine_states <= MAHJONG_MACHINE_STATES_BOUND,
+        "machine_states regressed: {} > bound {MAHJONG_MACHINE_STATES_BOUND} \
          (bound = measured-at-commit × 1.10; see module docs)",
-        stats.dfa_built
+        stats.machine_states
+    );
+    assert!(
+        stats.refine_rounds <= MAHJONG_REFINE_ROUNDS_BOUND,
+        "refine_rounds regressed: {} > bound {MAHJONG_REFINE_ROUNDS_BOUND} (measured at commit)",
+        stats.refine_rounds
     );
 }
 

@@ -41,21 +41,14 @@ fn figure1_counters_are_deterministic() {
 
     assert_eq!(counter("mahjong.objects"), 6);
     assert_eq!(counter("mahjong.merged_objects"), 4);
-    assert_eq!(counter("mahjong.hk_runs"), 0, "fast path never runs Hopcroft–Karp");
     assert_eq!(counter("mahjong.dfa_built"), out.stats.dfa_built as u64);
     assert_eq!(counter("mahjong.sig_buckets"), out.stats.sig_buckets as u64);
-    assert!(counter("mahjong.canon_ns") > 0, "canonicalization time was recorded");
-    // Debug builds re-verify each signature-directed merge with one HK
-    // query (the collision safety net); release builds run none.
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            counter("automata.hk_queries"),
-            (out.stats.objects - out.stats.merged_objects) as u64,
-            "one debug-only HK re-check per merge"
-        );
-    } else {
-        assert_eq!(counter("automata.hk_queries"), 0);
-    }
+    // The machine: five candidate starts, the {o4} payload and {null}
+    // (every f the program never stores), split in one round and
+    // confirmed stable in a second.
+    assert_eq!(counter("mahjong.machine_states"), 7);
+    assert_eq!(counter("mahjong.refine_rounds"), 2);
+    assert_eq!(counter("automata.hk_queries"), 0, "the merge never runs Hopcroft–Karp");
     // Sink suppression can drive `pta.worklist_pops` to zero on tiny
     // programs (every delta lands before its consumers register, so
     // the fixpoint resolves entirely through registration replays) —
@@ -66,7 +59,7 @@ fn figure1_counters_are_deterministic() {
     let pre2 = pta::pre_analysis(&p).unwrap();
     let _ = build_heap_abstraction(&p, &pre2, &MahjongConfig::default());
     assert_eq!(counter("mahjong.objects"), 12);
-    assert_eq!(counter("mahjong.hk_runs"), 0);
+    assert_eq!(counter("mahjong.machine_states"), 14);
     assert_eq!(counter("mahjong.sig_buckets"), 2 * out.stats.sig_buckets as u64);
 }
 

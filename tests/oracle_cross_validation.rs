@@ -1,21 +1,21 @@
-//! Cross-validation: the automata-based type-consistency decision
-//! (Algorithms 2–4) must agree with the direct bounded-path oracle
-//! implementing Definition 2.1, on hand-built and random FPGs.
+//! Cross-validation: the automata-based type-consistency decisions —
+//! the product path's one refinement of the shared subset machine, and
+//! per-object DFAs compared with Hopcroft–Karp (Algorithms 2–4) — must
+//! agree with the direct bounded-path oracle implementing
+//! Definition 2.1, on hand-built and random FPGs.
 
 use mahjong::build::{dfa_for_root, RootAutomaton};
 use mahjong::oracle::{exact_depth_for_acyclic, type_consistent_bounded};
 use mahjong::{FieldPointsToGraph, FpgBuilder};
 use obs::rng::SplitMix64;
 
-/// Decides type-consistency through the automata path (the production
-/// pipeline's decision procedure).
+/// Decides type-consistency through per-object DFAs and Hopcroft–Karp
+/// (the paper's pairwise decision procedure).
 fn automata_consistent(fpg: &FieldPointsToGraph, a: jir::AllocId, b: jir::AllocId) -> bool {
     if fpg.node_type(mahjong::FpgNode::Alloc(a)) != fpg.node_type(mahjong::FpgNode::Alloc(b)) {
         return false;
     }
-    let (da, _) = dfa_for_root(fpg, a, true);
-    let (db, _) = dfa_for_root(fpg, b, true);
-    match (da, db) {
+    match (dfa_for_root(fpg, a, true), dfa_for_root(fpg, b, true)) {
         (RootAutomaton::Dfa(da), RootAutomaton::Dfa(db)) => da.equivalent(&db),
         _ => false,
     }
@@ -50,20 +50,25 @@ fn random_acyclic_fpg(
 
 const CASES: usize = 128;
 
-/// On acyclic graphs the bounded oracle is exact; the automata
-/// decision must agree on every same-type pair.
+/// On acyclic graphs the bounded oracle is exact: two objects share a
+/// representative under [`mahjong::merge_equivalent_objects`] iff the
+/// oracle finds them type-consistent, and the per-object HK decision
+/// agrees on every pair too.
 #[test]
 fn automata_agree_with_oracle_on_acyclic_fpgs() {
     let mut rng = SplitMix64::new(0x0000_AC1E_0001);
     for _ in 0..CASES {
         let (fpg, allocs) = random_acyclic_fpg(&mut rng, 8, 3, 3);
         let depth = exact_depth_for_acyclic(&fpg);
+        let out = mahjong::merge_equivalent_objects(&fpg, &mahjong::MahjongConfig::default());
         for i in 0..allocs.len() {
             for j in (i + 1)..allocs.len() {
                 let (a, b) = (allocs[i], allocs[j]);
-                let fast = automata_consistent(&fpg, a, b);
                 let slow = type_consistent_bounded(&fpg, a, b, depth, true);
-                assert_eq!(fast, slow, "disagreement on ({a:?}, {b:?})");
+                let merged = out.mom.repr(a) == out.mom.repr(b);
+                assert_eq!(merged, slow, "product path disagrees on ({a:?}, {b:?})");
+                let pairwise = automata_consistent(&fpg, a, b);
+                assert_eq!(pairwise, slow, "per-object HK disagrees on ({a:?}, {b:?})");
             }
         }
     }
@@ -79,8 +84,7 @@ fn type_consistency_is_an_equivalence_relation() {
         let (fpg, allocs) = random_acyclic_fpg(&mut rng, 7, 2, 2);
         // Reflexivity.
         for &a in &allocs {
-            let (auto, _) = dfa_for_root(&fpg, a, true);
-            if let RootAutomaton::Dfa(d) = auto {
+            if let RootAutomaton::Dfa(d) = dfa_for_root(&fpg, a, true) {
                 assert!(d.equivalent(&d.clone()));
             }
         }

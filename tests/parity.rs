@@ -150,8 +150,8 @@ fn object_reduction_is_substantial() {
     }
 }
 
-/// The parallel merge driver computes exactly the same abstraction as
-/// the sequential one.
+/// `MahjongConfig::threads` is a no-op: any thread count computes
+/// exactly the same abstraction.
 #[test]
 fn parallel_merge_matches_sequential() {
     for name in ["pmd", "eclipse"] {
