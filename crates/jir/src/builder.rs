@@ -673,21 +673,25 @@ fn compute_hierarchy(program: &mut Program) -> Result<(), JirError> {
     }
 
     // Vtables: inherit the superclass table, then overwrite with own
-    // concrete methods.
-    let mut vtables: Vec<HashMap<(String, usize), MethodId>> = vec![HashMap::new(); n];
+    // concrete methods. Each table is sorted by signature (see
+    // `Program::vtables`).
+    let mut vtables: Vec<Vec<MethodId>> = vec![Vec::new(); n];
     for &c in &order {
-        let id = ClassId::from_usize(c);
         let mut table = match program.classes[c].superclass {
             Some(sup) => vtables[sup.index()].clone(),
-            None => HashMap::new(),
+            None => Vec::new(),
         };
         for &m in &program.classes[c].methods {
             let method = &program.methods[m.index()];
             if !method.is_abstract && !method.is_static {
-                table.insert((method.name.clone(), method.params.len()), m);
+                let sig = (method.name.as_str(), method.params.len());
+                match table.binary_search_by(|&t| program.signature(t).cmp(&sig)) {
+                    Ok(at) => table[at] = m,
+                    Err(at) => table.insert(at, m),
+                }
             }
         }
-        vtables[id.index()] = table;
+        vtables[c] = table;
     }
 
     program.ancestors = ancestors;

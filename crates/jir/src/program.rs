@@ -298,9 +298,11 @@ pub struct Program {
     /// `ancestors[c]` = all classes/interfaces `c` is a subtype of,
     /// including `c` itself, as a bitset over `ClassId`.
     pub(crate) ancestors: Vec<ClassBitSet>,
-    /// `vtables[c]` maps `(name, arity)` to the concrete method a virtual
-    /// call on an instance of `c` dispatches to.
-    pub(crate) vtables: Vec<HashMap<(String, usize), MethodId>>,
+    /// `vtables[c]` holds the concrete method a virtual call on an
+    /// instance of `c` dispatches to, one per signature, sorted by
+    /// [`Program::signature`] so a borrowed `(name, arity)` finds its
+    /// entry by bisection without allocating.
+    pub(crate) vtables: Vec<Vec<MethodId>>,
 }
 
 /// A fixed-size bitset over [`ClassId`]s, used for ancestor sets.
@@ -534,9 +536,17 @@ impl Program {
             TypeKind::Class(c) => c,
             TypeKind::Array { .. } => self.object_class,
         };
-        self.vtables[class.index()]
-            .get(&(name.to_owned(), arity))
-            .copied()
+        let table = &self.vtables[class.index()];
+        table
+            .binary_search_by(|&m| self.signature(m).cmp(&(name, arity)))
+            .ok()
+            .map(|at| table[at])
+    }
+
+    /// The `(name, arity)` virtual calls dispatch `method` by.
+    pub(crate) fn signature(&self, method: MethodId) -> (&str, usize) {
+        let m = &self.methods[method.index()];
+        (m.name.as_str(), m.params.len())
     }
 
     /// Returns the class that lexically contains the given allocation site

@@ -61,6 +61,7 @@ mod order;
 mod result;
 pub mod snapshot;
 mod solver;
+mod table;
 pub mod util;
 
 pub use context::{

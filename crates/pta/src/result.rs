@@ -12,11 +12,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jir::{AllocId, CallSiteId, FieldId, MethodId, TypeId, VarId};
-use pts::{PtsHandle, PtsSet, SetInterner};
+use pts::{PtsHandle, PtsSet, SetInterner, UnionScratch};
 
 use crate::context::{ContextArena, CtxId};
 use crate::object::{ObjId, ObjTable};
 use crate::solver::{PtrId, PtrKey};
+use crate::table::IdTable;
 use crate::util::{FastMap, FastSet};
 
 /// The empty points-to set, returned by reference for pointers that
@@ -153,21 +154,25 @@ pub struct AnalysisResult {
     /// identical sets at fixpoint, so the redirection is invisible in
     /// query results).
     pub(crate) redirect: Vec<u32>,
-    /// Context-collapsed points-to set per variable, built eagerly at
-    /// result assembly and sealed against the solver's interner so
-    /// variables with identical collapsed sets share one allocation.
-    /// Single-pointer variables just share their row's handle.
-    pub(crate) collapsed: FastMap<VarId, PtsHandle<ObjId>>,
+    /// The pointers of each variable (one per context it arose in),
+    /// grouped by variable id.
+    pub(crate) var_ptrs: IdTable<PtrId>,
+    /// Context-collapsed points-to set per `var_ptrs` slot, built
+    /// eagerly at result assembly and sealed against the solver's
+    /// interner so variables with identical collapsed sets share one
+    /// allocation. Single-pointer variables just share their row's set,
+    /// and slots without pointers the interner's empty set.
+    pub(crate) collapsed: Vec<Arc<PtsSet<ObjId>>>,
     pub(crate) reachable: FastSet<(CtxId, MethodId)>,
     pub(crate) reachable_methods: FastSet<MethodId>,
     pub(crate) cg_edges: FastSet<(CallSiteId, MethodId)>,
     pub(crate) cs_cg_edge_count: usize,
     pub(crate) stats: AnalysisStats,
     /// Contexts each method is analyzed under.
-    pub(crate) method_ctxs: FastMap<MethodId, Vec<CtxId>>,
-    /// Sorted, deduplicated targets per call site (precomputed so
-    /// `call_targets` is an O(1) borrow instead of an edge scan).
-    pub(crate) site_targets: FastMap<CallSiteId, Vec<MethodId>>,
+    pub(crate) method_ctxs: IdTable<CtxId>,
+    /// Sorted targets per call site (precomputed so `call_targets` is
+    /// an O(1) borrow instead of an edge scan).
+    pub(crate) site_targets: IdTable<MethodId>,
 }
 
 impl AnalysisResult {
@@ -186,41 +191,43 @@ impl AnalysisResult {
         cs_cg_edge_count: usize,
         stats: AnalysisStats,
     ) -> Self {
-        let mut method_ctxs: FastMap<MethodId, Vec<CtxId>> = FastMap::default();
-        for &(ctx, m) in &reachable {
-            method_ctxs.entry(m).or_default().push(ctx);
-        }
-        let mut var_ptrs: FastMap<VarId, Vec<PtrId>> = FastMap::default();
-        for (i, key) in ptr_keys.iter().enumerate() {
-            if let PtrKey::Var(_, v) = *key {
-                var_ptrs.entry(v).or_default().push(PtrId(i as u32));
+        // Every table is grouped by the ids in its input; none is
+        // sized by an id alone (see `table`), because a restored
+        // snapshot's ids are untrusted.
+        let method_ctxs = IdTable::group(reachable.iter().map(|&(ctx, m)| (m.as_u32(), ctx)));
+        let mut site_targets = IdTable::group(cg_edges.iter().map(|&(s, m)| (s.as_u32(), m)));
+        site_targets.sort_groups();
+        let var_ptrs = IdTable::group(ptr_keys.iter().enumerate().filter_map(|(i, key)| {
+            match *key {
+                PtrKey::Var(_, v) => Some((v.as_u32(), PtrId(i as u32))),
+                _ => None,
             }
-        }
-        let mut site_targets: FastMap<CallSiteId, Vec<MethodId>> = FastMap::default();
-        for &(s, m) in &cg_edges {
-            site_targets.entry(s).or_default().push(m);
-        }
-        for targets in site_targets.values_mut() {
-            targets.sort_unstable();
-            targets.dedup();
-        }
-        let mut collapsed: FastMap<VarId, PtsHandle<ObjId>> = FastMap::default();
-        for (&var, ptrs) in &var_ptrs {
-            let handle = match ptrs.as_slice() {
-                // One context: the collapsed set IS the row; share it.
-                [p] => pts[redirect[p.index()] as usize].clone(),
-                many => {
-                    let mut out = PtsSet::new();
-                    for p in many {
-                        out.union_with(&pts[redirect[p.index()] as usize]);
+        }));
+        let row = |p: &PtrId| &pts[redirect[p.index()] as usize];
+        let empty = interner.empty_handle().share();
+        let mut scratch = UnionScratch::new();
+        let collapsed = (0..var_ptrs.slot_count())
+            .map(|slot| match var_ptrs.at(slot) {
+                [] => empty.clone(),
+                [first, rest @ ..] => {
+                    let first = row(first);
+                    // One context, or every context sharing one sealed
+                    // row: the collapsed set IS that row; share it.
+                    if rest.iter().all(|p| row(p).addr() == first.addr()) {
+                        return first.share();
                     }
-                    let mut h = PtsHandle::from_set(out);
+                    // Otherwise OR the rows word-wise into the scratch
+                    // bitmap and intern the union.
+                    scratch.add(first.as_set());
+                    for p in rest {
+                        scratch.add(row(p).as_set());
+                    }
+                    let mut h = PtsHandle::from_set(scratch.take());
                     h.seal(&interner);
-                    h
+                    h.share()
                 }
-            };
-            collapsed.insert(var, handle);
-        }
+            })
+            .collect();
         AnalysisResult {
             arena,
             objs,
@@ -228,6 +235,7 @@ impl AnalysisResult {
             ptr_map,
             pts,
             redirect,
+            var_ptrs,
             collapsed,
             reachable,
             reachable_methods,
@@ -303,8 +311,8 @@ impl AnalysisResult {
     /// share one interned allocation); the empty set if `var` never
     /// arose. Use [`PtsSet::to_vec`] for an owned, sorted `Vec`.
     pub fn points_to_collapsed(&self, var: VarId) -> &PtsSet<ObjId> {
-        match self.collapsed.get(&var) {
-            Some(h) => h.as_set(),
+        match self.var_ptrs.slot(var.as_u32()) {
+            Some(slot) => &self.collapsed[slot],
             None => &EMPTY_PTS,
         }
     }
@@ -384,10 +392,7 @@ impl AnalysisResult {
     /// Returns the targets discovered for one call site, sorted and
     /// deduplicated (empty for unresolved or unreachable sites).
     pub fn call_targets(&self, site: CallSiteId) -> &[MethodId] {
-        self.site_targets
-            .get(&site)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.site_targets.get(site.as_u32())
     }
 
     /// Returns `true` if `method` is reachable from the entry point.
@@ -402,10 +407,7 @@ impl AnalysisResult {
 
     /// Returns the contexts under which `method` was analyzed.
     pub fn contexts_of_method(&self, method: MethodId) -> &[CtxId] {
-        self.method_ctxs
-            .get(&method)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.method_ctxs.get(method.as_u32())
     }
 
     /// Returns the number of reachable `(context, method)` pairs.

@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use pts::{Elem, PtsHandle, PtsSet, SetInterner};
+use pts::{PtsHandle, PtsSet, SetInterner};
 
 use crate::context::{ContextArena, CtxElem, CtxId};
 use crate::object::{ObjId, ObjTable};
@@ -174,20 +174,34 @@ pub fn extract(result: &AnalysisResult) -> RawResult {
         })
         .collect();
 
-    // Unique-set table: rows sharing one physical allocation (the
-    // solver's final seal sweep deduplicates them) reference one
-    // entry. Keyed on the allocation address, so building the table is
-    // O(rows); ordering is first occurrence, which is deterministic
-    // because the row order is.
-    let mut set_of_addr: FastMap<usize, u32> = FastMap::default();
+    // Unique-set table: rows with equal contents (the solver's final
+    // seal sweep, like `restore`, seals every row into one interner)
+    // carry one interned id, so a table indexed by id finds each set's
+    // index without hashing. Ordering is first occurrence, which is
+    // deterministic because the row order is. A row sealed elsewhere
+    // or not at all gets its own entry.
+    let generation = result.pts.first().and_then(|h| h.interned_id()).map(|(g, _)| g);
+    let id_of = |h: &PtsHandle<ObjId>| match h.interned_id() {
+        Some((g, id)) if Some(g) == generation => Some(id as usize),
+        _ => None,
+    };
+    let id_span = result.pts.iter().filter_map(id_of).max().map_or(0, |m| m + 1);
+    let mut set_of_id = vec![u32::MAX; id_span];
     let mut sets: Vec<Vec<u32>> = Vec::new();
     let mut row_set = Vec::with_capacity(result.pts.len());
     for handle in &result.pts {
-        let idx = *set_of_addr.entry(handle.addr()).or_insert_with(|| {
-            let idx = u32::try_from(sets.len()).expect("set table fits u32");
-            sets.push(handle.as_set().iter().map(|o| o.0).collect());
-            idx
-        });
+        let id = id_of(handle);
+        let idx = match id.map(|id| set_of_id[id]) {
+            Some(idx) if idx != u32::MAX => idx,
+            _ => {
+                let idx = u32::try_from(sets.len()).expect("set table fits u32");
+                sets.push(handle.as_set().iter().map(|o| o.0).collect());
+                if let Some(id) = id {
+                    set_of_id[id] = idx;
+                }
+                idx
+            }
+        };
         row_set.push(idx);
     }
 
@@ -275,19 +289,13 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
     // allocation and sealed-handle comparisons fast-path.
     let interner = Arc::new(SetInterner::<ObjId>::new());
     let mut handles: Vec<PtsHandle<ObjId>> = Vec::with_capacity(raw.sets.len());
-    for (i, elems) in raw.sets.iter().enumerate() {
-        let mut set = PtsSet::new();
-        let mut prev: Option<u32> = None;
-        for &e in elems {
-            if prev.is_some_and(|p| p >= e) {
-                return err(format!("set {i}: elements not strictly ascending"));
-            }
-            if !objs.has_id(e) {
-                return err(format!("set {i}: unknown object id {e}"));
-            }
-            set.insert(ObjId::from_index(e as usize));
-            prev = Some(e);
+    for (i, elems) in raw.sets.into_iter().enumerate() {
+        if let Some(&e) = elems.iter().find(|&&e| !objs.has_id(e)) {
+            return err(format!("set {i}: unknown object id {e}"));
         }
+        let Some(set) = PtsSet::from_ascending(elems) else {
+            return err(format!("set {i}: elements not strictly ascending"));
+        };
         let mut handle = PtsHandle::from_set(set);
         handle.seal(&interner);
         handles.push(handle);
@@ -303,7 +311,8 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         ));
     }
     let mut ptr_keys = Vec::with_capacity(n);
-    let mut ptr_map: FastMap<PtrKey, PtrId> = FastMap::default();
+    let mut ptr_map: FastMap<PtrKey, PtrId> =
+        FastMap::with_capacity_and_hasher(n, Default::default());
     for (i, k) in raw.ptr_keys.iter().enumerate() {
         let key = match k.tag {
             1 => {
@@ -462,5 +471,35 @@ mod tests {
         let mut bad = good;
         bad.ptr_keys[0].tag = 9;
         assert!(restore(bad).is_err(), "unknown pointer tag");
+    }
+
+    /// A snapshot is untrusted input: a variable, a reachable method
+    /// and a call site with ids near `u32::MAX` must restore (or fail
+    /// with `RestoreError`) without any table growing with the id.
+    #[test]
+    fn restore_never_sizes_a_table_by_a_file_id() {
+        let (_, r) = result(true);
+        let good = extract(&r);
+        for id in [u32::MAX, u32::MAX - 1, 1 << 31] {
+            let mut bad = good.clone();
+            let key = bad.ptr_keys.iter_mut().find(|k| k.tag == 1).expect("a var key");
+            key.b = id;
+            bad.reachable[0].1 = id;
+            bad.cg_edges[0].0 = id;
+            let entries = bad.ptr_keys.len() + bad.reachable.len() + bad.cg_edges.len();
+            let Ok(restored) = restore(bad) else { continue };
+            for slots in [
+                restored.var_ptrs.slot_count(),
+                restored.method_ctxs.slot_count(),
+                restored.site_targets.slot_count(),
+                restored.collapsed.len(),
+            ] {
+                assert!(slots <= entries, "{slots} slots for {entries} entries (id {id:#x})");
+            }
+            assert!(!restored.points_to_collapsed(VarId::from_u32(id)).is_empty());
+            assert_eq!(restored.contexts_of_method(MethodId::from_u32(id)).len(), 1);
+            assert_eq!(restored.call_targets(CallSiteId::from_u32(id)).len(), 1);
+            assert!(restored.call_targets(CallSiteId::from_u32(id - 1)).is_empty());
+        }
     }
 }

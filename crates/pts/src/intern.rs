@@ -211,6 +211,14 @@ impl<T: Elem> PtsHandle<T> {
         self.id != DIRTY
     }
 
+    /// The `(interner generation, id)` this handle is sealed under, or
+    /// `None` while dirty. Within one generation, live sealed handles
+    /// with equal ids hold equal contents (see the module docs), so the
+    /// pair keys deduplication without touching any element.
+    pub fn interned_id(&self) -> Option<(u32, u32)> {
+        self.is_sealed().then_some((self.generation, self.id))
+    }
+
     /// Borrows the underlying set (same as `Deref`, spelled out for
     /// call sites that want the lifetime of `&self` to be explicit).
     pub fn as_set(&self) -> &PtsSet<T> {

@@ -645,6 +645,96 @@ impl<T: Elem> PtsSet<T> {
             Repr::Dense { words, .. } => words.len(),
         }
     }
+
+    /// Builds a set from strictly ascending element indices in one go,
+    /// in the representation an element-by-element build would have.
+    /// A small result keeps `ids` as its storage; a dense one sets its
+    /// bits in a single pass. Returns `None` unless `ids` is strictly
+    /// ascending.
+    pub fn from_ascending(ids: Vec<u32>) -> Option<Self> {
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return None;
+        }
+        let repr = match ids.last() {
+            Some(&top) if ids.len() > SMALL_MAX => {
+                let mut words = vec![0u64; top as usize / WORD_BITS + 1];
+                for &i in &ids {
+                    words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
+                }
+                Repr::Dense { words, len: ids.len() as u32 }
+            }
+            _ => Repr::Small(ids),
+        };
+        Some(PtsSet { repr, _elem: PhantomData })
+    }
+}
+
+/// A reusable bitmap accumulator for unions of many sets: OR sets in
+/// with [`UnionScratch::add`], then [`UnionScratch::take`] the union.
+///
+/// Only the span of words the added sets touched is scanned and
+/// cleared, so one scratch serves many small unions over a large
+/// universe without re-zeroing it.
+#[derive(Debug, Default)]
+pub struct UnionScratch {
+    words: Vec<u64>,
+    /// Touched span `[lo, hi)` of `words`; `lo == hi` while empty.
+    lo: usize,
+    hi: usize,
+}
+
+impl UnionScratch {
+    /// Creates an empty accumulator (no allocation until the first add).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// ORs `set` into the accumulator: word-wise for a dense set, a bit
+    /// per element for a small one.
+    pub fn add<T: Elem>(&mut self, set: &PtsSet<T>) {
+        let (first, end) = match &set.repr {
+            Repr::Small(v) => match (v.first(), v.last()) {
+                (Some(&a), Some(&b)) => (a as usize / WORD_BITS, b as usize / WORD_BITS + 1),
+                _ => return,
+            },
+            Repr::Dense { words, .. } => (0, words.len()),
+        };
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        match &set.repr {
+            Repr::Small(v) => {
+                for &i in v {
+                    self.words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
+                }
+            }
+            Repr::Dense { words, .. } => {
+                for (t, &s) in self.words.iter_mut().zip(words) {
+                    *t |= s;
+                }
+            }
+        }
+        if self.lo < self.hi {
+            (self.lo, self.hi) = (self.lo.min(first), self.hi.max(end));
+        } else {
+            (self.lo, self.hi) = (first, end);
+        }
+    }
+
+    /// Returns the union of everything added since the last `take`, in
+    /// the representation an element-by-element build would have, and
+    /// leaves the accumulator empty.
+    pub fn take<T: Elem>(&mut self) -> PtsSet<T> {
+        let mut out = PtsSet::new();
+        for (w, word) in self.words[self.lo..self.hi].iter_mut().enumerate() {
+            if *word != 0 {
+                out.push_word(self.lo + w, *word);
+                *word = 0;
+            }
+        }
+        (self.lo, self.hi) = (0, 0);
+        out
+    }
 }
 
 /// Visits every bitmap word a run list overlaps, at most once per

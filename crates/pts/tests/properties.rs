@@ -11,7 +11,7 @@
 //! build would have (`mem_words` feeds the `pts_peak_words` metric).
 
 use obs::rng::SplitMix64;
-use pts::{IdRanges, PtsSet, SMALL_MAX};
+use pts::{IdRanges, PtsSet, UnionScratch, SMALL_MAX};
 use std::collections::BTreeSet;
 
 /// Universe large enough to exercise multi-word bitmaps, small enough
@@ -359,4 +359,46 @@ fn kernel_outputs_promote_at_the_element_boundary() {
         target.union_with(&src);
         assert_built_like_elements(&target, &want, &format!("union_with, n={n}"));
     }
+}
+
+/// `from_ascending` rebuilds any set from its sorted ids with the
+/// representation of an element-by-element build, and rejects ids that
+/// are not strictly ascending.
+#[test]
+fn from_ascending_matches_element_build() {
+    let mut rng = SplitMix64::new(0x452821e638d01377);
+    for trial in 0..300 {
+        let (_, oracle) = random_set(&mut rng, 4 * SMALL_MAX as u64);
+        let ids: Vec<u32> = oracle.iter().copied().collect();
+        let set = PtsSet::<u32>::from_ascending(ids.clone()).expect("ascending");
+        assert_built_like_elements(&set, &oracle, &format!("from_ascending, trial {trial}"));
+        if ids.len() >= 2 {
+            let mut swapped = ids.clone();
+            swapped.swap(0, 1);
+            assert!(PtsSet::<u32>::from_ascending(swapped).is_none(), "trial {trial}");
+            let mut repeated = ids;
+            repeated[1] = repeated[0];
+            assert!(PtsSet::<u32>::from_ascending(repeated).is_none(), "trial {trial}");
+        }
+    }
+}
+
+/// One scratch reused across many unions yields each union with the
+/// representation of an element-by-element build, whatever mix of small
+/// and dense sets went in.
+#[test]
+fn union_scratch_matches_oracle_across_reuse() {
+    let mut rng = SplitMix64::new(0xbe5466cf34e90c6c);
+    let mut scratch = UnionScratch::new();
+    for trial in 0..300 {
+        let mut union_o = BTreeSet::new();
+        for _ in 0..rng.below(5) {
+            let (set, oracle) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+            scratch.add(&set);
+            union_o.extend(oracle);
+        }
+        let got: PtsSet<u32> = scratch.take();
+        assert_built_like_elements(&got, &union_o, &format!("union scratch, trial {trial}"));
+    }
+    assert!(scratch.take::<u32>().is_empty(), "take leaves the scratch empty");
 }

@@ -184,30 +184,84 @@ impl Snapshot {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial, reflected form) — the
-/// checksum every header and section carries.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-driven table: 16 entries is enough to stay fast without a
-    // build-time table, and this runs once per section, not per query.
-    const POLY: u32 = 0xEDB8_8320;
-    let mut table = [0u32; 16];
-    for (i, entry) in table.iter_mut().enumerate() {
+/// The reflected IEEE polynomial (zlib, PNG, Ethernet).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the raw
+/// (un-inverted) CRC register after byte `b` and then `k` zero bytes,
+/// so eight table lookups advance the checksum over eight input bytes
+/// at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..4 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        *entry = c;
+        t[0][i] = c;
+        i += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial, reflected form) — the
+/// checksum every header and section carries. Equal to zlib's
+/// `crc32(0, bytes, len)`.
+///
+/// Every save and every load checksums the whole file, so this is on
+/// the warm-start path: a slice-by-8 kernel consumes eight bytes per
+/// step with eight independent table lookups, and only the last
+/// `len % 8` bytes go byte by byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xF) as usize] ^ (crc >> 4);
-        crc = table[((crc ^ (b >> 4) as u32) & 0xF) as usize] ^ (crc >> 4);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
 // --- Encoding ---------------------------------------------------------------
 
+/// Bytes of a section's framing: id, payload length, payload CRC.
+const SECTION_FRAME: usize = 4 + 8 + 4;
+
+/// Bytes of the file header: magic, version, section count, CRC.
+const HEADER: usize = 4 + 4 + 4 + 4;
+
+/// Bytes of the STATS payload: twenty `u64` counters.
+const STATS_BYTES: usize = 20 * 8;
+
+/// Appends little-endian fields to the one output buffer.
 struct Writer {
     buf: Vec<u8>,
 }
@@ -226,6 +280,69 @@ impl Writer {
         self.u32(u32::try_from(s.len()).expect("string fits u32"));
         self.buf.extend_from_slice(s.as_bytes());
     }
+    /// A count of `items`, as the `u32` the format stores.
+    fn len(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("table fits u32"));
+    }
+
+    /// Appends one `N`-byte record per item: the buffer grows once,
+    /// then every record is stored into place.
+    fn records<T, const N: usize>(&mut self, items: &[T], f: impl Fn(&T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * N, 0);
+        for (dst, item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
+            dst.copy_from_slice(&f(item));
+        }
+    }
+
+    /// Frames the payload `body` appends as one section: writes its id
+    /// and a placeholder length and CRC, lets `body` write the payload
+    /// in place, then patches in the payload's length and checksum.
+    fn section(&mut self, id: u32, body: impl FnOnce(&mut Writer)) {
+        self.u32(id);
+        let frame = self.buf.len();
+        self.buf.extend_from_slice(&[0; 12]);
+        let start = self.buf.len();
+        body(self);
+        let len = (self.buf.len() - start) as u64;
+        let crc = crc32(&self.buf[start..]);
+        self.buf[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
+        self.buf[frame + 8..frame + 12].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Little-endian bytes of two `u32`s, back to back.
+fn le2(a: u32, b: u32) -> [u8; 8] {
+    let mut out = [0; 8];
+    out[..4].copy_from_slice(&a.to_le_bytes());
+    out[4..].copy_from_slice(&b.to_le_bytes());
+    out
+}
+
+/// A `u8` tag followed by two little-endian `u32`s.
+fn tag_le2(tag: u8, a: u32, b: u32) -> [u8; 9] {
+    let mut out = [0; 9];
+    out[0] = tag;
+    out[1..].copy_from_slice(&le2(a, b));
+    out
+}
+
+/// The exact encoded size of `snap`, so [`encode`] allocates once.
+fn encoded_len(snap: &Snapshot) -> usize {
+    let raw = &snap.raw;
+    let meta = 4 + 4 + [&snap.meta.program, &snap.meta.analysis, &snap.meta.heap]
+        .iter()
+        .map(|s| 4 + s.len())
+        .sum::<usize>();
+    let ctx = 4 + raw.ctxs.iter().map(|c| 4 + 5 * c.len()).sum::<usize>();
+    let obj = 4 + 4 + 16 * raw.objs.len();
+    let sets = 4 + raw.sets.iter().map(|s| 4 + 4 * s.len()).sum::<usize>();
+    let ptrs = 4 + 9 * raw.ptr_keys.len() + 4 * raw.redirect.len() + 4 * raw.row_set.len();
+    let cg = 8 + 4 + 8 * raw.cg_edges.len();
+    let reach = 4 + 8 * raw.reachable.len() + 4 + 4 * raw.reachable_methods.len();
+    let mom = 1 + snap.mom.as_ref().map_or(0, |m| 4 + 4 * m.len());
+    let payloads = meta + ctx + obj + sets + ptrs + cg + reach + mom + STATS_BYTES;
+    HEADER + SECTION_IDS.len() * SECTION_FRAME + payloads
 }
 
 fn stats_words(s: &AnalysisStats) -> [u64; 20] {
@@ -283,128 +400,87 @@ fn stats_from_words(w: &[u64; 20]) -> Result<AnalysisStats, SnapshotError> {
 }
 
 /// Serializes a snapshot to its canonical byte representation.
+///
+/// Sections are written straight into one buffer sized up front
+/// (`encoded_len`); each section's length and CRC are patched into
+/// its frame once its payload is in place.
 pub fn encode(snap: &Snapshot) -> Vec<u8> {
-    let mut sections: Vec<Vec<u8>> = Vec::with_capacity(SECTION_IDS.len());
+    let raw = &snap.raw;
+    let capacity = encoded_len(snap);
+    let mut w = Writer { buf: Vec::with_capacity(capacity) };
 
-    // META
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.meta.scale);
-    w.u32(snap.meta.threads);
-    w.str(&snap.meta.program);
-    w.str(&snap.meta.analysis);
-    w.str(&snap.meta.heap);
-    sections.push(w.buf);
+    // Header: magic, version, section count, header CRC.
+    w.buf.extend_from_slice(&MAGIC);
+    w.u32(VERSION);
+    w.len(SECTION_IDS.len());
+    let header_crc = crc32(&w.buf);
+    w.u32(header_crc);
 
-    // CTX
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.raw.ctxs.len() as u32);
-    for elems in &snap.raw.ctxs {
-        w.u32(elems.len() as u32);
-        for e in elems {
-            w.u8(e.tag);
-            w.u32(e.value);
+    let [meta, ctx, obj, sets, ptrs, cg, reach, mom, stats] = SECTION_IDS.map(|(id, _)| id);
+    w.section(meta, |w| {
+        w.u32(snap.meta.scale);
+        w.u32(snap.meta.threads);
+        w.str(&snap.meta.program);
+        w.str(&snap.meta.analysis);
+        w.str(&snap.meta.heap);
+    });
+    w.section(ctx, |w| {
+        w.len(raw.ctxs.len());
+        for elems in &raw.ctxs {
+            w.len(elems.len());
+            w.records(elems, |e| {
+                let mut out = [0; 5];
+                out[0] = e.tag;
+                out[1..].copy_from_slice(&e.value.to_le_bytes());
+                out
+            });
         }
-    }
-    sections.push(w.buf);
-
-    // OBJ
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.raw.obj_id_space);
-    w.u32(snap.raw.objs.len() as u32);
-    for o in &snap.raw.objs {
-        w.u32(o.id);
-        w.u32(o.hctx);
-        w.u32(o.alloc);
-        w.u32(o.ty);
-    }
-    sections.push(w.buf);
-
-    // SETS
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.raw.sets.len() as u32);
-    for set in &snap.raw.sets {
-        w.u32(set.len() as u32);
-        for &e in set {
-            w.u32(e);
+    });
+    w.section(obj, |w| {
+        w.u32(raw.obj_id_space);
+        w.len(raw.objs.len());
+        w.records(&raw.objs, |o| {
+            let mut out = [0; 16];
+            out[..8].copy_from_slice(&le2(o.id, o.hctx));
+            out[8..].copy_from_slice(&le2(o.alloc, o.ty));
+            out
+        });
+    });
+    w.section(sets, |w| {
+        w.len(raw.sets.len());
+        for set in &raw.sets {
+            w.len(set.len());
+            w.records(set, |e| e.to_le_bytes());
         }
-    }
-    sections.push(w.buf);
-
-    // PTRS
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.raw.ptr_keys.len() as u32);
-    for k in &snap.raw.ptr_keys {
-        w.u8(k.tag);
-        w.u32(k.a);
-        w.u32(k.b);
-    }
-    for &r in &snap.raw.redirect {
-        w.u32(r);
-    }
-    for &s in &snap.raw.row_set {
-        w.u32(s);
-    }
-    sections.push(w.buf);
-
-    // CG
-    let mut w = Writer { buf: Vec::new() };
-    w.u64(snap.raw.cs_cg_edge_count);
-    w.u32(snap.raw.cg_edges.len() as u32);
-    for &(s, m) in &snap.raw.cg_edges {
-        w.u32(s);
-        w.u32(m);
-    }
-    sections.push(w.buf);
-
-    // REACH
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(snap.raw.reachable.len() as u32);
-    for &(c, m) in &snap.raw.reachable {
-        w.u32(c);
-        w.u32(m);
-    }
-    w.u32(snap.raw.reachable_methods.len() as u32);
-    for &m in &snap.raw.reachable_methods {
-        w.u32(m);
-    }
-    sections.push(w.buf);
-
-    // MOM
-    let mut w = Writer { buf: Vec::new() };
-    match &snap.mom {
+    });
+    w.section(ptrs, |w| {
+        w.len(raw.ptr_keys.len());
+        w.records(&raw.ptr_keys, |k| tag_le2(k.tag, k.a, k.b));
+        w.records(&raw.redirect, |r| r.to_le_bytes());
+        w.records(&raw.row_set, |s| s.to_le_bytes());
+    });
+    w.section(cg, |w| {
+        w.u64(raw.cs_cg_edge_count);
+        w.len(raw.cg_edges.len());
+        w.records(&raw.cg_edges, |&(s, m)| le2(s, m));
+    });
+    w.section(reach, |w| {
+        w.len(raw.reachable.len());
+        w.records(&raw.reachable, |&(c, m)| le2(c, m));
+        w.len(raw.reachable_methods.len());
+        w.records(&raw.reachable_methods, |m| m.to_le_bytes());
+    });
+    w.section(mom, |w| match &snap.mom {
         None => w.u8(0),
         Some(repr) => {
             w.u8(1);
-            w.u32(repr.len() as u32);
-            for &r in repr {
-                w.u32(r);
-            }
+            w.len(repr.len());
+            w.records(repr, |r| r.to_le_bytes());
         }
-    }
-    sections.push(w.buf);
-
-    // STATS
-    let mut w = Writer { buf: Vec::new() };
-    for word in stats_words(&snap.raw.stats) {
-        w.u64(word);
-    }
-    sections.push(w.buf);
-
-    // Assemble: header (magic, version, section count, header CRC),
-    // then each section as (id, payload length, payload CRC, payload).
-    let mut out = Writer { buf: Vec::new() };
-    out.buf.extend_from_slice(&MAGIC);
-    out.u32(VERSION);
-    out.u32(sections.len() as u32);
-    let header_crc = crc32(&out.buf);
-    out.u32(header_crc);
-    for ((id, _), payload) in SECTION_IDS.iter().zip(&sections) {
-        out.u32(*id);
-        out.u64(payload.len() as u64);
-        out.u32(crc32(payload));
-        out.buf.extend_from_slice(payload);
-    }
-    out.buf
+    });
+    w.section(stats, |w| w.records(&stats_words(&raw.stats), |s| s.to_le_bytes()));
+    debug_assert_eq!(w.buf.len(), capacity, "encoded_len disagrees with encode");
+    w.buf
 }
 
 // --- Decoding ---------------------------------------------------------------
@@ -451,6 +527,32 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// Reads `n` fixed-width `N`-byte records with one bounds check
+    /// for the whole array, converting each with `f`.
+    fn records<T, const N: usize>(
+        &mut self,
+        n: usize,
+        what: &'static str,
+        f: impl Fn(&[u8; N]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let len = n.checked_mul(N).ok_or(SnapshotError::Truncated { what })?;
+        let bytes = self.bytes(len, what)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|c| f(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
+    /// Reads `n` little-endian `u32`s (one bounds check).
+    fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, SnapshotError> {
+        self.records(n, what, |b| u32::from_le_bytes(*b))
+    }
+
+    /// Reads `n` pairs of little-endian `u32`s (one bounds check).
+    fn u32_pairs(&mut self, n: usize, what: &'static str) -> Result<Vec<(u32, u32)>, SnapshotError> {
+        self.records(n, what, |b: &[u8; 8]| (le_u32(&b[..4]), le_u32(&b[4..])))
+    }
+
     fn str(&mut self, what: &'static str) -> Result<String, SnapshotError> {
         let n = self.count(1, what)?;
         let bytes = self.bytes(n, what)?;
@@ -467,6 +569,11 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// The little-endian `u32` in `b` (exactly four bytes).
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("four bytes"))
 }
 
 /// Parses a snapshot from bytes, verifying the magic, version, and all
@@ -532,13 +639,10 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut ctxs = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.count(5, "context element count")?;
-        let mut elems = Vec::with_capacity(k);
-        for _ in 0..k {
-            let tag = r.u8("context element tag")?;
-            let value = r.u32("context element value")?;
-            elems.push(RawCtxElem { tag, value });
-        }
-        ctxs.push(elems);
+        ctxs.push(r.records(k, "context element", |b: &[u8; 5]| RawCtxElem {
+            tag: b[0],
+            value: le_u32(&b[1..]),
+        })?);
     }
     r.done("CTX")?;
 
@@ -546,15 +650,12 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut r = Reader { buf: payloads[2], pos: 0 };
     let obj_id_space = r.u32("object id space")?;
     let n = r.count(16, "object count")?;
-    let mut objs = Vec::with_capacity(n);
-    for _ in 0..n {
-        objs.push(RawObj {
-            id: r.u32("object id")?,
-            hctx: r.u32("object heap context")?,
-            alloc: r.u32("object alloc site")?,
-            ty: r.u32("object type")?,
-        });
-    }
+    let objs = r.records(n, "object", |b: &[u8; 16]| RawObj {
+        id: le_u32(&b[..4]),
+        hctx: le_u32(&b[4..8]),
+        alloc: le_u32(&b[8..12]),
+        ty: le_u32(&b[12..]),
+    })?;
     r.done("OBJ")?;
 
     // SETS
@@ -563,57 +664,35 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut sets = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.count(4, "set length")?;
-        let mut elems = Vec::with_capacity(k);
-        for _ in 0..k {
-            elems.push(r.u32("set element")?);
-        }
-        sets.push(elems);
+        sets.push(r.u32s(k, "set element")?);
     }
     r.done("SETS")?;
 
     // PTRS
     let mut r = Reader { buf: payloads[4], pos: 0 };
     let n = r.count(17, "pointer count")?;
-    let mut ptr_keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        ptr_keys.push(RawPtrKey {
-            tag: r.u8("pointer tag")?,
-            a: r.u32("pointer id a")?,
-            b: r.u32("pointer id b")?,
-        });
-    }
-    let mut redirect = Vec::with_capacity(n);
-    for _ in 0..n {
-        redirect.push(r.u32("redirect entry")?);
-    }
-    let mut row_set = Vec::with_capacity(n);
-    for _ in 0..n {
-        row_set.push(r.u32("row set index")?);
-    }
+    let ptr_keys = r.records(n, "pointer key", |b: &[u8; 9]| RawPtrKey {
+        tag: b[0],
+        a: le_u32(&b[1..5]),
+        b: le_u32(&b[5..]),
+    })?;
+    let redirect = r.u32s(n, "redirect entry")?;
+    let row_set = r.u32s(n, "row set index")?;
     r.done("PTRS")?;
 
     // CG
     let mut r = Reader { buf: payloads[5], pos: 0 };
     let cs_cg_edge_count = r.u64("cs edge count")?;
     let n = r.count(8, "call-graph edge count")?;
-    let mut cg_edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        cg_edges.push((r.u32("edge site")?, r.u32("edge target")?));
-    }
+    let cg_edges = r.u32_pairs(n, "call-graph edge")?;
     r.done("CG")?;
 
     // REACH
     let mut r = Reader { buf: payloads[6], pos: 0 };
     let n = r.count(8, "reachable pair count")?;
-    let mut reachable = Vec::with_capacity(n);
-    for _ in 0..n {
-        reachable.push((r.u32("reachable context")?, r.u32("reachable method")?));
-    }
+    let reachable = r.u32_pairs(n, "reachable pair")?;
     let n = r.count(4, "reachable method count")?;
-    let mut reachable_methods = Vec::with_capacity(n);
-    for _ in 0..n {
-        reachable_methods.push(r.u32("reachable method id")?);
-    }
+    let reachable_methods = r.u32s(n, "reachable method id")?;
     r.done("REACH")?;
 
     // MOM
@@ -622,10 +701,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         0 => None,
         1 => {
             let n = r.count(4, "mom length")?;
-            let mut repr = Vec::with_capacity(n);
-            for _ in 0..n {
-                repr.push(r.u32("mom representative")?);
-            }
+            let repr = r.u32s(n, "mom representative")?;
             // Validate the self-map here so merged_object_map() can
             // construct MergedObjectMap (whose constructor asserts)
             // without risk of panicking on hostile input.
@@ -647,11 +723,9 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     // STATS
     let mut r = Reader { buf: payloads[8], pos: 0 };
-    let mut words = [0u64; 20];
-    for w in &mut words {
-        *w = r.u64("stats counter")?;
-    }
+    let counters = r.records(20, "stats counter", |b| u64::from_le_bytes(*b))?;
     r.done("STATS")?;
+    let words: [u64; 20] = counters.try_into().expect("twenty counters");
     let stats = stats_from_words(&words)?;
 
     Ok(Snapshot {
@@ -723,6 +797,50 @@ mod tests {
             raw: pta::snapshot::extract(&result),
             mom: Some((0..program.alloc_count() as u32).collect()),
         }
+    }
+
+    /// Bit-at-a-time CRC-32: the textbook definition the table-driven
+    /// kernel must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { CRC_POLY ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// Every length up to 64 at every alignment mod 8 crosses both the
+    /// eight-byte body and the byte tail; a 1 MiB buffer exercises the
+    /// body at length.
+    #[test]
+    fn crc32_matches_bitwise_reference() {
+        let mut rng = obs::rng::SplitMix64::new(0xc3c3);
+        let buf: Vec<u8> = (0..(1 << 20)).map(|_| rng.below(256) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "offset {offset}, length {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf), "1 MiB buffer");
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let mut snap = tiny_snapshot();
+        assert_eq!(encode(&snap).len(), encoded_len(&snap));
+        snap.mom = None;
+        assert_eq!(encode(&snap).len(), encoded_len(&snap));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 # their writers' schemas by the test suite (`tests/records.rs`). The
 # serving smoke saves a luindex@2 snapshot, warm-starts `repro
 # --serve-bench` from it, and requires the save/load fingerprints to
-# match bit for bit (see SERVING.md).
+# match bit for bit (see SERVING.md); it also recomputes every stored
+# CRC of the saved file with Python's `zlib.crc32`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +93,28 @@ if [ -z "$save_fp" ] || [ "$save_fp" != "$load_fp" ]; then
          "load: ${load_fp:-none})" >&2
     exit 1
 fi
+# Cross-check the snapshot's checksums with an independent CRC-32:
+# SERVING.md promises the zlib/PNG polynomial, so every stored CRC must
+# equal zlib.crc32 of the bytes it covers.
+python3 - "$serve_snap" <<'EOF'
+import struct, sys, zlib
+
+data = open(sys.argv[1], "rb").read()
+magic, version, count, header_crc = struct.unpack_from("<4sIII", data, 0)
+assert magic == b"MJSN", magic
+assert header_crc == zlib.crc32(data[:12]), "header CRC is not zlib's CRC-32"
+pos, ids = 16, []
+for _ in range(count):
+    sid, length, crc = struct.unpack_from("<IQI", data, pos)
+    pos += 16
+    payload = data[pos:pos + length]
+    assert len(payload) == length, f"section {sid} truncated"
+    assert crc == zlib.crc32(payload), f"section {sid}: CRC is not zlib's CRC-32"
+    ids.append(sid)
+    pos += length
+assert pos == len(data), f"{len(data) - pos} trailing bytes"
+print(f"tier1: snapshot CRC cross-check ok (version {version}, sections {ids})")
+EOF
 python3 - "$serve_json" <<'EOF'
 import json, sys
 

@@ -19,7 +19,7 @@
 use bench::serve::{self, ServeOpts};
 use pta::{
     AllocSiteAbstraction, AnalysisConfig, AnalysisResult, CallSiteSensitive, ContextInsensitive,
-    ObjectSensitive,
+    HeapAbstraction, ObjectSensitive,
 };
 
 /// `(program, analysis, golden fingerprint)` — the hash column of the
@@ -151,4 +151,59 @@ fn restored_serving_is_thread_count_deterministic() {
     let four = serve::run_bench(&program, &restored, ServeOpts { threads: 4, ..base });
     assert_eq!(one.checksum, four.checksum);
     assert_eq!(one.classes, four.classes, "class counts differ across thread counts");
+}
+
+/// FNV-1a, 64-bit: the digest the pinned-bytes test compares.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(heap, encoded length, FNV-1a-64 of the bytes)` of luindex@2 under
+/// 2obj, with its run-dependent counters zeroed: the canonical version-2
+/// bytes, first measured with a field-by-field encoder. Any encoder must
+/// reproduce them exactly.
+const PINNED_BYTES: &[(&str, usize, u64)] = &[
+    ("alloc-site", 179_750, 0x96a9_9766_9a24_e860),
+    ("mahjong", 55_997, 0x0a2e_07f5_372c_89b5),
+];
+
+/// The encoder emits exactly the canonical version-2 bytes: a fixed
+/// result encodes to a pinned length and digest. The wall-clock
+/// counters and `dsu_ops` differ between runs or build profiles, so
+/// they are zeroed first.
+#[test]
+fn encoded_bytes_are_pinned() {
+    let program = workloads::dacapo::workload("luindex", 2).program;
+    let pre = run(&program, "ci");
+    let (_, merged) = mahjong::build_with_fpg(&program, &pre, &mahjong::MahjongConfig::default());
+    for &(heap, len, digest) in PINNED_BYTES {
+        let (result, mom) = match heap {
+            "alloc-site" => (run(&program, "2obj"), None),
+            _ => {
+                let result = AnalysisConfig::new(ObjectSensitive::new(2), merged.mom.clone())
+                    .run(&program)
+                    .expect("fits budget");
+                let table = (0..merged.mom.len())
+                    .map(|i| merged.mom.repr(jir::AllocId::from_usize(i)).as_u32())
+                    .collect();
+                (result, Some(table))
+            }
+        };
+        let mut snap = snapshot_of("luindex", "2obj", &result);
+        snap.meta.scale = 2;
+        snap.meta.heap = heap.to_owned();
+        snap.mom = mom;
+        let stats = &mut snap.raw.stats;
+        stats.elapsed = Default::default();
+        stats.init_time = Default::default();
+        stats.fixpoint_time = Default::default();
+        stats.finalize_time = Default::default();
+        stats.intern_probe_ns = 0;
+        stats.dsu_ops = 0; // debug builds' assertions count their finds too
+        let bytes = snapshot::encode(&snap);
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (len, digest), "{heap}: encoded bytes moved");
+        assert_eq!(snapshot::decode(&bytes).expect("decodes"), snap, "{heap}: decode");
+    }
 }
