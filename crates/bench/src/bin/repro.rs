@@ -36,7 +36,9 @@
 //! derived artifact and is overwritten freely. `--heartbeat SECS`
 //! prints a one-line progress pulse (wave round, worklist pops, live
 //! set words) to stderr every `SECS` seconds so multi-minute runs are
-//! not silent.
+//! not silent. These two flags are the only ones that arm the solver
+//! timeline; without them the solver reads no clock per pop and keeps
+//! no per-pointer tallies.
 //!
 //! # Snapshots and serving
 //!
@@ -251,6 +253,9 @@ fn main() {
     // clobber after a multi-minute run would throw the work away.
     args.common.check_bench_target("repro");
     args.common.start_heartbeat("repro");
+    if args.profile {
+        obs::timeline().arm(true);
+    }
     let budget = Budget::seconds(args.budget);
     if args.save_snapshot.is_some() || args.load_snapshot.is_some() || args.serve_bench {
         serve_pipeline(&args, budget);

@@ -166,13 +166,14 @@ shared options:
 
     /// Spawns the `--heartbeat` stderr pulse (detached; dies with the
     /// process). Reads the solver's live counters, which are updated
-    /// once per wave, so the pulse tracks progress without touching
-    /// hot paths.
+    /// once per wave while the solver timeline is armed, so this arms
+    /// it.
     pub fn start_heartbeat(&self, bin: &'static str) {
         let secs = self.heartbeat;
         if secs == 0 {
             return;
         }
+        obs::timeline().arm(true);
         let start = std::time::Instant::now();
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_secs(secs));

@@ -20,6 +20,15 @@
 //! no allocation beyond the record itself — and is fully inert while
 //! [`crate::enabled`] is `false`.
 //!
+//! # Arming
+//!
+//! The timeline costs the solver a clock read per pop, per-pointer
+//! tallies and a memory scan at finalize, and only a profile reads it.
+//! So a solver run records into it only while it is *armed*
+//! ([`Timeline::arm`]); registry counters and gauges record whenever
+//! [`crate::enabled`] is on, armed or not. `repro --profile` and the
+//! `--heartbeat` pulse arm the global timeline; nothing else does.
+//!
 //! # Level sentinels
 //!
 //! `WaveRecord::level` is a position in the solver's topological order
@@ -31,7 +40,7 @@
 //! levels are clamped below the sentinels. The JSON export maps them
 //! to `-1`, `-2`, and `-3`.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::json::escape;
@@ -102,8 +111,8 @@ impl WaveRecord {
 }
 
 /// A point-in-time attribution of points-to memory by population. The
-/// timeline retains the sample with the largest `rep_words` — samples
-/// are always taken right after a seal sweep deduplicates the rows, so
+/// timeline retains the sample with the largest `rep_words` — a run
+/// takes its one sample right after its seal deduplicates the rows, so
 /// the retained sample's `rep_words` equals the peak run's
 /// `pts_peak_words` exactly.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -198,6 +207,7 @@ pub struct Timeline {
     /// run) that won it the slot.
     top: Mutex<(u64, Vec<HotPointer>)>,
     next_run: AtomicU32,
+    armed: AtomicBool,
 }
 
 impl Default for Timeline {
@@ -215,7 +225,22 @@ impl Timeline {
             memory: Mutex::new(None),
             top: Mutex::new((0, Vec::new())),
             next_run: AtomicU32::new(0),
+            armed: AtomicBool::new(false),
         }
+    }
+
+    /// Arms (or disarms) the timeline: solver runs that start while it
+    /// is armed record their waves, memory sample and hottest pointers
+    /// into it (see the module docs). [`Timeline::reset`] leaves the
+    /// setting alone.
+    pub fn arm(&self, on: bool) {
+        self.armed.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether a solver run starting now should record: armed, and
+    /// recording enabled.
+    pub fn armed(&self) -> bool {
+        self.armed.load(Ordering::Relaxed) && crate::enabled()
     }
 
     /// Allocates the next 1-based solver-run id (0 while recording is
@@ -402,6 +427,23 @@ mod tests {
         assert!(t.records().is_empty());
         assert!(t.memory().is_none());
         assert!(t.top_pointers().is_empty());
+    }
+
+    #[test]
+    fn armed_needs_arming_and_recording() {
+        let _enabled = crate::lock_enabled();
+        crate::set_enabled(true);
+        let t = Timeline::new(4);
+        assert!(!t.armed(), "a new timeline starts unarmed");
+        t.arm(true);
+        assert!(t.armed());
+        t.reset();
+        assert!(t.armed(), "reset keeps the arming");
+        crate::set_enabled(false);
+        assert!(!t.armed(), "disabled recording disarms");
+        crate::set_enabled(true);
+        t.arm(false);
+        assert!(!t.armed());
     }
 
     #[test]

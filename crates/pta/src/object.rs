@@ -72,8 +72,16 @@ pub struct ObjTable {
     /// discovery slot).
     numbering: Option<ObjNumbering>,
     /// Id → discovery slot ([`NO_SLOT`] for slack ids never handed
-    /// out). Identity in discovery mode.
+    /// out). Identity in discovery mode. Empty for a restored table
+    /// whose id space is too wide to index directly (see `wide`).
     slot_of: Vec<u32>,
+    /// Discovery slots in ascending id order, searched by bisection:
+    /// the id → slot map of a restored table whose id space fails
+    /// [`crate::table::dense_enough`] for its object count. Empty
+    /// otherwise.
+    wide: Vec<u32>,
+    /// The id space of a `wide` table (0 otherwise).
+    wide_space: usize,
     /// Discovery slot → id, in interning order.
     ids: Vec<ObjId>,
     hctxs: Vec<CtxId>,
@@ -104,6 +112,7 @@ impl ObjTable {
         if let Some(&id) = self.map.get(&(hctx, alloc)) {
             return id;
         }
+        debug_assert!(!self.is_wide(), "a restored wide table interns no new object");
         let slot = u32::try_from(self.ids.len()).expect("too many objects");
         let ty = program.alloc(alloc).ty();
         let id = match &mut self.numbering {
@@ -127,34 +136,62 @@ impl ObjTable {
     /// read-only view: it carries no [`ObjNumbering`] allocator, so it
     /// answers every query but cannot intern new objects under the
     /// hierarchy layout (`intern` of a known `(hctx, alloc)` pair still
-    /// works; an unknown pair would fall back to dense ids). Rejects
+    /// works; an unknown pair would fall back to dense ids, and a table
+    /// with a wide id space takes none). Rejects
     /// ids outside `id_space`, duplicate ids, and duplicate
     /// `(hctx, alloc)` pairs.
+    ///
+    /// The id → slot map is a table indexed by id only when `id_space`
+    /// passes [`crate::table::dense_enough`] for the object count;
+    /// otherwise it is the slots sorted by id, so a file's id space
+    /// never sizes an allocation. Solver runs land on both sides: an
+    /// allocation-site heap uses about 1.5 ids per object, but an
+    /// allocation-type heap keeps a lane per type as wide as the type's
+    /// static site count (pmd@6 ci: 4,499 ids for 86 objects).
     pub(crate) fn from_slots(
         rows: Vec<(ObjId, CtxId, AllocId, TypeId)>,
         id_space: usize,
     ) -> Result<Self, String> {
+        let dense = crate::table::dense_enough(id_space, rows.len());
         let mut table = ObjTable {
-            slot_of: vec![NO_SLOT; id_space],
+            slot_of: if dense { vec![NO_SLOT; id_space] } else { Vec::new() },
+            wide_space: if dense { 0 } else { id_space },
             ..Self::default()
         };
         for (slot, (id, hctx, alloc, ty)) in rows.into_iter().enumerate() {
             if id.index() >= id_space {
                 return Err(format!("object id {id:?} outside id space {id_space}"));
             }
-            if table.slot_of[id.index()] != NO_SLOT {
-                return Err(format!("object id {id:?} assigned twice"));
+            if dense {
+                if table.slot_of[id.index()] != NO_SLOT {
+                    return Err(format!("object id {id:?} assigned twice"));
+                }
+                table.slot_of[id.index()] = slot as u32;
             }
             if table.map.insert((hctx, alloc), id).is_some() {
                 return Err(format!("object ({hctx:?}, {alloc:?}) interned twice"));
             }
-            table.slot_of[id.index()] = slot as u32;
             table.ids.push(id);
             table.hctxs.push(hctx);
             table.allocs.push(alloc);
             table.types.push(ty);
         }
+        if !dense {
+            let mut wide: Vec<u32> = (0..table.ids.len() as u32).collect();
+            wide.sort_unstable_by_key(|&s| table.ids[s as usize]);
+            let id = |s: u32| table.ids[s as usize];
+            if let Some(w) = wide.windows(2).find(|w| id(w[0]) == id(w[1])) {
+                return Err(format!("object id {:?} assigned twice", id(w[0])));
+            }
+            table.wide = wide;
+        }
         Ok(table)
+    }
+
+    /// Whether the id → slot map is the sorted `wide` list rather than
+    /// a table indexed by id (a restored table with a wide id space).
+    pub(crate) fn is_wide(&self) -> bool {
+        self.wide_space != 0
     }
 
     /// Whether `raw` names an id this table actually handed out (ids
@@ -162,13 +199,27 @@ impl ObjTable {
     /// this to validate decoded set elements before any query can
     /// reach [`ObjTable::slot`]).
     pub(crate) fn has_id(&self, raw: u32) -> bool {
-        (raw as usize) < self.slot_of.len() && self.slot_of[raw as usize] != NO_SLOT
+        match self.slot_of.get(raw as usize) {
+            Some(&s) => s != NO_SLOT,
+            None => self.wide_slot(raw).is_some(),
+        }
     }
 
     fn slot(&self, obj: ObjId) -> usize {
-        let s = self.slot_of[obj.index()];
-        debug_assert_ne!(s, NO_SLOT, "id {obj:?} was never handed out");
-        s as usize
+        match self.slot_of.get(obj.index()) {
+            Some(&s) => {
+                debug_assert_ne!(s, NO_SLOT, "id {obj:?} was never handed out");
+                s as usize
+            }
+            None => self.wide_slot(obj.0).expect("object id was never handed out"),
+        }
+    }
+
+    /// The slot of `raw` in a `wide` table.
+    #[cold]
+    fn wide_slot(&self, raw: u32) -> Option<usize> {
+        let at = self.wide.binary_search_by_key(&raw, |&s| self.ids[s as usize].0).ok()?;
+        Some(self.wide[at] as usize)
     }
 
     /// Returns the heap context of an object.
@@ -191,7 +242,7 @@ impl ObjTable {
     /// [`ObjTable::by_discovery_index`] this is the old↔new id
     /// permutation exposed through `AnalysisResult`.
     pub fn discovery_index(&self, obj: ObjId) -> u32 {
-        self.slot_of[obj.index()]
+        self.slot(obj) as u32
     }
 
     /// The object interned `i`-th (inverse of
@@ -208,7 +259,7 @@ impl ObjTable {
     /// One past the largest id handed out — the points-to universe
     /// size, including lane/chunk slack in hierarchy mode.
     pub fn id_space(&self) -> usize {
-        self.slot_of.len()
+        self.slot_of.len().max(self.wide_space)
     }
 
     /// Returns `true` if no objects have been created.

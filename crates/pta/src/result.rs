@@ -58,20 +58,22 @@ pub struct AnalysisStats {
     pub reachable_method_contexts: u64,
     /// Distinct calling contexts created.
     pub context_count: usize,
-    /// Peak **physical** memory footprint of all points-to sets, in
-    /// 64-bit words: the running max, sampled after each seal sweep, of
-    /// the deduplicated footprint (rows sharing one interned allocation
-    /// count it once). The logical (per-row) footprint travels on the
-    /// timeline as `mem_logical_words`.
+    /// **Physical** memory footprint of all points-to sets, in 64-bit
+    /// words, as sealed at finalize: each distinct content counts once
+    /// however many rows share it. The logical (per-row) footprint
+    /// travels on the timeline as `mem_logical_words`.
     pub pts_peak_words: u64,
     /// Distinct set contents admitted to the interner (unique
-    /// allocations ever sealed, including the shared empty set).
+    /// allocations sealed, including the shared empty set).
     pub pts_interned: u64,
-    /// Seal operations that found their content already interned and
-    /// swapped the row onto the canonical shared allocation.
+    /// Non-empty rows whose content was already interned when sealed;
+    /// each shares the canonical allocation instead of keeping its
+    /// own. An empty row takes the pre-interned empty set and is not
+    /// counted, even the row of a collapsed copy cycle no object
+    /// reaches.
     pub pts_dedup_hits: u64,
-    /// Nanoseconds spent in seal sweeps: fingerprinting dirty rows,
-    /// probing the interner, and evicting dead entries.
+    /// Nanoseconds spent sealing the rows at finalize: fingerprinting
+    /// each non-empty row and probing the interner.
     pub intern_probe_ns: u64,
     /// Pointers merged away by online cycle collapse (each collapsed
     /// SCC of `k` members contributes `k - 1`).
@@ -183,7 +185,7 @@ impl AnalysisResult {
         ptr_keys: Vec<PtrKey>,
         ptr_map: FastMap<PtrKey, PtrId>,
         pts: Vec<PtsHandle<ObjId>>,
-        interner: Arc<SetInterner<ObjId>>,
+        interner: &SetInterner<ObjId>,
         redirect: Vec<u32>,
         reachable: FastSet<(CtxId, MethodId)>,
         reachable_methods: FastSet<MethodId>,
@@ -205,6 +207,7 @@ impl AnalysisResult {
         }));
         let row = |p: &PtrId| &pts[redirect[p.index()] as usize];
         let empty = interner.empty_handle().share();
+        let wide = objs.is_wide();
         let mut scratch = UnionScratch::new();
         let collapsed = (0..var_ptrs.slot_count())
             .map(|slot| match var_ptrs.at(slot) {
@@ -217,14 +220,23 @@ impl AnalysisResult {
                         return first.share();
                     }
                     // Otherwise OR the rows word-wise into the scratch
-                    // bitmap and intern the union.
-                    scratch.add(first.as_set());
-                    for p in rest {
-                        scratch.add(row(p).as_set());
-                    }
-                    let mut h = PtsHandle::from_set(scratch.take());
-                    h.seal(&interner);
-                    h.share()
+                    // bitmap and intern the union. A restored table
+                    // with a wide id space sizes no bitmap by an id:
+                    // its rows are sorted vecs, and so is their merge.
+                    let union = if wide {
+                        let rows = std::iter::once(first).chain(rest.iter().map(row));
+                        let mut ids: Vec<u32> = rows.flat_map(|r| r.iter().map(|o| o.0)).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        PtsSet::sorted_from_ascending(ids).expect("sorted and deduplicated")
+                    } else {
+                        scratch.add(first.as_set());
+                        for p in rest {
+                            scratch.add(row(p).as_set());
+                        }
+                        scratch.take()
+                    };
+                    interner.intern_owned(union).0.share()
                 }
             })
             .collect();

@@ -34,8 +34,6 @@
 //! checksums still cannot make any later query panic. Failures return
 //! [`RestoreError`] with a human-readable detail.
 
-use std::sync::Arc;
-
 use pts::{PtsHandle, PtsSet, SetInterner};
 
 use crate::context::{ContextArena, CtxElem, CtxId};
@@ -174,8 +172,8 @@ pub fn extract(result: &AnalysisResult) -> RawResult {
         })
         .collect();
 
-    // Unique-set table: rows with equal contents (the solver's final
-    // seal sweep, like `restore`, seals every row into one interner)
+    // Unique-set table: rows with equal contents (the solver's
+    // finalize, like `restore`, seals every row into one interner)
     // carry one interned id, so a table indexed by id finds each set's
     // index without hashing. Ordering is first occurrence, which is
     // deterministic because the row order is. A row sealed elsewhere
@@ -287,18 +285,23 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
 
     // Unique sets, re-interned so content-equal rows share one
     // allocation and sealed-handle comparisons fast-path.
-    let interner = Arc::new(SetInterner::<ObjId>::new());
+    let interner = SetInterner::<ObjId>::new();
     let mut handles: Vec<PtsHandle<ObjId>> = Vec::with_capacity(raw.sets.len());
     for (i, elems) in raw.sets.into_iter().enumerate() {
         if let Some(&e) = elems.iter().find(|&&e| !objs.has_id(e)) {
             return err(format!("set {i}: unknown object id {e}"));
         }
-        let Some(set) = PtsSet::from_ascending(elems) else {
+        // Under a wide id space a bitmap would be sized by an
+        // untrusted id, so the set stays a sorted vec.
+        let set = if objs.is_wide() {
+            PtsSet::sorted_from_ascending(elems)
+        } else {
+            PtsSet::from_ascending(elems)
+        };
+        let Some(set) = set else {
             return err(format!("set {i}: elements not strictly ascending"));
         };
-        let mut handle = PtsHandle::from_set(set);
-        handle.seal(&interner);
-        handles.push(handle);
+        handles.push(interner.intern_owned(set).0);
     }
 
     // Pointer rows.
@@ -372,7 +375,7 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         ptr_keys,
         ptr_map,
         pts,
-        interner,
+        &interner,
         raw.redirect,
         reachable,
         reachable_methods,
@@ -387,7 +390,10 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocSiteAbstraction, AnalysisConfig, ContextInsensitive, ObjectSensitive};
+    use crate::{
+        AllocSiteAbstraction, AllocTypeAbstraction, AnalysisConfig, CallSiteSensitive,
+        ContextInsensitive, ObjectSensitive,
+    };
 
     const PROGRAM: &str = "class A {
         field f: A;
@@ -475,7 +481,9 @@ mod tests {
 
     /// A snapshot is untrusted input: a variable, a reachable method
     /// and a call site with ids near `u32::MAX` must restore (or fail
-    /// with `RestoreError`) without any table growing with the id.
+    /// with `RestoreError`) without any table growing with the id. A
+    /// forged `obj_id_space` near `u32::MAX` restores too, with the
+    /// object table indexed by bisection instead of by id.
     #[test]
     fn restore_never_sizes_a_table_by_a_file_id() {
         let (_, r) = result(true);
@@ -500,6 +508,120 @@ mod tests {
             assert_eq!(restored.contexts_of_method(MethodId::from_u32(id)).len(), 1);
             assert_eq!(restored.call_targets(CallSiteId::from_u32(id)).len(), 1);
             assert!(restored.call_targets(CallSiteId::from_u32(id - 1)).is_empty());
+        }
+
+        for space in [u32::MAX, 1 << 31, 8 * good.objs.len() as u32 + 1025] {
+            let mut wide = good.clone();
+            wide.obj_id_space = space;
+            let restored = restore(wide.clone()).expect("a wide id space restores");
+            assert!(restored.objs.is_wide(), "id space {space:#x}");
+            assert_eq!(restored.objs.id_space(), space as usize);
+            assert_eq!(extract(&restored), wide, "id space {space:#x}");
+        }
+    }
+
+    /// `count` allocation sites of `A`, then one of its subclass `B`,
+    /// all flowing into `x`, and `keep` called with `x` and with one
+    /// more `A`, so `p` and `y` collapse to a set no row holds. `B`'s
+    /// id lane starts past `A`'s `count + 1` sites.
+    fn many_sites(count: usize) -> jir::Program {
+        let mut body = String::new();
+        for i in 0..count {
+            body.push_str(&format!("v{i} = new A; x = v{i};\n"));
+        }
+        jir::parse(&format!(
+            "class A {{
+               method keep(this, p) {{ y = p; return; }}
+               entry static method main() {{
+                 {body} b = new B; x = b; c = new A;
+                 virt x.keep(x); virt b.keep(c);
+                 return;
+               }}
+             }}
+             class B extends A {{}}"
+        ))
+        .expect("parses")
+    }
+
+    /// Every query of `a` and `b` agrees, with `b`'s object ids those
+    /// of `a` under `map`.
+    fn assert_same_answers(
+        p: &jir::Program,
+        a: &AnalysisResult,
+        b: &AnalysisResult,
+        map: impl Fn(u32) -> u32,
+    ) {
+        assert_eq!(a.object_count(), b.object_count());
+        assert_eq!(a.pointer_count(), b.pointer_count());
+        assert_eq!(a.total_points_to_size(), b.total_points_to_size());
+        for o in a.objects() {
+            let o2 = ObjId(map(o.0));
+            assert_eq!(a.obj_canonical_index(o), b.obj_canonical_index(o2));
+            assert_eq!(a.obj_alloc(o), b.obj_alloc(o2));
+            assert_eq!(a.obj_type(o), b.obj_type(o2));
+        }
+        for v in (0..p.var_count()).map(VarId::from_usize) {
+            let want: Vec<u32> = a.points_to_collapsed(v).iter().map(|o| map(o.0)).collect();
+            let got: Vec<u32> = b.points_to_collapsed(v).iter().map(|o| o.0).collect();
+            assert_eq!(want, got, "collapsed set of var {v:?}");
+        }
+    }
+
+    /// An allocation-type heap gives each type one object per heap
+    /// context but keeps the type's id lane as wide as its static site
+    /// count, so its id space can be far wider than 8 ids per object.
+    /// Such a snapshot restores and answers like the live result.
+    #[test]
+    fn an_allocation_type_snapshot_with_a_wide_id_space_round_trips() {
+        let p = many_sites(1100);
+        let r = AnalysisConfig::new(ContextInsensitive, AllocTypeAbstraction::new(&p))
+            .run(&p)
+            .expect("fits budget");
+        let raw = extract(&r);
+        assert_eq!(raw.objs.len(), 2);
+        assert!(raw.obj_id_space as usize > 8 * raw.objs.len() + 1024, "{}", raw.obj_id_space);
+        let restored = restore(raw.clone()).expect("restores");
+        assert!(restored.objs.is_wide());
+        assert_same_answers(&p, &r, &restored, |id| id);
+        assert_eq!(extract(&restored), raw);
+    }
+
+    /// Object ids moved to the top of the `u32` range restore: neither
+    /// the object table nor a set is sized by them. Rows of more than
+    /// `SMALL_MAX` objects stay sorted vecs, and so does the collapsed
+    /// union of `p`'s two call-site contexts.
+    #[test]
+    fn ids_near_u32_max_size_no_set_by_an_id() {
+        let p = many_sites(40);
+        let r = AnalysisConfig::new(CallSiteSensitive::new(1), AllocSiteAbstraction)
+            .run(&p)
+            .expect("fits budget");
+        let mut raw = extract(&r);
+        let top = u32::MAX - 10;
+        let space = raw.obj_id_space;
+        let map = move |id: u32| top - 2 * (space - 1 - id);
+        for o in &mut raw.objs {
+            o.id = map(o.id);
+        }
+        for k in raw.ptr_keys.iter_mut().filter(|k| k.tag == 2) {
+            k.a = map(k.a);
+        }
+        for set in &mut raw.sets {
+            set.iter_mut().for_each(|e| *e = map(*e));
+        }
+        raw.obj_id_space = u32::MAX;
+        let restored = restore(raw).expect("restores");
+        assert!(restored.objs.is_wide());
+        assert_same_answers(&p, &r, &restored, map);
+        let merged = (0..restored.var_ptrs.slot_count())
+            .filter(|&s| restored.var_ptrs.at(s).len() > 1)
+            .map(|s| restored.collapsed[s].len())
+            .max();
+        assert_eq!(merged, Some(42), "a collapsed union over two contexts");
+        let rows = restored.pts.iter().map(|h| h.as_set());
+        for set in rows.chain(restored.collapsed.iter().map(|s| &**s)) {
+            let (n, words) = (set.len(), set.mem_words());
+            assert!(words <= n, "{n} objects in {words} words");
         }
     }
 }

@@ -84,35 +84,38 @@
 //! context-insensitive) is asked once per call and target rather than
 //! once per receiver. `pta.dispatch_groups` counts the groups bound.
 //!
-//! # Hash-consed rows
+//! # Plain rows, one seal
 //!
-//! Representative points-to sets and pending deltas live behind
-//! copy-on-write [`pts::PtsHandle`]s backed by one per-run
-//! [`pts::SetInterner`]. (Cast filters are *not* sets at all: under the
-//! hierarchy numbering each filter type's subtype cone compiles to a
+//! Points-to rows and pending deltas are plain [`pts::PtsSet`]s owned
+//! by the solver; a new pointer pushes two empty sets, which allocate
+//! nothing. (Cast filters are *not* sets at all: under the hierarchy
+//! numbering each filter type's subtype cone compiles to a
 //! [`pts::IdRanges`] list of a few `[lo, hi)` runs — see
-//! [`crate::numbering`].) Context-sensitive runs produce thousands of
+//! [`crate::numbering`].) Context-sensitive runs end with thousands of
 //! bit-identical rows (the same receiver objects under many calling
-//! contexts); every [`SEAL_SWEEP_WAVES`] waves the solver *seals*
-//! dirty rows — re-interning their content, keyed by a fingerprint of
-//! the set's nonzero bitmap words ([`pts::PtsSet::fingerprint`]), so
-//! identical rows collapse onto one shared allocation — and evicts
-//! interner entries no live row references. Each sweep is recorded in
-//! the timeline as solver overhead. Mutation is check-before-write: a
-//! propagation step first computes the contribution (`difference` /
-//! `difference_in_ranges`) against the target read-only, and only a
-//! non-empty contribution touches `make_mut`, so quiescent edges never
-//! break sharing. Sealing changes allocation identity, never content,
-//! which is why every golden parity fingerprint is preserved
-//! bit-for-bit. `pta.pts_interned` / `pta.pts_dedup_hits` /
-//! `pta.intern_probe_ns` report the interner's work;
-//! `pta.pts_peak_words` becomes the peak *physical* footprint
-//! (deduplicated by allocation), with the logical (per-row) footprint
-//! reported through the timeline's memory breakdown.
+//! contexts): on pmd@4 2cs the 217,171 rows hold 3,839,563 words when
+//! the fixpoint ends and 31,722 distinct words, 121× less. Finalize
+//! therefore *seals* every non-empty row exactly once, in row order,
+//! into a finalize-local [`pts::SetInterner`] keyed by a fingerprint of
+//! the set's nonzero bitmap words ([`pts::PtsSet::fingerprint`]):
+//! identical rows collapse onto one shared, id-stamped
+//! [`pts::PtsHandle`], and only a content not seen before is wrapped in
+//! an `Arc` ([`pts::SetInterner::intern_owned`]). Sealing changes
+//! allocation identity, never content, so every golden parity
+//! fingerprint is preserved bit for bit.
+//!
+//! Sealing only at finalize gives nothing up: a sweep every 64 waves
+//! during the fixpoint would need handles (an `Arc` and an atomic
+//! refcount per row) and would never fire on a measured run, since the
+//! most waves any takes is 47 (every Table 2 cell and ci of all twelve
+//! programs at scale 6). `pta.pts_interned` /
+//! `pta.pts_dedup_hits` / `pta.intern_probe_ns` report the seal's work;
+//! `pta.pts_peak_words` is the *physical* footprint of the sealed rows
+//! (each distinct content counted once), with the logical (per-row)
+//! footprint reported through the timeline's memory breakdown.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsu::DisjointSets;
@@ -352,21 +355,8 @@ const TL_FLUSH_NS: u64 = 4_000_000;
 /// per-level records instead of one coalesced blob.
 const TL_FREE_RECORDS: u32 = 256;
 
-/// Memory-attribution sampling period in waves (each sample scans
-/// every points-to and pending set, so it must stay off the per-wave
-/// hot path).
-const TL_MEM_SAMPLE_WAVES: u64 = 64;
-
 /// Rows in the hottest-pointer table published at finalize.
 const TL_TOP_K: usize = 24;
-
-/// Seal-sweep period in waves: dirty representative rows and masks are
-/// re-interned (deduplicating identical contents onto one shared
-/// allocation) and dead interner entries evicted every this many
-/// waves, and once more at finalize. Sealing hashes every dirty row's
-/// bitmap words, so it stays off the per-wave hot path; between sweeps
-/// mutated rows simply stay dirty and unique.
-const SEAL_SWEEP_WAVES: u64 = 64;
 
 /// Copy-row length at which `add_edge` membership switches from a
 /// linear scan of the row to a mirrored hash set. Short rows stay
@@ -384,9 +374,10 @@ type Edge = (PtrId, Option<TypeId>);
 /// [`WaveRecord`]s; real level batches below that spend the per-run
 /// [`TL_FREE_RECORDS`] budget; everything else is absorbed into a
 /// `LEVEL_MIXED` residual flushed once it accumulates [`TL_FLUSH_NS`]
-/// or at a wave boundary. When observability was off at run start
-/// (`on == false`) every method returns immediately and no `Instant`
-/// is ever read — the profiler is fully inert.
+/// or at a wave boundary. When the timeline was unarmed at run start
+/// (`on == false`, see [`obs::timeline::Timeline::arm`]) every method
+/// returns immediately and no `Instant` is ever read — the profiler is
+/// fully inert.
 struct TimelineSink {
     on: bool,
     run: u32,
@@ -397,7 +388,7 @@ struct TimelineSink {
 
 impl TimelineSink {
     fn new() -> Self {
-        let on = obs::enabled();
+        let on = obs::timeline().armed();
         TimelineSink {
             on,
             run: if on { obs::timeline().begin_run() } else { 0 },
@@ -496,12 +487,10 @@ struct Solver<'a, S, H> {
 
     ptr_map: FastMap<PtrKey, PtrId>,
     ptr_keys: Vec<PtrKey>,
-    pts: Vec<PtsHandle<ObjId>>,
+    pts: Vec<PtsSet<ObjId>>,
     /// Pending (coalesced) delta per pointer; non-empty only on
     /// representatives, and only while the pointer awaits processing.
-    /// Pending handles are transient (drained every wave) and are
-    /// never sealed — only the long-lived `pts` rows and masks are.
-    pending: Vec<PtsHandle<ObjId>>,
+    pending: Vec<PtsSet<ObjId>>,
     /// Copy edges with an optional declared-type filter (cast edges).
     /// Rows live on representatives; targets are normalized lazily at
     /// processing time and eagerly when a cycle collapses onto the row.
@@ -522,15 +511,6 @@ struct Solver<'a, S, H> {
     /// maintained per newly interned object; never materialized as a
     /// set, so the old `pta.mem_mask_words` bitmap cost is gone.
     ranges: FastMap<TypeId, IdRanges>,
-
-    /// The per-run hash-consing store behind every `pts` row and mask;
-    /// shared with the [`AnalysisResult`] so query-surface caches
-    /// deduplicate against the same table.
-    interner: Arc<SetInterner<ObjId>>,
-    /// The canonical sealed empty handle (interner id 0); cloned to
-    /// materialize fresh rows and to drain pending slots without
-    /// allocating.
-    empty: PtsHandle<ObjId>,
 
     /// The cycle-collapse partition over pointer ids. A pointer's
     /// per-index solver state is authoritative only on `find(p) == p`.
@@ -555,6 +535,10 @@ struct Solver<'a, S, H> {
     /// Receiver buffer of the current dispatch group, reused across
     /// [`Solver::dispatch_batch`] calls.
     dispatch_group: Vec<ObjId>,
+    /// Base objects of a load or store being registered, reused across
+    /// registrations (the replay creates pointers, so it cannot walk
+    /// the base row in place).
+    replay_ids: Vec<ObjId>,
 
     worklist: VecDeque<PtrId>,
     /// Newly reachable `(context, method)` pairs awaiting statement
@@ -600,8 +584,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                     .collect()
             })
             .collect();
-        let interner = Arc::new(SetInterner::new());
-        let empty = interner.empty_handle();
         Solver {
             program,
             selector,
@@ -620,8 +602,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             stores: Vec::new(),
             calls: Vec::new(),
             ranges: FastMap::default(),
-            interner,
-            empty,
             dsu: DisjointSets::new(0),
             order: TopoOrder::default(),
             reachable: FastSet::default(),
@@ -631,6 +611,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             dispatch_cache: FastMap::default(),
             return_vars,
             dispatch_group: Vec::new(),
+            replay_ids: Vec::new(),
             worklist: VecDeque::new(),
             pending_methods: VecDeque::new(),
             stats: AnalysisStats::default(),
@@ -703,21 +684,11 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 return Err(self.overrun(fixpoint_start));
             }
             self.worklist.extend(next_wave);
-            // Seal before any memory sample so the sample sees the
-            // deduplicated footprint the sweep just established.
-            if self.stats.wave_rounds.is_multiple_of(SEAL_SWEEP_WAVES) {
-                let t0 = self.tl.now();
-                self.seal_dirty();
-                self.tl.overhead_since(t0);
-            }
             if self.tl.on {
                 obs::counter("pta.live_wave_rounds").inc();
                 let pops = self.stats.worklist_pops;
                 obs::counter("pta.live_worklist_pops").add(pops - self.live_pops_published);
                 self.live_pops_published = pops;
-                if self.stats.wave_rounds.is_multiple_of(TL_MEM_SAMPLE_WAVES) {
-                    self.sample_memory(self.stats.wave_rounds as u32);
-                }
             }
         }
         drop(fixpoint_span);
@@ -725,49 +696,30 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
         let finalize_start = Instant::now();
         let finalize_span = obs::span("solver.finalize");
-        self.stats.context_count = self.arena.len();
-        self.stats.call_graph_edges = self.cg_edges.len() as u64;
-        // One last seal sweep deduplicates whatever mutated since the
-        // previous one; `seal_dirty` folds the post-seal physical
-        // footprint into the running `pts_peak_words` maximum.
-        self.seal_dirty();
-        self.stats.pts_interned = self.interner.interned();
-        self.stats.pts_dedup_hits = self.interner.dedup_hits();
-        self.stats.dsu_ops = self.dsu.ops();
-        self.stats.collapse_sweeps = self.order.renumbers;
-        self.stats.order_search_edges = self.order.edges_scanned;
-        self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
-        if obs::enabled() {
-            let pts_hist = obs::histogram("pta.points_to_set_size");
-            for set in &self.pts {
-                pts_hist.record(set.len() as u64);
-            }
-            obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
-        }
-        if self.tl.on {
-            // Final memory attribution. Every sample is taken right
-            // after a seal sweep, so the retained (largest-`rep_words`)
-            // sample's physical footprint is exactly the
-            // `pts_peak_words` running maximum this run reports.
-            self.sample_memory(0);
-            self.publish_top_pointers();
-            obs::gauge("pta.pending_peak_words").set(self.pending_peak_words as i64);
-        }
-        // The order and the consumer rows are dead past the fixpoint;
-        // free them before the result builds its caches.
+        self.count_structures();
+        // The order, the consumer rows and the drained pending slots
+        // are dead past the fixpoint; free them before the rows are
+        // sealed.
         self.order = TopoOrder::default();
+        self.pending = Vec::new();
         self.succ = Vec::new();
         self.succ_set = Vec::new();
         self.loads = Vec::new();
         self.stores = Vec::new();
         self.calls = Vec::new();
+        if obs::enabled() {
+            obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
+        }
+        self.publish_timeline_tables();
+        let interner = SetInterner::new();
+        let pts = self.seal_rows(&interner, 0);
         let result = AnalysisResult::from_parts(
             self.arena,
             self.objs,
             self.ptr_keys,
             self.ptr_map,
-            self.pts,
-            self.interner,
+            pts,
+            &interner,
             self.dsu.snapshot(),
             self.reachable,
             self.reachable_methods,
@@ -788,28 +740,19 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         Ok(result.with_stats(self.stats))
     }
 
-    /// Final bookkeeping of a budget-overrun exit.
+    /// Final bookkeeping of a budget-overrun exit. The rows are sealed
+    /// like a finished run's, so the partial stats report the same
+    /// interner counts and physical footprint.
     fn overrun(&mut self, fixpoint_start: Instant) -> Unscalable {
         self.stats.fixpoint_time = fixpoint_start.elapsed();
+        self.count_structures();
+        self.publish_timeline_tables();
+        // An aborted run may still be the process peak: the seal's
+        // memory sample covers whatever `pts_peak_words` the bench
+        // record ends up reporting.
+        self.seal_rows(&SetInterner::new(), self.stats.wave_rounds as u32);
+        self.tl.flush_residual();
         self.stats.elapsed = self.start.elapsed();
-        self.stats.context_count = self.arena.len();
-        self.stats.call_graph_edges = self.cg_edges.len() as u64;
-        self.seal_dirty();
-        self.stats.pts_interned = self.interner.interned();
-        self.stats.pts_dedup_hits = self.interner.dedup_hits();
-        self.stats.dsu_ops = self.dsu.ops();
-        self.stats.collapse_sweeps = self.order.renumbers;
-        self.stats.order_search_edges = self.order.edges_scanned;
-        self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
-        if self.tl.on {
-            // An aborted run may still be the process peak: sample it
-            // so the memory categories cover whatever `pts_peak_words`
-            // the bench record ends up reporting.
-            self.sample_memory(self.stats.wave_rounds as u32);
-            self.publish_top_pointers();
-            obs::gauge("pta.pending_peak_words").set(self.pending_peak_words as i64);
-            self.tl.flush_residual();
-        }
         self.stats.publish();
         Unscalable {
             elapsed: self.start.elapsed(),
@@ -818,54 +761,63 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
     }
 
-    /// Points-to row footprint as `(physical, logical)` words:
-    /// physical counts each allocation once (rows sealed onto the same
-    /// interned set share one), logical counts every row as if it were
-    /// unshared — the pre-interning number, and the dedup win is their
-    /// ratio.
-    fn pts_words(&self) -> (u64, u64) {
-        let mut seen: FastSet<usize> = FastSet::default();
-        let mut physical = 0u64;
-        let mut logical = 0u64;
-        for h in &self.pts {
-            let w = h.mem_words() as u64;
-            logical += w;
-            if seen.insert(h.addr()) {
-                physical += w;
-            }
-        }
-        (physical, logical)
+    /// Copies the end-of-run sizes of the arena, call graph, partition,
+    /// order and range tables into the stats.
+    fn count_structures(&mut self) {
+        self.stats.context_count = self.arena.len();
+        self.stats.call_graph_edges = self.cg_edges.len() as u64;
+        self.stats.dsu_ops = self.dsu.ops();
+        self.stats.collapse_sweeps = self.order.renumbers;
+        self.stats.order_search_edges = self.order.edges_scanned;
+        self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
     }
 
-    /// Re-interns every dirty points-to row, evicts interner entries
-    /// nothing references anymore, and folds the post-seal physical
-    /// footprint into the `pts_peak_words` running maximum. Probe time
-    /// lands in `intern_probe_ns`. (Cast masks used to be sealed here
-    /// too; as compiled range tables they are never interned at all.)
-    fn seal_dirty(&mut self) {
+    /// Seals every row once, in row order, into `interner`: an empty
+    /// row takes the interner's empty handle, a non-empty one goes
+    /// through [`SetInterner::intern_owned`], which allocates only for
+    /// a content it has not seen. The misses' words are the physical
+    /// footprint (`pts_peak_words`), every row's words the logical one.
+    /// Takes the timeline's memory sample (`wave` 0 = finalize).
+    fn seal_rows(&mut self, interner: &SetInterner<ObjId>, wave: u32) -> Vec<PtsHandle<ObjId>> {
         let t0 = Instant::now();
-        for h in &mut self.pts {
-            h.seal(&self.interner);
-        }
-        self.interner.evict_dead();
+        let empty = interner.empty_handle();
+        let (mut physical, mut logical) = (0u64, 0u64);
+        let rows = std::mem::take(&mut self.pts)
+            .into_iter()
+            .map(|set| {
+                if set.is_empty() {
+                    return empty.clone();
+                }
+                let words = set.mem_words() as u64;
+                let (handle, fresh) = interner.intern_owned(set);
+                logical += words;
+                if fresh {
+                    physical += words;
+                }
+                handle
+            })
+            .collect();
         self.stats.intern_probe_ns += t0.elapsed().as_nanos() as u64;
-        let (physical, _) = self.pts_words();
-        self.stats.pts_peak_words = self.stats.pts_peak_words.max(physical);
+        self.stats.pts_interned = interner.interned();
+        self.stats.pts_dedup_hits = interner.dedup_hits();
+        self.stats.pts_peak_words = physical;
+        if self.tl.on {
+            self.sample_memory(wave, physical, logical);
+            obs::gauge("pta.pending_peak_words").set(self.pending_peak_words as i64);
+        }
+        rows
     }
 
-    /// Takes one memory-attribution sample (`wave` 0 = finalize) and
-    /// mirrors it into the `pta.mem_*` gauges when it becomes the
-    /// retained (largest-`rep_words`) sample. Scans every set, so
-    /// callers keep it off the per-wave hot path.
-    fn sample_memory(&mut self, wave: u32) {
-        let (rep_words, logical_words) = self.pts_words();
+    /// Offers the run's memory sample (`wave` 0 = finalize) to the
+    /// timeline and mirrors it into the `pta.mem_*` gauges when it
+    /// becomes the retained (largest-`rep_words`) sample.
+    fn sample_memory(&mut self, wave: u32, rep_words: u64, logical_words: u64) {
         let pending_words: u64 = self.pending.iter().map(|s| s.mem_words() as u64).sum();
         // Compiled range tables cost one word per run — the whole
         // point of the compilation; this attribution used to be the
         // mask bitmaps' footprint.
         let mask_words: u64 = self.ranges.values().map(|r| r.mem_words() as u64).sum();
         self.pending_peak_words = self.pending_peak_words.max(pending_words);
-        self.stats.pts_peak_words = self.stats.pts_peak_words.max(rep_words);
         obs::gauge("pta.live_pts_words").set(rep_words as i64);
         let retained = obs::timeline().offer_memory(MemoryBreakdown {
             run: self.tl.run,
@@ -883,10 +835,17 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
     }
 
-    /// Builds the hottest-pointer table (top [`TL_TOP_K`] popped-delta
-    /// word totals) and offers it to the timeline, scored by this
-    /// run's total popped words.
-    fn publish_top_pointers(&self) {
+    /// Records the final set-size histogram and offers the
+    /// hottest-pointer table (top [`TL_TOP_K`] popped-delta word
+    /// totals, scored by this run's total popped words). Timeline only.
+    fn publish_timeline_tables(&self) {
+        if !self.tl.on {
+            return;
+        }
+        let pts_hist = obs::histogram("pta.points_to_set_size");
+        for set in &self.pts {
+            pts_hist.record(set.len() as u64);
+        }
         let total: u64 = self.hot_words.iter().sum();
         if total == 0 {
             return;
@@ -1013,9 +972,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 }
             }
 
-            // Draining swaps in the shared empty handle and unwraps the
-            // taken handle in place (pending handles are uniquely owned).
-            let delta = self.take_pending(ptr).into_set();
+            let delta = self.take_pending(ptr);
             self.stats.worklist_pops += 1;
             delta_hist.record(delta.len() as u64);
             if self.tl.on {
@@ -1064,10 +1021,10 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
         let mut merged: PtsSet<ObjId> = PtsSet::new();
         let mut pend: PtsSet<ObjId> = PtsSet::new();
-        let mut olds: Vec<(PtsHandle<ObjId>, bool)> = Vec::with_capacity(members.len());
+        let mut olds: Vec<(PtsSet<ObjId>, bool)> = Vec::with_capacity(members.len());
         for &m in members {
             let mi = m as usize;
-            let pts_m = std::mem::replace(&mut self.pts[mi], self.empty.clone());
+            let pts_m = std::mem::take(&mut self.pts[mi]);
             let pend_m = self.take_pending(PtrId(m));
             pend.union_with(&pend_m);
             merged.union_with(&pts_m);
@@ -1120,7 +1077,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.calls[r] = calls_r;
 
         self.stats.scc_collapsed_ptrs += (members.len() - 1) as u64;
-        self.pts[r] = PtsHandle::from_set(merged);
+        self.pts[r] = merged;
         self.queue_delta(PtrId(r as u32), pend);
     }
 
@@ -1145,8 +1102,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         let p = PtrId(u32::try_from(self.ptr_keys.len()).expect("too many pointers"));
         self.ptr_map.insert(key, p);
         self.ptr_keys.push(key);
-        self.pts.push(self.empty.clone());
-        self.pending.push(self.empty.clone());
+        self.pts.push(PtsSet::new());
+        self.pending.push(PtsSet::new());
         self.succ.push(Vec::new());
         self.succ_set.push(None);
         self.loads.push(Vec::new());
@@ -1229,26 +1186,21 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
         let i = ptr.index();
         if self.pending[i].is_empty() {
-            // Empty slots hold the shared empty handle; adopt the delta
-            // wholesale instead of copying into it.
-            self.pending[i] = PtsHandle::from_set(delta);
+            // Adopt the delta wholesale instead of copying into the
+            // empty slot.
+            self.pending[i] = delta;
             self.worklist.push_back(ptr);
         } else {
-            // A non-empty pending handle is uniquely owned (built by
-            // `from_set` above), so `make_mut` mutates in place.
-            self.pending[i].make_mut().union_with(&delta);
+            self.pending[i].union_with(&delta);
         }
     }
 
-    /// Drains the pointer's pending handle, leaving the shared empty
-    /// handle behind.
-    fn take_pending(&mut self, ptr: PtrId) -> PtsHandle<ObjId> {
-        std::mem::replace(&mut self.pending[ptr.index()], self.empty.clone())
+    /// Drains the pointer's pending delta, leaving an empty set behind.
+    fn take_pending(&mut self, ptr: PtrId) -> PtsSet<ObjId> {
+        std::mem::take(&mut self.pending[ptr.index()])
     }
 
     /// Seeds `objs` into `pts(ptr)`, enqueueing the genuinely new part.
-    /// Check-before-mutate: membership is probed read-only first, so a
-    /// fully redundant seed never un-shares the row.
     fn add_objects(&mut self, ptr: PtrId, objs: impl IntoIterator<Item = ObjId>) {
         let ptr = self.rep(ptr);
         let mut delta = PtsSet::new();
@@ -1263,7 +1215,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         if delta.is_empty() {
             return;
         }
-        self.pts[ptr.index()].make_mut().union_with(&delta);
+        self.pts[ptr.index()].union_with(&delta);
         self.queue_delta(ptr, delta);
     }
 
@@ -1308,21 +1260,18 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         if let Some(ty) = filter {
             self.ensure_ranges(ty);
         }
-        // Share the source allocation (cheap `Arc` clone) so the replay
-        // can mutate the target row; only a non-empty contribution
-        // touches the target's copy-on-write path.
-        let src = self.pts[from.index()].share();
+        let (src, dst) = (&self.pts[from.index()], &self.pts[to.index()]);
         let delta = match filter {
-            None => src.difference(&self.pts[to.index()]),
+            None => src.difference(dst),
             Some(ty) => {
                 self.stats.range_union_hits += 1;
-                src.difference_in_ranges(&self.ranges[&ty], &self.pts[to.index()])
+                src.difference_in_ranges(&self.ranges[&ty], dst)
             }
         };
         if delta.is_empty() {
             return;
         }
-        self.pts[to.index()].make_mut().union_with(&delta);
+        self.pts[to.index()].union_with(&delta);
         self.queue_delta(to, delta);
     }
 
@@ -1348,8 +1297,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             if let Some(ty) = filter {
                 self.ensure_ranges(ty);
             }
-            // Contribution first (read-only), copy-on-write only when
-            // it is non-empty: quiescent edges leave sharing intact.
             let d = match filter {
                 None => delta.difference(&self.pts[to.index()]),
                 Some(ty) => {
@@ -1358,7 +1305,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 }
             };
             if !d.is_empty() {
-                self.pts[to.index()].make_mut().union_with(&d);
+                self.pts[to.index()].union_with(&d);
                 self.queue_delta(to, d);
             }
         }
@@ -1433,25 +1380,25 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 let lp = self.var_ptr(ctx, lhs);
                 let bp = self.rep(bp);
                 self.loads[bp.index()].push((field, lp));
-                // Replay objects already known for the base. The clone
-                // is O(words); interning field pointers below may grow
-                // `self.pts`, so the base set cannot stay borrowed.
-                let existing = self.pts[bp.index()].clone();
-                for obj in existing.iter() {
+                // Replay objects already known for the base.
+                let objs = self.base_objects(bp);
+                for &obj in &objs {
                     let fp = self.ptr(PtrKey::Field(obj, field));
                     self.add_edge(fp, lp, None);
                 }
+                self.replay_ids = objs;
             }
             Stmt::Store { base, field, rhs } => {
                 let bp = self.var_ptr(ctx, base);
                 let rp = self.var_ptr(ctx, rhs);
                 let bp = self.rep(bp);
                 self.stores[bp.index()].push((field, rp));
-                let existing = self.pts[bp.index()].clone();
-                for obj in existing.iter() {
+                let objs = self.base_objects(bp);
+                for &obj in &objs {
                     let fp = self.ptr(PtrKey::Field(obj, field));
                     self.add_edge(rp, fp, None);
                 }
+                self.replay_ids = objs;
             }
             Stmt::StaticLoad { lhs, field } => {
                 let sp = self.ptr(PtrKey::Static(field));
@@ -1515,8 +1462,19 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             fixed_target,
         };
         self.calls[rp.index()].push(call);
+        // An owned copy: binding can grow this very row.
         let existing = self.pts[rp.index()].clone();
         self.dispatch_batch(call, &existing);
+    }
+
+    /// The objects of `base`'s row, in the reused replay buffer. A
+    /// load or store replays them into field pointers, and creating a
+    /// pointer grows the rows, so the row cannot stay borrowed.
+    fn base_objects(&mut self, base: PtrId) -> Vec<ObjId> {
+        let mut objs = std::mem::take(&mut self.replay_ids);
+        objs.clear();
+        objs.extend(self.pts[base.index()].iter());
+        objs
     }
 
     /// The dispatch target of `call` on a receiver of type `ty`, or

@@ -18,6 +18,14 @@ const DENSE_SLACK: usize = 8;
 /// Id ranges up to this size are always indexed directly.
 const DENSE_FLOOR: usize = 1024;
 
+/// Whether `span` ids are few enough, for `entries` entries, to size a
+/// table by id: at most [`DENSE_SLACK`] per entry plus
+/// [`DENSE_FLOOR`]. Restore also holds a snapshot's object id space to
+/// this rule.
+pub(crate) fn dense_enough(span: usize, entries: usize) -> bool {
+    span <= DENSE_SLACK.saturating_mul(entries).saturating_add(DENSE_FLOOR)
+}
+
 /// A read-only multimap from `u32` ids to slices of `V`.
 #[derive(Debug)]
 pub(crate) struct IdTable<V> {
@@ -61,7 +69,7 @@ impl<V: Copy> IdTable<V> {
             return IdTable { index: Index::Dense { starts: vec![0] }, values: Vec::new() };
         };
         let span = max as usize + 1;
-        if span > DENSE_SLACK * n + DENSE_FLOOR {
+        if !dense_enough(span, n) {
             return Self::group_sparse(pairs.collect());
         }
         // Counting sort: count into `starts[id + 1]`, prefix-sum to

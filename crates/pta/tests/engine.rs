@@ -400,3 +400,28 @@ fn interface_dispatch_resolves_to_implementations() {
         .unwrap();
     assert_eq!(r.call_targets(site).len(), 2, "both impls reachable");
 }
+
+/// Rows are sealed once, at finalize, and an empty row is not a seal:
+/// a copy cycle no object reaches is collapsed but shares the
+/// pre-interned empty set without counting a dedup hit. The one
+/// object's row and its copy `d` make one miss and one hit.
+#[test]
+fn an_unreached_copy_cycle_counts_no_seal() {
+    let p = jir::parse(
+        "class A {
+           entry static method main() {
+             a = b; b = a;
+             d = o; o = new A;
+             return;
+           }
+         }",
+    )
+    .expect("parses");
+    let r = AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
+        .run(&p)
+        .unwrap();
+    let s = r.stats();
+    assert_eq!(s.scc_collapsed_ptrs, 1, "the a/b cycle collapses");
+    assert!(r.points_to_collapsed(var_named(&p, p.entry(), "a")).is_empty());
+    assert_eq!((s.pts_interned, s.pts_dedup_hits), (2, 1));
+}

@@ -17,6 +17,10 @@
 //!   allocation only if it is shared; [`PtsHandle::seal`] re-interns a
 //!   dirty handle, adopting the canonical allocation when an identical
 //!   set already exists.
+//! - [`SetInterner::intern_owned`] seals a plain owned set in one step
+//!   and wraps it in an `Arc` only when its content is new. The solver
+//!   keeps plain rows during its fixpoint and seals each row through
+//!   this path exactly once, when it assembles the result.
 //!
 //! # Why handle equality is sound
 //!
@@ -55,9 +59,9 @@ use crate::{Elem, PtsSet};
 const DIRTY: u32 = u32::MAX;
 
 /// Number of lock shards; fingerprint low bits pick the shard. A small
-/// power of two: sealing happens in batched sweeps from the solver's
-/// sequential sections, so the shards bound worst-case contention from
-/// concurrent analyses rather than chasing single-run parallelism.
+/// power of two: a solver seals its rows in one sequential pass, so
+/// the shards bound worst-case contention from concurrent analyses
+/// rather than chasing single-run parallelism.
 const SHARDS: usize = 16;
 
 /// Process-wide generation allocator: every interner gets a distinct
@@ -141,21 +145,50 @@ impl<T: Elem> SetInterner<T> {
     /// so a handle that already knows it (cached at a previous seal)
     /// skips the re-hash.
     fn intern(&self, set: &Arc<PtsSet<T>>, fp: u128) -> (u32, Arc<PtsSet<T>>) {
-        let mut shard = self.shards[shard_of(fp)].lock().unwrap();
+        let mut shard = self.shards[shard_of(fp)]
+            .lock()
+            .expect("a seal panicked while holding this interner shard");
         let bucket = shard.entry(fp).or_default();
-        for (id, canon) in bucket.iter() {
-            if **canon == **set {
-                if !Arc::ptr_eq(canon, set) {
-                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return (*id, canon.clone());
+        if let Some((id, canon)) = bucket.iter().find(|(_, canon)| **canon == **set) {
+            if !Arc::ptr_eq(canon, set) {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
             }
+            return (*id, canon.clone());
         }
+        (self.admit(bucket, set.clone()), set.clone())
+    }
+
+    /// Seals an owned set: returns a sealed handle to its canonical
+    /// allocation and whether the content was new to the table. A set
+    /// whose content is already registered is dropped (one dedup hit)
+    /// and never wrapped in an `Arc`; only a miss allocates one.
+    pub fn intern_owned(&self, set: PtsSet<T>) -> (PtsHandle<T>, bool) {
+        let fp = set.fingerprint();
+        let mut shard = self.shards[shard_of(fp)]
+            .lock()
+            .expect("a seal panicked while holding this interner shard");
+        let bucket = shard.entry(fp).or_default();
+        let (id, canon, fresh) = match bucket.iter().find(|(_, canon)| **canon == set) {
+            Some((id, canon)) => {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                (*id, canon.clone(), false)
+            }
+            None => {
+                let canon = Arc::new(set);
+                (self.admit(bucket, canon.clone()), canon, true)
+            }
+        };
+        let handle = PtsHandle { set: canon, id, generation: self.generation, fp: Some(fp) };
+        (handle, fresh)
+    }
+
+    /// Registers a new canonical allocation under the next id.
+    fn admit(&self, bucket: &mut Vec<(u32, Arc<PtsSet<T>>)>, canon: Arc<PtsSet<T>>) -> u32 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         assert!(id != DIRTY, "interner id space exhausted");
-        bucket.push((id, set.clone()));
+        bucket.push((id, canon));
         self.interned.fetch_add(1, Ordering::Relaxed);
-        (id, set.clone())
+        id
     }
 
     /// Drops table entries no live handle references anymore (their
@@ -229,12 +262,6 @@ impl<T: Elem> PtsHandle<T> {
     /// callers that need to read the set while mutating other rows.
     pub fn share(&self) -> Arc<PtsSet<T>> {
         self.set.clone()
-    }
-
-    /// Unwraps into an owned set — without copying when this handle is
-    /// the sole owner (the common case for pending deltas).
-    pub fn into_set(self) -> PtsSet<T> {
-        Arc::try_unwrap(self.set).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Stable address of the underlying allocation; physical-memory
@@ -340,6 +367,26 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(interner.dedup_hits(), 1);
         assert_eq!(interner.interned(), 2, "empty plus one content");
+    }
+
+    #[test]
+    fn intern_owned_allocates_only_on_a_miss() {
+        let interner = SetInterner::<u32>::new();
+        let set = |elems: &[u32]| elems.iter().copied().collect::<PtsSet<u32>>();
+        let (a, fresh_a) = interner.intern_owned(set(&[1, 2, 3]));
+        let (b, fresh_b) = interner.intern_owned(set(&[1, 2, 3]));
+        assert!(fresh_a && !fresh_b);
+        assert!(a.is_sealed() && b.is_sealed());
+        assert_eq!(a.addr(), b.addr(), "a hit adopts the canonical allocation");
+        // The owned path and the handle path share one table.
+        let mut c = handle(&[1, 2, 3]);
+        c.seal(&interner);
+        assert_eq!(c.interned_id(), a.interned_id());
+        let (d, fresh_d) = interner.intern_owned(set(&[4]));
+        assert!(fresh_d);
+        assert_ne!(d, a);
+        assert_eq!(interner.interned(), 3, "empty, {{1, 2, 3}} and {{4}}");
+        assert_eq!(interner.dedup_hits(), 2);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   become word-wise operations, O(universe / 64) regardless of how
 //!   many objects the set holds.
 //!
+//! A bitmap is sized by the set's largest id. Where that id is
+//! untrusted (a restored snapshot), [`PtsSet::sorted_from_ascending`]
+//! keeps a set of any size in the small representation instead.
+//!
 //! The solver's kernels work on whole 64-bit words wherever the
 //! source operand is dense:
 //!
@@ -43,8 +47,8 @@
 //! bijection with `usize`. The `pta` crate implements it for `ObjId`;
 //! tests use `u32`.
 //!
-//! Sets that live long enough to repeat — the solver's representative
-//! rows and result storage — go behind the
+//! Sets that live long enough to repeat — the rows of a finished
+//! analysis result — go behind the
 //! hash-consing layer in [`intern`]: a sharded [`intern::SetInterner`]
 //! deduplicates identical contents and hands out copy-on-write
 //! [`intern::PtsHandle`]s whose equality fast-paths on the interned
@@ -196,7 +200,9 @@ impl FromIterator<u32> for IdRanges {
 
 #[derive(Clone)]
 enum Repr {
-    /// Sorted ascending, deduplicated element indices.
+    /// Sorted ascending, deduplicated element indices: at most
+    /// [`SMALL_MAX`] of them, except in a set built by
+    /// [`PtsSet::sorted_from_ascending`].
     Small(Vec<u32>),
     /// Dense bitmap; `len` caches the population count.
     Dense { words: Vec<u64>, len: u32 },
@@ -666,6 +672,20 @@ impl<T: Elem> PtsSet<T> {
             _ => Repr::Small(ids),
         };
         Some(PtsSet { repr, _elem: PhantomData })
+    }
+
+    /// Builds a set from strictly ascending element indices that stays
+    /// a sorted vec however many there are, so no bitmap is sized by
+    /// its largest id: the form for a read-only set over ids that are
+    /// untrusted or spread over a universe far wider than the set.
+    /// Every operation stays correct; membership is a binary search,
+    /// and an insertion promotes to a bitmap as usual. Returns `None`
+    /// unless `ids` is strictly ascending.
+    pub fn sorted_from_ascending(ids: Vec<u32>) -> Option<Self> {
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return None;
+        }
+        Some(PtsSet { repr: Repr::Small(ids), _elem: PhantomData })
     }
 }
 

@@ -5,8 +5,8 @@
 //! Driven by the in-tree SplitMix64 PRNG (`obs::rng`) so runs are
 //! deterministic and reproducible. Each trial interleaves inserts,
 //! unions, and difference-then-union steps through `make_mut` with
-//! seal sweeps at a random cadence — the same mutate-a-while-then-seal lifecycle the
-//! solver's rows live through — and asserts that sealing never changes
+//! seal sweeps at a random cadence — every mutate-a-while-then-seal
+//! lifecycle a handle can live through — and asserts that sealing never changes
 //! content, that handle equality coincides with content equality, and
 //! that the handle fast paths (`intersects`, `is_subset`) agree with
 //! the structural answers.

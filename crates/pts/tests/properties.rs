@@ -199,11 +199,12 @@ fn union_with_matches_extend() {
     }
 }
 
-/// Three representations of `oracle`'s contents: the canonical build
+/// Four representations of `oracle`'s contents: the canonical build
 /// (small up to `SMALL_MAX` elements, dense past it), a forced-dense
-/// bitmap, and a dense bitmap that keeps trailing zero words after a
-/// high element is inserted and removed again.
-fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 3] {
+/// bitmap, a dense bitmap that keeps trailing zero words after a high
+/// element is inserted and removed again, and a sorted vec of any
+/// length.
+fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 4] {
     let canonical: PtsSet<u32> = oracle.iter().copied().collect();
     let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
     dense.clear();
@@ -213,7 +214,9 @@ fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 3] {
     assert!(trailing.insert(high));
     assert!(trailing.remove(high));
     assert!(!trailing.remove(high), "second remove of {high}");
-    [("canonical", canonical), ("dense", dense), ("trailing-zero", trailing)]
+    let sorted =
+        PtsSet::sorted_from_ascending(oracle.iter().copied().collect()).expect("ascending");
+    [("canonical", canonical), ("dense", dense), ("trailing-zero", trailing), ("sorted", sorted)]
 }
 
 #[test]
@@ -381,6 +384,40 @@ fn from_ascending_matches_element_build() {
             assert!(PtsSet::<u32>::from_ascending(repeated).is_none(), "trial {trial}");
         }
     }
+}
+
+/// A sorted-vec set of any length answers every read like the oracle,
+/// sizes nothing by its largest id, and promotes on insertion.
+#[test]
+fn sorted_sets_read_like_the_oracle_and_size_nothing_by_an_id() {
+    let mut rng = SplitMix64::new(0x082efa98ec4e6c89);
+    for trial in 0..200 {
+        let (_, a) = random_set(&mut rng, 4 * SMALL_MAX as u64);
+        let (b, b_oracle) = random_set(&mut rng, 4 * SMALL_MAX as u64);
+        let sorted = PtsSet::<u32>::sorted_from_ascending(a.iter().copied().collect())
+            .expect("ascending");
+        let ctx = format!("trial {trial}");
+        assert_matches(&sorted, &a, &ctx);
+        assert_eq!(sorted.mem_words(), a.len().div_ceil(2), "{ctx}");
+        for v in 0..UNIVERSE as u32 {
+            assert_eq!(sorted.contains(v), a.contains(&v), "contains({v}), {ctx}");
+        }
+        assert_eq!(sorted.intersects(&b), !a.is_disjoint(&b_oracle), "intersects, {ctx}");
+        assert_eq!(b.intersects(&sorted), !a.is_disjoint(&b_oracle), "intersects, {ctx}");
+        assert_eq!(sorted.is_subset(&b), a.is_subset(&b_oracle), "is_subset, {ctx}");
+        assert_eq!(b.is_subset(&sorted), b_oracle.is_subset(&a), "is_subset, {ctx}");
+        let mut grown = sorted.clone();
+        let mut want = a.clone();
+        grown.union_with(&b);
+        want.extend(&b_oracle);
+        assert_matches(&grown, &want, &format!("union_with, {ctx}"));
+    }
+    let high: Vec<u32> = (u32::MAX - SMALL_MAX as u32..=u32::MAX).collect();
+    let top = PtsSet::<u32>::sorted_from_ascending(high).expect("ascending");
+    assert_eq!(top.mem_words(), (SMALL_MAX + 1).div_ceil(2), "ids near u32::MAX stay a vec");
+    assert!(top.contains(u32::MAX) && !top.contains(0));
+    assert!(PtsSet::<u32>::sorted_from_ascending(vec![3, 3]).is_none());
+    assert!(PtsSet::<u32>::sorted_from_ascending(vec![4, 3]).is_none());
 }
 
 /// One scratch reused across many unions yields each union with the

@@ -10,8 +10,10 @@
 # and a `mahjong_cli` smoke that checks the telemetry export parses and
 # carries the merge-phase counters (in particular
 # `mahjong.machine_states`, nonzero whenever the merge built its shared
-# subset machine, and `pta.pts_interned`, which is nonzero whenever the
-# solver's hash-consing seal sweeps ran). The profiler smoke runs
+# subset machine) and the solver's counters (`pta.worklist_pops`, and
+# `pta.pts_interned`, nonzero whenever finalize sealed the points-to
+# rows), and that the solver timeline stayed unarmed without
+# `--profile` (no `pta.live_worklist_pops`). The profiler smoke runs
 # `repro --profile` on a
 # small two-thread workload and asserts the timeline parses, carries
 # per-level records, attributes ≥90% of the solver wall clock (order
@@ -62,9 +64,9 @@ covered = sum(r["resolve_ns"] + r["propagate_ns"] + r["merge_ns"] for r in recor
 if wall > 0.05 and prof["records_dropped"] == 0:
     assert covered >= 0.9 * wall, f"timeline covers {covered:.2f}s of {wall:.2f}s wall"
 assert doc["pending_peak_words"] > 0, "pending_peak_words never sampled a live delta"
-# Memory attribution: the retained sample is the largest one taken right
-# after a seal sweep, so its physical rep_words anchors to the physical
-# peak; the logical (per-row) footprint can only be larger.
+# Memory attribution: the retained sample is the largest one, taken
+# right after a run's seal, so its physical rep_words anchors to the
+# physical peak; the logical (per-row) footprint can only be larger.
 mem, peak = prof["memory"], doc["pts_peak_words"]
 if mem and peak:
     rep = mem["rep_words"]
@@ -128,23 +130,41 @@ print(f"tier1: serve smoke ok ({rec['qps']:.0f} qps, "
       f"warm start {rec['warm_start_ms']:.1f} ms)")
 EOF
 
+# Two inputs: containers.jir builds a shared machine, but its fixpoint
+# resolves entirely through registration replays (0 worklist pops);
+# decorator.jir pops but merges nothing. Each writes into its own
+# directory (a second BENCH_pta.json sibling would be refused).
+mkdir "$scratch/decorator"
 cargo run --release -q -p bench --bin mahjong_cli -- corpus/containers.jir \
     --threads 2 --metrics-json "$mahjong_metrics" > /dev/null
-python3 - "$mahjong_metrics" <<'EOF'
+cargo run --release -q -p bench --bin mahjong_cli -- corpus/decorator.jir \
+    --threads 2 --metrics-json "$scratch/decorator/tier1_mahjong.jsonl" > /dev/null
+python3 - "$mahjong_metrics" "$scratch/decorator/tier1_mahjong.jsonl" <<'EOF'
 import json, sys
 
-counters = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        rec = json.loads(line)  # every line must be valid JSON
-        if rec.get("type") == "counter":
-            counters[rec["name"]] = rec["value"]
+def load(path):
+    counters, gauges = {}, {}
+    with open(path) as f:
+        for line in f:
+            rec = json.loads(line)  # every line must be valid JSON
+            if rec.get("type") == "counter":
+                counters[rec["name"]] = rec["value"]
+            elif rec.get("type") == "gauge":
+                gauges[rec["name"]] = rec["value"]
+    # The timeline is armed only by --profile and --heartbeat; its live
+    # counters must not exist on a plain run.
+    live = sorted(n for n in {**counters, **gauges} if n.startswith("pta.live_"))
+    assert not live, f"{path}: timeline ran without --profile: {live}"
+    assert counters.get("pta.pts_interned", 0) > 0, f"{path}: solver sealed no points-to sets"
+    return counters
+
+counters, decorator = load(sys.argv[1]), load(sys.argv[2])
 assert "mahjong.machine_states" in counters, \
     f"mahjong.machine_states missing from {sorted(counters)}"
 assert counters["mahjong.machine_states"] > 0, "merge built no shared machine"
-assert "pta.pts_interned" in counters, f"pta.pts_interned missing from {sorted(counters)}"
-assert counters["pta.pts_interned"] > 0, "solver sealed no points-to sets"
+assert decorator.get("pta.worklist_pops", 0) > 0, "solver counters did not record"
 print(f"tier1: mahjong_cli smoke ok ({len(counters)} counters, "
       f"machine_states={counters['mahjong.machine_states']}, "
-      f"pts_interned={counters['pta.pts_interned']})")
+      f"pts_interned={counters['pta.pts_interned']}, "
+      f"worklist_pops={decorator['pta.worklist_pops']})")
 EOF

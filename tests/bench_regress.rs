@@ -17,10 +17,13 @@
 //! to measured-at-commit bounds the way `worklist_pops` is. So are the
 //! solver's order maintenance (edges scanned by repair searches,
 //! renumbers), its call dispatch (receiver groups bound) and its
-//! physical points-to footprint (`pts_peak_words`).
+//! physical points-to footprint (`pts_peak_words`). The seal at
+//! finalize is pinned exactly (interner counts and fingerprints on
+//! luindex@2) and bounded to one seal per row.
 //! Wall-clock itself is measured by the `perfbench` benchmark (see
 //! `BENCHMARK.json`); counters, not seconds, are what CI can assert on.
 
+use bench::{HeapKind, Sensitivity};
 use mahjong::MahjongConfig;
 use pta::{AllocSiteAbstraction, AnalysisConfig, Budget, CallSiteSensitive};
 
@@ -246,4 +249,69 @@ fn cycle_collapse_is_active() {
         "no pointers collapsed on a workload with known copy cycles"
     );
     assert!(stats.wave_rounds > 0);
+}
+
+/// luindex@2 under 2cs, 2obj and M-2obj (alloc-site heap for the first
+/// two, the Mahjong map for the third), labelled like Table 2, with the
+/// program they ran on.
+fn luindex2_seal_cells() -> (jir::Program, Vec<(&'static str, pta::AnalysisResult)>) {
+    let prepared = bench::prepare("luindex", 2, &MahjongConfig::default());
+    let mom = &prepared.mahjong.mom;
+    let budget = Budget::seconds(120);
+    let cells = [
+        ("2cs", Sensitivity::Cs(2), HeapKind::AllocSite),
+        ("2obj", Sensitivity::Obj(2), HeapKind::AllocSite),
+        ("M-2obj", Sensitivity::Obj(2), HeapKind::Mahjong),
+    ]
+    .into_iter()
+    .map(|(label, sens, heap)| {
+        let r = bench::run_for_result(&prepared.program, sens, heap, mom, budget)
+            .unwrap_or_else(|e| panic!("luindex@2 {label}: {e}"));
+        (label, r)
+    })
+    .collect();
+    (prepared.program, cells)
+}
+
+/// The interner's counts, the physical footprint and the canonical
+/// fingerprint of luindex@2 under 2cs, 2obj and M-2obj, pinned exactly
+/// to the values of the solver that kept copy-on-write handles during
+/// the fixpoint and sealed them in periodic sweeps. Sealing every row
+/// once at finalize, in row order, must reproduce every one of them:
+/// the same contents meet the interner in the same order.
+#[test]
+fn seal_once_matches_the_swept_handles() {
+    // (cell, pts_interned, pts_dedup_hits, pts_peak_words, fingerprint)
+    const PINNED: [(&str, u64, u64, u64, u64); 3] = [
+        ("2cs", 1_635, 8_875, 1_721, 0x5e6b_3a81_1a85_81b7),
+        ("2obj", 1_187, 5_235, 2_427, 0xed02_a2e6_69aa_eed3),
+        ("M-2obj", 266, 1_834, 265, 0x727f_cae3_20ed_3802),
+    ];
+    let (p, cells) = luindex2_seal_cells();
+    for ((label, r), (cell, interned, hits, words, fp)) in cells.into_iter().zip(PINNED) {
+        assert_eq!(label, cell);
+        let s = r.stats();
+        assert_eq!(s.pts_interned, interned, "{label}: pts_interned");
+        assert_eq!(s.pts_dedup_hits, hits, "{label}: pts_dedup_hits");
+        assert_eq!(s.pts_peak_words, words, "{label}: pts_peak_words");
+        assert_eq!(bench::serve::canonical_fingerprint(&p, &r), fp, "{label}: fingerprint");
+    }
+}
+
+/// Each row is sealed at most once: every seal is either a miss (one
+/// interned content, besides the pre-interned empty set) or a dedup
+/// hit, so the two together cannot exceed the row count. A second
+/// seal pass, or a seal sweep that re-seals rows, breaks it.
+#[test]
+fn each_row_is_sealed_at_most_once() {
+    for (label, r) in luindex2_seal_cells().1 {
+        let s = r.stats();
+        let seals = s.pts_interned - 1 + s.pts_dedup_hits;
+        assert!(seals > 0, "{label}: no row was sealed");
+        assert!(
+            seals <= r.pointer_count() as u64,
+            "{label}: {seals} seals for {} rows",
+            r.pointer_count()
+        );
+    }
 }

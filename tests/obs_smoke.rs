@@ -3,7 +3,8 @@
 //! and both export formats written to disk and re-parsed.
 //!
 //! The `obs` registry is process-global, so every test here takes the
-//! same lock and resets the registry before making assertions.
+//! same lock and resets the registry before making assertions. The lock
+//! also disarms the solver timeline; the tests that inspect it arm it.
 
 use std::sync::Mutex;
 
@@ -17,6 +18,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::reset();
     obs::set_enabled(true);
+    obs::timeline().arm(false);
     guard
 }
 
@@ -155,6 +157,7 @@ fn chrome_trace_is_valid() {
 #[test]
 fn timeline_contents_are_deterministic_on_figure1() {
     let _guard = lock();
+    obs::timeline().arm(true);
     let totals = |p: &jir::Program| {
         let pre = pta::pre_analysis(p).unwrap();
         let _ = build_heap_abstraction(p, &pre, &MahjongConfig::default());
@@ -172,6 +175,64 @@ fn timeline_contents_are_deterministic_on_figure1() {
     obs::set_enabled(true);
     let second = totals(&p);
     assert_eq!(first, second, "rerun reproduces the timeline totals");
+}
+
+/// Until the timeline is armed it costs nothing and records nothing:
+/// an unarmed figure-1 pipeline leaves no timeline record, memory
+/// sample or hottest-pointer table, and no timeline-only instrument
+/// (`pta.live_*`, `pta.mem_*`, `pta.points_to_set_size`), while every
+/// `pta.*` counter matches an armed run of the same pipeline.
+#[test]
+fn timeline_costs_nothing_until_armed() {
+    let _guard = lock();
+    let pta_counters = || -> Vec<(String, u64)> {
+        obs::registry()
+            .counters()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("pta.") && name != "pta.intern_probe_ns")
+            .filter(|(name, _)| !name.starts_with("pta.live_"))
+            .collect()
+    };
+    let p = load_figure1();
+    let pipeline = |p: &jir::Program| {
+        let pre = pta::pre_analysis(p).unwrap();
+        let _ = build_heap_abstraction(p, &pre, &MahjongConfig::default());
+    };
+
+    pipeline(&p);
+    let tl = obs::timeline();
+    assert!(tl.records().is_empty(), "an unarmed run left timeline records");
+    assert!(tl.memory().is_none(), "an unarmed run offered a memory sample");
+    assert!(tl.top_pointers().is_empty(), "an unarmed run offered a top-pointer table");
+    // Instruments outlive `obs::reset` (it zeroes them in place), so
+    // "not recorded" means zero, not absent.
+    let timeline_only = |name: &str| {
+        ["pta.live_", "pta.mem_", "pta.points_to_set_size", "pta.pending_peak_words"]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+    };
+    let r = obs::registry();
+    for (name, v) in r.counters() {
+        assert!(!timeline_only(&name) || v == 0, "unarmed run counted `{name}` = {v}");
+    }
+    for (name, v) in r.gauges() {
+        assert!(!timeline_only(&name) || v == 0, "unarmed run set `{name}` = {v}");
+    }
+    for (name, h) in r.histograms() {
+        assert!(!timeline_only(&name) || h.count == 0, "unarmed run recorded `{name}`");
+    }
+    let unarmed = pta_counters();
+    assert!(
+        unarmed.iter().any(|(n, v)| n == "pta.pts_interned" && *v > 0),
+        "counters still record while the timeline is unarmed"
+    );
+
+    obs::reset();
+    obs::timeline().arm(true);
+    pipeline(&p);
+    assert!(!tl.records().is_empty(), "an armed run records");
+    assert_eq!(unarmed, pta_counters(), "arming the timeline changed a pta counter");
+    tl.arm(false);
 }
 
 /// The timeline ring keeps the newest records once capacity is
@@ -196,6 +257,7 @@ fn timeline_ring_wraps_at_capacity() {
 #[test]
 fn timeline_export_roundtrips() {
     let _guard = lock();
+    obs::timeline().arm(true);
     let p = load_figure1();
     let pre = pta::pre_analysis(&p).unwrap();
     let _ = build_heap_abstraction(&p, &pre, &MahjongConfig::default());
