@@ -7,12 +7,14 @@
 //! returns a precomputed sorted slice. Callers that need owned data use
 //! [`pts::PtsSet::to_vec`] as the escape hatch; nothing allocates per
 //! query.
+//!
+//! Rows with equal contents share one stored set: the result keeps one
+//! table of unique sets and, per pointer, the id of its set in it.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use jir::{AllocId, CallSiteId, FieldId, MethodId, TypeId, VarId};
-use pts::{PtsHandle, PtsSet, SetInterner, UnionScratch};
+use pts::{PtsSet, SetInterner, UnionScratch};
 
 use crate::context::{ContextArena, CtxId};
 use crate::object::{ObjId, ObjTable};
@@ -63,11 +65,11 @@ pub struct AnalysisStats {
     /// however many rows share it. The logical (per-row) footprint
     /// travels on the timeline as `mem_logical_words`.
     pub pts_peak_words: u64,
-    /// Distinct set contents admitted to the interner (unique
-    /// allocations sealed, including the shared empty set).
+    /// Distinct row contents in the set table at finalize, the empty
+    /// set included.
     pub pts_interned: u64,
-    /// Non-empty rows whose content was already interned when sealed;
-    /// each shares the canonical allocation instead of keeping its
+    /// Non-empty rows whose content was already in the set table when
+    /// sealed; each shares the stored set instead of keeping its
     /// own. An empty row takes the pre-interned empty set and is not
     /// counted, even the row of a collapsed copy cycle no object
     /// reaches.
@@ -149,9 +151,13 @@ pub struct AnalysisResult {
     pub(crate) objs: ObjTable,
     pub(crate) ptr_keys: Vec<PtrKey>,
     pub(crate) ptr_map: FastMap<PtrKey, PtrId>,
-    pub(crate) pts: Vec<PtsHandle<ObjId>>,
-    /// Cycle-collapse redirect table: `pts[redirect[i]]` is pointer
-    /// `i`'s points-to set (collapsed pointers hand their state to a
+    /// The unique points-to sets, indexed by set id (id 0 is the empty
+    /// set): every row's content and every collapsed union, each once.
+    pub(crate) sets: Vec<PtsSet<ObjId>>,
+    /// Set id of each pointer's row.
+    pub(crate) row_set: Vec<u32>,
+    /// Cycle-collapse redirect table: `row_set[redirect[i]]` is pointer
+    /// `i`'s set id (collapsed pointers hand their state to a
     /// representative; members of an unfiltered copy cycle converge to
     /// identical sets at fixpoint, so the redirection is invisible in
     /// query results).
@@ -159,12 +165,12 @@ pub struct AnalysisResult {
     /// The pointers of each variable (one per context it arose in),
     /// grouped by variable id.
     pub(crate) var_ptrs: IdTable<PtrId>,
-    /// Context-collapsed points-to set per `var_ptrs` slot, built
-    /// eagerly at result assembly and sealed against the solver's
-    /// interner so variables with identical collapsed sets share one
-    /// allocation. Single-pointer variables just share their row's set,
-    /// and slots without pointers the interner's empty set.
-    pub(crate) collapsed: Vec<Arc<PtsSet<ObjId>>>,
+    /// Set id of the context-collapsed points-to set per `var_ptrs`
+    /// slot, built eagerly at result assembly into the same table as
+    /// the rows, so a union equal to a row (or to another variable's
+    /// union) shares its set. A variable whose contexts all share one
+    /// row takes that row's id.
+    pub(crate) collapsed: Vec<u32>,
     pub(crate) reachable: FastSet<(CtxId, MethodId)>,
     pub(crate) reachable_methods: FastSet<MethodId>,
     pub(crate) cg_edges: FastSet<(CallSiteId, MethodId)>,
@@ -178,14 +184,17 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
+    /// Assembles a result from the rows' set ids into `interner`, which
+    /// then also takes the collapsed unions and becomes the result's
+    /// set table.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         arena: ContextArena,
         objs: ObjTable,
         ptr_keys: Vec<PtrKey>,
         ptr_map: FastMap<PtrKey, PtrId>,
-        pts: Vec<PtsHandle<ObjId>>,
-        interner: &SetInterner<ObjId>,
+        row_set: Vec<u32>,
+        mut interner: SetInterner<ObjId>,
         redirect: Vec<u32>,
         reachable: FastSet<(CtxId, MethodId)>,
         reachable_methods: FastSet<MethodId>,
@@ -205,47 +214,43 @@ impl AnalysisResult {
                 _ => None,
             }
         }));
-        let row = |p: &PtrId| &pts[redirect[p.index()] as usize];
-        let empty = interner.empty_handle().share();
+        let row = |p: &PtrId| row_set[redirect[p.index()] as usize];
         let wide = objs.is_wide();
         let mut scratch = UnionScratch::new();
-        let collapsed = (0..var_ptrs.slot_count())
-            .map(|slot| match var_ptrs.at(slot) {
-                [] => empty.clone(),
-                [first, rest @ ..] => {
-                    let first = row(first);
-                    // One context, or every context sharing one sealed
-                    // row: the collapsed set IS that row; share it.
-                    if rest.iter().all(|p| row(p).addr() == first.addr()) {
-                        return first.share();
-                    }
-                    // Otherwise OR the rows word-wise into the scratch
-                    // bitmap and intern the union. A restored table
-                    // with a wide id space sizes no bitmap by an id:
-                    // its rows are sorted vecs, and so is their merge.
+        let mut collapsed = Vec::with_capacity(var_ptrs.slot_count());
+        for slot in 0..var_ptrs.slot_count() {
+            let id = match var_ptrs.at(slot) {
+                [] => SetInterner::<ObjId>::EMPTY,
+                // One context, or every context sharing one row: the
+                // collapsed set IS that row.
+                [first, rest @ ..] if rest.iter().all(|p| row(p) == row(first)) => row(first),
+                // Otherwise OR the rows word-wise into the scratch
+                // bitmap and intern the union. A restored table with a
+                // wide id space sizes no bitmap by an id: its rows are
+                // sorted vecs, and so is their merge.
+                ptrs => {
+                    let rows = ptrs.iter().map(|p| interner.get(row(p)));
                     let union = if wide {
-                        let rows = std::iter::once(first).chain(rest.iter().map(row));
                         let mut ids: Vec<u32> = rows.flat_map(|r| r.iter().map(|o| o.0)).collect();
                         ids.sort_unstable();
                         ids.dedup();
                         PtsSet::sorted_from_ascending(ids).expect("sorted and deduplicated")
                     } else {
-                        scratch.add(first.as_set());
-                        for p in rest {
-                            scratch.add(row(p).as_set());
-                        }
+                        rows.for_each(|r| scratch.add(r));
                         scratch.take()
                     };
-                    interner.intern_owned(union).0.share()
+                    interner.intern(union).0
                 }
-            })
-            .collect();
+            };
+            collapsed.push(id);
+        }
         AnalysisResult {
             arena,
             objs,
             ptr_keys,
             ptr_map,
-            pts,
+            sets: interner.into_sets(),
+            row_set,
             redirect,
             var_ptrs,
             collapsed,
@@ -320,11 +325,11 @@ impl AnalysisResult {
     /// Returns the context-insensitively collapsed points-to set of
     /// `var`: the union over all contexts. Borrows from a cache built
     /// at result assembly (variables with identical collapsed sets
-    /// share one interned allocation); the empty set if `var` never
+    /// share one stored set); the empty set if `var` never
     /// arose. Use [`PtsSet::to_vec`] for an owned, sorted `Vec`.
     pub fn points_to_collapsed(&self, var: VarId) -> &PtsSet<ObjId> {
         match self.var_ptrs.slot(var.as_u32()) {
-            Some(slot) => &self.collapsed[slot],
+            Some(slot) => &self.sets[self.collapsed[slot] as usize],
             None => &EMPTY_PTS,
         }
     }
@@ -348,8 +353,8 @@ impl AnalysisResult {
 
     /// Resolves a pointer through the cycle-collapse redirect table to
     /// the set its representative owns.
-    fn resolved(&self, p: PtrId) -> &PtsSet<ObjId> {
-        self.pts[self.redirect[p.index()] as usize].as_set()
+    pub(crate) fn resolved(&self, p: PtrId) -> &PtsSet<ObjId> {
+        &self.sets[self.row_set[self.redirect[p.index()] as usize] as usize]
     }
 
     /// Iterates over all `(object, field, points-to set)` triples — the

@@ -5,9 +5,9 @@
 //! the solver's private data structures. [`extract`] flattens a result
 //! into [`RawResult`] — plain integer tables with **every unique
 //! points-to set stored once** (rows reference set indices, mirroring
-//! the solver's hash-consing interner) — and [`restore`] rebuilds a
-//! fully functional result from one, re-interning the sets into a
-//! fresh [`SetInterner`] so handle-equality fast paths work exactly as
+//! the result's own table of unique sets) — and [`restore`] rebuilds a
+//! fully functional result from one, interning the sets into a fresh
+//! [`SetInterner`] so content-equal rows share one set id, exactly as
 //! they do after a live run.
 //!
 //! # Round-trip guarantees
@@ -34,7 +34,7 @@
 //! checksums still cannot make any later query panic. Failures return
 //! [`RestoreError`] with a human-readable detail.
 
-use pts::{PtsHandle, PtsSet, SetInterner};
+use pts::{PtsSet, SetInterner};
 
 use crate::context::{ContextArena, CtxElem, CtxId};
 use crate::object::{ObjId, ObjTable};
@@ -172,36 +172,24 @@ pub fn extract(result: &AnalysisResult) -> RawResult {
         })
         .collect();
 
-    // Unique-set table: rows with equal contents (the solver's
-    // finalize, like `restore`, seals every row into one interner)
-    // carry one interned id, so a table indexed by id finds each set's
-    // index without hashing. Ordering is first occurrence, which is
-    // deterministic because the row order is. A row sealed elsewhere
-    // or not at all gets its own entry.
-    let generation = result.pts.first().and_then(|h| h.interned_id()).map(|(g, _)| g);
-    let id_of = |h: &PtsHandle<ObjId>| match h.interned_id() {
-        Some((g, id)) if Some(g) == generation => Some(id as usize),
-        _ => None,
-    };
-    let id_span = result.pts.iter().filter_map(id_of).max().map_or(0, |m| m + 1);
-    let mut set_of_id = vec![u32::MAX; id_span];
+    // Unique-set table: rows with equal contents share one set id, so
+    // a table indexed by id finds each set's index without hashing.
+    // Ordering is first occurrence, which is deterministic because the
+    // row order is.
+    let mut index_of_id = vec![u32::MAX; result.sets.len()];
     let mut sets: Vec<Vec<u32>> = Vec::new();
-    let mut row_set = Vec::with_capacity(result.pts.len());
-    for handle in &result.pts {
-        let id = id_of(handle);
-        let idx = match id.map(|id| set_of_id[id]) {
-            Some(idx) if idx != u32::MAX => idx,
-            _ => {
-                let idx = u32::try_from(sets.len()).expect("set table fits u32");
-                sets.push(handle.as_set().iter().map(|o| o.0).collect());
-                if let Some(id) = id {
-                    set_of_id[id] = idx;
-                }
-                idx
+    let row_set = result
+        .row_set
+        .iter()
+        .map(|&id| {
+            let idx = &mut index_of_id[id as usize];
+            if *idx == u32::MAX {
+                *idx = u32::try_from(sets.len()).expect("set table fits u32");
+                sets.push(result.sets[id as usize].iter().map(|o| o.0).collect());
             }
-        };
-        row_set.push(idx);
-    }
+            *idx
+        })
+        .collect();
 
     let mut reachable: Vec<(u32, u32)> = result
         .reachable
@@ -283,10 +271,10 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         Err(e) => return err(e),
     };
 
-    // Unique sets, re-interned so content-equal rows share one
-    // allocation and sealed-handle comparisons fast-path.
-    let interner = SetInterner::<ObjId>::new();
-    let mut handles: Vec<PtsHandle<ObjId>> = Vec::with_capacity(raw.sets.len());
+    // Unique sets, interned so content-equal rows share one set id even
+    // where the file lists a content twice.
+    let mut interner = SetInterner::<ObjId>::new();
+    let mut set_ids: Vec<u32> = Vec::with_capacity(raw.sets.len());
     for (i, elems) in raw.sets.into_iter().enumerate() {
         if let Some(&e) = elems.iter().find(|&&e| !objs.has_id(e)) {
             return err(format!("set {i}: unknown object id {e}"));
@@ -301,7 +289,7 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         let Some(set) = set else {
             return err(format!("set {i}: elements not strictly ascending"));
         };
-        handles.push(interner.intern_owned(set).0);
+        set_ids.push(interner.intern(set).0);
     }
 
     // Pointer rows.
@@ -338,15 +326,15 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         }
         ptr_keys.push(key);
     }
-    let mut pts = Vec::with_capacity(n);
+    let mut row_set = Vec::with_capacity(n);
     for (i, (&r, &s)) in raw.redirect.iter().zip(&raw.row_set).enumerate() {
         if r as usize >= n {
             return err(format!("pointer {i}: redirect {r} out of bounds"));
         }
-        if s as usize >= handles.len() {
+        let Some(&id) = set_ids.get(s as usize) else {
             return err(format!("pointer {i}: set index {s} out of bounds"));
-        }
-        pts.push(handles[s as usize].clone());
+        };
+        row_set.push(id);
     }
 
     // Reachability and the call graph.
@@ -374,8 +362,8 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         objs,
         ptr_keys,
         ptr_map,
-        pts,
-        &interner,
+        row_set,
+        interner,
         raw.redirect,
         reachable,
         reachable_methods,
@@ -449,6 +437,36 @@ mod tests {
         let raw = extract(&r);
         let restored = restore(raw.clone()).expect("restores");
         assert_eq!(raw, extract(&restored), "extract ∘ restore is the identity on raw tables");
+    }
+
+    /// A file that lists one content twice, with rows pointing at
+    /// both copies, restores to one set id for both rows, answers every
+    /// query as before, and extracts the content once.
+    #[test]
+    fn restore_merges_a_content_listed_twice() {
+        let (p, r) = result(true);
+        let good = extract(&r);
+        let mut rows_of = vec![Vec::new(); good.sets.len()];
+        for (row, &s) in good.row_set.iter().enumerate() {
+            rows_of[s as usize].push(row);
+        }
+        let shared = (0..good.sets.len())
+            .find(|&s| !good.sets[s].is_empty() && rows_of[s].len() >= 2)
+            .expect("two rows share a non-empty set");
+        let (a, b) = (rows_of[shared][0], rows_of[shared][1]);
+        let mut dup = good.clone();
+        dup.sets.push(good.sets[shared].clone());
+        dup.row_set[b] = (dup.sets.len() - 1) as u32;
+
+        let restored = restore(dup).expect("restores");
+        assert_eq!(restored.row_set[a], restored.row_set[b], "one set id for both copies");
+        assert_eq!(restored.sets.len(), r.sets.len(), "the copy adds no set");
+        assert_same_answers(&p, &r, &restored, |id| id);
+        for i in 0..r.pointer_count() {
+            let ptr = PtrId(i as u32);
+            assert_eq!(r.resolved(ptr), restored.resolved(ptr), "pointer {i}");
+        }
+        assert_eq!(extract(&restored), good, "the content is written once");
     }
 
     #[test]
@@ -615,11 +633,11 @@ mod tests {
         assert_same_answers(&p, &r, &restored, map);
         let merged = (0..restored.var_ptrs.slot_count())
             .filter(|&s| restored.var_ptrs.at(s).len() > 1)
-            .map(|s| restored.collapsed[s].len())
+            .map(|s| restored.sets[restored.collapsed[s] as usize].len())
             .max();
         assert_eq!(merged, Some(42), "a collapsed union over two contexts");
-        let rows = restored.pts.iter().map(|h| h.as_set());
-        for set in rows.chain(restored.collapsed.iter().map(|s| &**s)) {
+        // The table holds every row's set and every collapsed union.
+        for set in &restored.sets {
             let (n, words) = (set.len(), set.mem_words());
             assert!(words <= n, "{n} objects in {words} words");
         }

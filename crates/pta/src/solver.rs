@@ -96,17 +96,17 @@
 //! contexts): on pmd@4 2cs the 217,171 rows hold 3,839,563 words when
 //! the fixpoint ends and 31,722 distinct words, 121× less. Finalize
 //! therefore *seals* every non-empty row exactly once, in row order,
-//! into a finalize-local [`pts::SetInterner`] keyed by a fingerprint of
-//! the set's nonzero bitmap words ([`pts::PtsSet::fingerprint`]):
-//! identical rows collapse onto one shared, id-stamped
-//! [`pts::PtsHandle`], and only a content not seen before is wrapped in
-//! an `Arc` ([`pts::SetInterner::intern_owned`]). Sealing changes
-//! allocation identity, never content, so every golden parity
-//! fingerprint is preserved bit for bit.
+//! into one [`pts::SetInterner`], a table of unique sets
+//! keyed by a fingerprint of the set's nonzero bitmap words
+//! ([`pts::PtsSet::fingerprint`]): a row becomes the set id of its
+//! content, and only a content not seen before is kept
+//! ([`pts::SetInterner::intern`]). The result holds that table and one
+//! set id per row. Sealing drops duplicate copies, never changes
+//! content, so every golden parity fingerprint is preserved bit for
+//! bit.
 //!
 //! Sealing only at finalize gives nothing up: a sweep every 64 waves
-//! during the fixpoint would need handles (an `Arc` and an atomic
-//! refcount per row) and would never fire on a measured run, since the
+//! during the fixpoint would never fire on a measured run, since the
 //! most waves any takes is 47 (every Table 2 cell and ci of all twelve
 //! programs at scale 6). `pta.pts_interned` /
 //! `pta.pts_dedup_hits` / `pta.intern_probe_ns` report the seal's work;
@@ -125,7 +125,7 @@ use jir::{
 use obs::timeline::{
     HotPointer, MemoryBreakdown, WaveRecord, LEVEL_MIXED, LEVEL_OVERHEAD, LEVEL_SEED,
 };
-use pts::{IdRanges, PtsHandle, PtsSet, SetInterner};
+use pts::{IdRanges, PtsSet, SetInterner};
 
 use crate::context::{ContextArena, ContextSelector, CtxId};
 use crate::heap::HeapAbstraction;
@@ -711,15 +711,15 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
         }
         self.publish_timeline_tables();
-        let interner = SetInterner::new();
-        let pts = self.seal_rows(&interner, 0);
+        let mut interner = SetInterner::new();
+        let row_set = self.seal_rows(&mut interner, 0);
         let result = AnalysisResult::from_parts(
             self.arena,
             self.objs,
             self.ptr_keys,
             self.ptr_map,
-            pts,
-            &interner,
+            row_set,
+            interner,
             self.dsu.snapshot(),
             self.reachable,
             self.reachable_methods,
@@ -750,7 +750,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // An aborted run may still be the process peak: the seal's
         // memory sample covers whatever `pts_peak_words` the bench
         // record ends up reporting.
-        self.seal_rows(&SetInterner::new(), self.stats.wave_rounds as u32);
+        self.seal_rows(&mut SetInterner::new(), self.stats.wave_rounds as u32);
         self.tl.flush_residual();
         self.stats.elapsed = self.start.elapsed();
         self.stats.publish();
@@ -772,29 +772,29 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stats.mask_ranges = self.ranges.values().map(|r| r.run_count() as u64).sum();
     }
 
-    /// Seals every row once, in row order, into `interner`: an empty
-    /// row takes the interner's empty handle, a non-empty one goes
-    /// through [`SetInterner::intern_owned`], which allocates only for
-    /// a content it has not seen. The misses' words are the physical
-    /// footprint (`pts_peak_words`), every row's words the logical one.
-    /// Takes the timeline's memory sample (`wave` 0 = finalize).
-    fn seal_rows(&mut self, interner: &SetInterner<ObjId>, wave: u32) -> Vec<PtsHandle<ObjId>> {
+    /// Seals every row once, in row order, into `interner` and returns
+    /// each row's set id: an empty row takes the pre-interned empty
+    /// set, a non-empty one goes through [`SetInterner::intern`], which
+    /// keeps only a content it has not seen. The misses' words are the
+    /// physical footprint (`pts_peak_words`), every row's words the
+    /// logical one. Takes the timeline's memory sample (`wave` 0 =
+    /// finalize).
+    fn seal_rows(&mut self, interner: &mut SetInterner<ObjId>, wave: u32) -> Vec<u32> {
         let t0 = Instant::now();
-        let empty = interner.empty_handle();
         let (mut physical, mut logical) = (0u64, 0u64);
         let rows = std::mem::take(&mut self.pts)
             .into_iter()
             .map(|set| {
                 if set.is_empty() {
-                    return empty.clone();
+                    return SetInterner::<ObjId>::EMPTY;
                 }
                 let words = set.mem_words() as u64;
-                let (handle, fresh) = interner.intern_owned(set);
+                let (id, fresh) = interner.intern(set);
                 logical += words;
                 if fresh {
                     physical += words;
                 }
-                handle
+                id
             })
             .collect();
         self.stats.intern_probe_ns += t0.elapsed().as_nanos() as u64;

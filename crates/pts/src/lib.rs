@@ -25,10 +25,8 @@
 //!   contribution of a delta to a copy edge's target (`self \ other`,
 //!   optionally restricted to a cast's id runs), computed read-only;
 //! - [`PtsSet::union_with`] — ORs a contribution into the target row
-//!   (or a pending delta) without building a delta;
-//! - [`PtsSet::union_into`] — unions `self` into a target and returns
-//!   the **delta** (the elements genuinely new to the target) as a
-//!   fresh set. An empty delta means the edge is quiescent.
+//!   (or a pending delta) without building a delta. An empty
+//!   contribution means the edge is quiescent.
 //!
 //! Each reads the other operand a word at a time, whatever its
 //! representation, and builds its output a word at a time: a small
@@ -48,18 +46,16 @@
 //! tests use `u32`.
 //!
 //! Sets that live long enough to repeat — the rows of a finished
-//! analysis result — go behind the
-//! hash-consing layer in [`intern`]: a sharded [`intern::SetInterner`]
-//! deduplicates identical contents and hands out copy-on-write
-//! [`intern::PtsHandle`]s whose equality fast-paths on the interned
-//! id.
+//! analysis result — are stored once each in an
+//! [`intern::SetInterner`], a table of unique sets that names each
+//! distinct content by a dense set id.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod intern;
 
-pub use intern::{PtsHandle, SetInterner};
+pub use intern::SetInterner;
 
 use std::marker::PhantomData;
 
@@ -214,11 +210,12 @@ enum Repr {
 /// # Examples
 ///
 /// ```
-/// let mut a: pts::PtsSet<u32> = [1u32, 5, 3].into_iter().collect();
+/// let a: pts::PtsSet<u32> = [1u32, 5, 3].into_iter().collect();
 /// let mut target = pts::PtsSet::new();
 /// target.insert(3u32);
-/// let delta = a.union_into(&mut target);
+/// let delta = a.difference(&target);
 /// assert_eq!(delta.to_vec(), vec![1, 5]); // 3 was already present
+/// target.union_with(&delta);
 /// assert_eq!(target.len(), 3);
 /// ```
 #[derive(Clone)]
@@ -374,40 +371,6 @@ impl<T: Elem> PtsSet<T> {
     /// callers that need owned data.
     pub fn to_vec(&self) -> Vec<T> {
         self.iter().collect()
-    }
-
-    /// Unions `self` into `target`; returns the delta (elements of
-    /// `self` that were new to `target`). A dense source promotes the
-    /// target and runs one word-wise pass that ORs each word into the
-    /// target and appends its new bits to the delta a word at a time; a
-    /// small source (at most [`SMALL_MAX`] elements) inserts element by
-    /// element.
-    pub fn union_into(&self, target: &mut PtsSet<T>) -> PtsSet<T> {
-        let mut delta = PtsSet::new();
-        match &self.repr {
-            // The union makes the target a superset of a dense source,
-            // so promoting it is never premature.
-            Repr::Dense { words, .. } => {
-                let (tw, tlen) = target.dense_mut(words.len());
-                for (w, (t, &s)) in tw.iter_mut().zip(words.iter()).enumerate() {
-                    let add = s & !*t;
-                    if add != 0 {
-                        *t |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
-                    }
-                }
-            }
-            Repr::Small(v) => {
-                for &i in v {
-                    let e = T::from_index(i as usize);
-                    if target.insert(e) {
-                        delta.insert(e);
-                    }
-                }
-            }
-        }
-        delta
     }
 
     /// Promotes `self` to a bitmap of at least `n_words` words and
@@ -624,22 +587,6 @@ impl<T: Elem> PtsSet<T> {
                 };
                 scan.iter().any(|e| probe.contains(e))
             }
-        }
-    }
-
-    /// Whether every element of `self` is also in `other`. Dense
-    /// pairs compare word-wise; mixed pairs walk the (smaller) left
-    /// side.
-    pub fn is_subset(&self, other: &PtsSet<T>) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        match (&self.repr, &other.repr) {
-            (Repr::Dense { words: a, .. }, Repr::Dense { words: b, .. }) => a
-                .iter()
-                .enumerate()
-                .all(|(i, &x)| x & !b.get(i).copied().unwrap_or(0) == 0),
-            _ => self.iter().all(|e| other.contains(e)),
         }
     }
 
@@ -952,17 +899,6 @@ mod tests {
         assert_eq!(s.to_vec(), expected);
         assert!(s.contains(7));
         assert!(!s.contains(8));
-    }
-
-    #[test]
-    fn union_into_returns_exact_delta() {
-        let src: PtsSet<u32> = [1u32, 2, 3, 200].into_iter().collect();
-        let mut target: PtsSet<u32> = [2u32, 100].into_iter().collect();
-        let delta = src.union_into(&mut target);
-        assert_eq!(delta.to_vec(), vec![1, 3, 200]);
-        assert_eq!(target.to_vec(), vec![1, 2, 3, 100, 200]);
-        // Second union is quiescent.
-        assert!(src.union_into(&mut target).is_empty());
     }
 
     #[test]

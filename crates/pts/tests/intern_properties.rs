@@ -1,198 +1,94 @@
-//! Randomized property tests for interned, copy-on-write [`PtsHandle`]s
-//! against two oracles: a plain (never-interned) `PtsSet` mirroring
-//! every mutation, and a `BTreeSet` mirroring contents.
+//! Randomized property tests for [`SetInterner`] against a map from
+//! `BTreeSet` contents to the id each content was first given.
 //!
 //! Driven by the in-tree SplitMix64 PRNG (`obs::rng`) so runs are
-//! deterministic and reproducible. Each trial interleaves inserts,
-//! unions, and difference-then-union steps through `make_mut` with
-//! seal sweeps at a random cadence — every mutate-a-while-then-seal
-//! lifecycle a handle can live through — and asserts that sealing never changes
-//! content, that handle equality coincides with content equality, and
-//! that the handle fast paths (`intersects`, `is_subset`) agree with
-//! the structural answers.
+//! deterministic and reproducible. Each trial interns owned sets drawn
+//! from a small pool of contents, each built in a random
+//! representation — small, dense, dense with trailing zero words, or a
+//! sorted vec past [`SMALL_MAX`] — and asserts that ids are equal
+//! exactly when contents are, that ids follow first occurrence after
+//! the empty set's id 0, that `get` returns the content interned, and
+//! that every call is either one new content or one dedup hit.
 
 use obs::rng::SplitMix64;
-use pts::{PtsHandle, PtsSet, SetInterner, SMALL_MAX};
-use std::collections::BTreeSet;
+use pts::{PtsSet, SetInterner, SMALL_MAX};
+use std::collections::{BTreeMap, BTreeSet};
 
 const UNIVERSE: u64 = 700;
 
-fn assert_matches(set: &PtsSet<u32>, oracle: &BTreeSet<u32>, ctx: &str) {
-    assert_eq!(set.len(), oracle.len(), "len mismatch: {ctx}");
-    let got: Vec<u32> = set.iter().collect();
-    let want: Vec<u32> = oracle.iter().copied().collect();
-    assert_eq!(got, want, "iter/order mismatch: {ctx}");
+fn random_content(rng: &mut SplitMix64) -> BTreeSet<u32> {
+    let n = rng.below(4 * SMALL_MAX as u64);
+    (0..n).map(|_| rng.below(UNIVERSE) as u32).collect()
 }
 
-fn random_set(rng: &mut SplitMix64, max_len: u64) -> (PtsSet<u32>, BTreeSet<u32>) {
-    let n = rng.below(max_len);
-    let mut set = PtsSet::new();
-    let mut oracle = BTreeSet::new();
-    for _ in 0..n {
-        let v = rng.below(UNIVERSE) as u32;
-        set.insert(v);
-        oracle.insert(v);
-    }
-    (set, oracle)
-}
-
-/// A solver-row stand-in: the interned handle under test plus its two
-/// oracles.
-struct Row {
-    handle: PtsHandle<u32>,
-    plain: PtsSet<u32>,
-    oracle: BTreeSet<u32>,
-}
-
-#[test]
-fn interned_rows_match_plain_sets_under_mutation_and_sealing() {
-    let mut rng = SplitMix64::new(0x517cc1b727220a95);
-    let interner = SetInterner::new();
-    for trial in 0..60 {
-        let mut rows: Vec<Row> = (0..8)
-            .map(|_| Row {
-                handle: interner.empty_handle(),
-                plain: PtsSet::new(),
-                oracle: BTreeSet::new(),
-            })
-            .collect();
-        let ops = 40 + rng.below(80);
-        for op in 0..ops {
-            let i = rng.below(rows.len() as u64) as usize;
-            match rng.below(4) {
-                0 => {
-                    let v = rng.below(UNIVERSE) as u32;
-                    rows[i].handle.make_mut().insert(v);
-                    rows[i].plain.insert(v);
-                    rows[i].oracle.insert(v);
-                }
-                1 => {
-                    let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-                    rows[i].handle.make_mut().union_with(&src);
-                    rows[i].plain.union_with(&src);
-                    rows[i].oracle.extend(src_o);
-                }
-                // The solver's propagation step: the read-only
-                // contribution first, then a word-wise OR into the row.
-                2 => {
-                    let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-                    let d = src.difference(&rows[i].handle);
-                    assert_eq!(d, src.difference(&rows[i].plain), "contribution");
-                    rows[i].handle.make_mut().union_with(&d);
-                    rows[i].plain.union_with(&d);
-                    rows[i].oracle.extend(src_o);
-                }
-                // Copy another row wholesale — the solver's
-                // handle-sharing move (collapsed-cache fast path).
-                _ => {
-                    let j = rng.below(rows.len() as u64) as usize;
-                    let (handle, plain, oracle) =
-                        (rows[j].handle.clone(), rows[j].plain.clone(), rows[j].oracle.clone());
-                    rows[i] = Row { handle, plain, oracle };
-                }
+/// `content` built in representation `kind` (0..4): element by
+/// element, a cleared bitmap refilled, the same with trailing zero
+/// words, or a sorted vec of any length.
+fn build(content: &BTreeSet<u32>, kind: u64) -> PtsSet<u32> {
+    let ids = content.iter().copied();
+    match kind {
+        0 => ids.collect(),
+        1 | 2 => {
+            let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
+            dense.clear();
+            dense.extend(ids);
+            if kind == 2 {
+                let high = UNIVERSE as u32 + 640;
+                dense.insert(high);
+                dense.remove(high);
             }
-            // Seal sweeps at a random cadence, mid-mutation: sealing
-            // must never change content, only allocation identity.
-            if rng.below(7) == 0 {
-                for row in &mut rows {
-                    row.handle.seal(&interner);
-                    assert!(row.handle.is_sealed());
-                }
-                interner.evict_dead();
-            }
-            let ctx = format!("trial {trial}, op {op}");
-            for (k, row) in rows.iter().enumerate() {
-                assert_matches(&row.handle, &row.oracle, &format!("row {k}, {ctx}"));
-                assert_eq!(*row.handle.as_set(), row.plain, "plain oracle, row {k}, {ctx}");
-            }
+            dense
         }
-        // Final sweep, then the global invariants over all row pairs.
-        for row in &mut rows {
-            row.handle.seal(&interner);
-        }
-        for a in 0..rows.len() {
-            for b in 0..rows.len() {
-                let ctx = format!("rows {a}/{b}, trial {trial}");
-                // Handle equality ⇔ content equality, sealed or not.
-                assert_eq!(
-                    rows[a].handle == rows[b].handle,
-                    rows[a].oracle == rows[b].oracle,
-                    "handle equality: {ctx}"
-                );
-                // Fast-pathed queries agree with the oracles.
-                assert_eq!(
-                    rows[a].handle.intersects(&rows[b].handle),
-                    !rows[a].oracle.is_disjoint(&rows[b].oracle),
-                    "intersects: {ctx}"
-                );
-                assert_eq!(
-                    rows[a].handle.is_subset(&rows[b].handle),
-                    rows[a].oracle.is_subset(&rows[b].oracle),
-                    "is_subset: {ctx}"
-                );
-            }
-        }
-    }
-    assert!(interner.dedup_hits() > 0, "trials never shared a sealed allocation");
-}
-
-/// Content-equal sets sealed against one interner share one allocation;
-/// diverging a shared handle through `make_mut` never disturbs the
-/// other owners (copy-on-write).
-#[test]
-fn sealing_shares_and_make_mut_unshares() {
-    let mut rng = SplitMix64::new(0x6a09e667f3bcc909);
-    let interner = SetInterner::new();
-    for trial in 0..100 {
-        let (set, oracle) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let mut a = PtsHandle::from_set(set.clone());
-        // Rebuild b independently (different allocation, same content).
-        let mut b = PtsHandle::from_set(oracle.iter().copied().collect::<PtsSet<u32>>());
-        assert_ne!(a.addr(), b.addr(), "pre-seal sharing is impossible, trial {trial}");
-        a.seal(&interner);
-        b.seal(&interner);
-        assert_eq!(a.addr(), b.addr(), "seal did not dedup, trial {trial}");
-        assert_eq!(a, b, "handles disagree after seal, trial {trial}");
-
-        let probe = rng.below(UNIVERSE) as u32;
-        let b_before = b.as_set().clone();
-        let changed = a.make_mut().insert(probe);
-        assert!(!a.is_sealed(), "make_mut must mark the handle dirty, trial {trial}");
-        assert_eq!(*b.as_set(), b_before, "CoW leaked into the shared owner, trial {trial}");
-        assert_eq!(a == b, !changed, "equality after divergence, trial {trial}");
+        _ => PtsSet::sorted_from_ascending(ids.collect()).expect("ascending"),
     }
 }
 
-/// Representation twins — a small set, its forced-dense copy, and a
-/// dense copy with trailing zero words — seal onto one interned id and
-/// one allocation.
 #[test]
 fn interner_dedups_representation_twins() {
-    let mut rng = SplitMix64::new(0xa4093822299f31d0);
+    let mut rng = SplitMix64::new(0x517cc1b727220a95);
     for trial in 0..100 {
-        let interner = SetInterner::new();
-        let (canonical, oracle) = random_set(&mut rng, 3 * SMALL_MAX as u64);
-        let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
-        dense.clear();
-        dense.extend(oracle.iter().copied());
-        let mut trailing = dense.clone();
-        let high = UNIVERSE as u32 + 640;
-        trailing.insert(high);
-        trailing.remove(high);
-        let mut handles: Vec<PtsHandle<u32>> = [canonical, dense, trailing]
-            .into_iter()
-            .map(PtsHandle::from_set)
+        let mut interner = SetInterner::new();
+        let pool: Vec<BTreeSet<u32>> = (0..12)
+            .map(|i| if i == 0 { BTreeSet::new() } else { random_content(&mut rng) })
             .collect();
-        for h in &mut handles {
-            h.seal(&interner);
+        // Content → the id it must get: the empty set's is 0, every
+        // other content's the next id at its first occurrence.
+        let mut want: BTreeMap<&BTreeSet<u32>, u32> = BTreeMap::new();
+        want.insert(&pool[0], SetInterner::<u32>::EMPTY);
+        let mut seen: Vec<(&BTreeSet<u32>, u32)> = Vec::new();
+        let calls = 40 + rng.below(40);
+        for call in 0..calls {
+            let content = &pool[rng.below(pool.len() as u64) as usize];
+            let kind = rng.below(4);
+            let ctx = format!("trial {trial}, call {call}, representation {kind}");
+            let next = want.len() as u32;
+            let first = !want.contains_key(content);
+            let expected = *want.entry(content).or_insert(next);
+            let (id, fresh) = interner.intern(build(content, kind));
+            assert_eq!(id, expected, "id, {ctx}");
+            assert_eq!(fresh, first, "fresh, {ctx}");
+            let got: BTreeSet<u32> = interner.get(id).iter().collect();
+            assert_eq!(&got, content, "get, {ctx}");
+            seen.push((content, id));
         }
-        for h in &handles[1..] {
-            assert_eq!(h.addr(), handles[0].addr(), "twin kept its own allocation, trial {trial}");
-            assert_eq!(*h, handles[0], "twins compare unequal, trial {trial}");
+        for &(a, id_a) in &seen {
+            for &(b, id_b) in &seen {
+                assert_eq!(id_a == id_b, a == b, "ids equal iff contents equal, trial {trial}");
+            }
         }
-        // The empty set is pre-interned; any other content adds one.
-        let want = if oracle.is_empty() { 1 } else { 2 };
-        assert_eq!(interner.interned(), want, "interned count, trial {trial}");
-        assert_matches(&handles[0], &oracle, &format!("trial {trial}"));
+        assert_eq!(interner.interned(), want.len() as u64, "trial {trial}");
+        assert_eq!(
+            interner.interned() - 1 + interner.dedup_hits(),
+            calls,
+            "every call is one miss or one hit, trial {trial}"
+        );
+        let mut by_id: Vec<(u32, &BTreeSet<u32>)> = want.iter().map(|(c, &id)| (id, *c)).collect();
+        by_id.sort();
+        let sets = interner.into_sets();
+        assert_eq!(sets.len(), by_id.len(), "trial {trial}");
+        for (set, (id, content)) in sets.iter().zip(by_id) {
+            let got: BTreeSet<u32> = set.iter().collect();
+            assert_eq!(&got, content, "set {id} of into_sets, trial {trial}");
+        }
     }
 }

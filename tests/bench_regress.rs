@@ -23,8 +23,10 @@
 //! Wall-clock itself is measured by the `perfbench` benchmark (see
 //! `BENCHMARK.json`); counters, not seconds, are what CI can assert on.
 
+use std::sync::OnceLock;
+
 use bench::{HeapKind, Sensitivity};
-use mahjong::MahjongConfig;
+use mahjong::{MahjongConfig, MahjongStats};
 use pta::{AllocSiteAbstraction, AnalysisConfig, Budget, CallSiteSensitive};
 
 /// 1.10 × the `worklist_pops` measured for this exact configuration
@@ -50,16 +52,24 @@ fn worklist_pops_does_not_regress() {
     );
 }
 
+/// The Mahjong merge of luindex@2 under the default configuration,
+/// built once and shared by the two Mahjong guards below.
+fn luindex2_mahjong_stats() -> &'static MahjongStats {
+    static STATS: OnceLock<MahjongStats> = OnceLock::new();
+    STATS.get_or_init(|| {
+        let w = workloads::dacapo::workload("luindex", 2);
+        let prepared_pre = pta::pre_analysis(&w.program).expect("pre-analysis fits");
+        mahjong::build_heap_abstraction(&w.program, &prepared_pre, &MahjongConfig::default()).stats
+    })
+}
+
 /// The Mahjong merge phase on the fixed workload: equivalence is
 /// decided by the one refinement of the shared machine (the pairwise
 /// Hopcroft–Karp oracle is never on this path), and it still finds
 /// equivalent objects among the single-type candidates.
 #[test]
 fn mahjong_fast_path_stays_hk_free() {
-    let w = workloads::dacapo::workload("luindex", 2);
-    let prepared_pre = pta::pre_analysis(&w.program).expect("pre-analysis fits");
-    let out = mahjong::build_heap_abstraction(&w.program, &prepared_pre, &MahjongConfig::default());
-    let stats = &out.stats;
+    let stats = luindex2_mahjong_stats();
     assert!(stats.dfa_built > 0, "merge phase found no single-type candidates");
     assert!(stats.refine_rounds > 0, "no refinement ran over the shared machine");
     assert!(
@@ -91,10 +101,7 @@ const MAHJONG_REFINE_ROUNDS_BOUND: usize = 2;
 /// bounded size, refined in a bounded number of rounds.
 #[test]
 fn mahjong_machine_work_within_bounds() {
-    let w = workloads::dacapo::workload("luindex", 2);
-    let prepared_pre = pta::pre_analysis(&w.program).expect("pre-analysis fits");
-    let out = mahjong::build_heap_abstraction(&w.program, &prepared_pre, &MahjongConfig::default());
-    let stats = &out.stats;
+    let stats = luindex2_mahjong_stats();
     assert!(
         stats.machine_states <= MAHJONG_MACHINE_STATES_BOUND,
         "machine_states regressed: {} > bound {MAHJONG_MACHINE_STATES_BOUND} \
