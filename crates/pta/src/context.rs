@@ -18,6 +18,8 @@
 //! method analyzed under a depth-`k` context receives the most recent
 //! `k - 1` elements of that context (paper Section 3.6.1).
 
+use std::sync::Arc;
+
 use jir::{AllocId, CallSiteId, ClassId, MethodId, Program};
 
 use crate::object::{ObjId, ObjTable};
@@ -66,12 +68,13 @@ impl std::fmt::Debug for CtxId {
 /// once per dispatched receiver and per allocation, and almost always
 /// hit an existing context. They build the candidate in one reused
 /// scratch buffer and probe the map with a borrowed `&[CtxElem]`
-/// (`Vec<T>: Borrow<[T]>` hashes identically), so a hit allocates
-/// nothing; only a miss copies the candidate into a fresh `Vec`.
+/// (`Arc<[T]>: Borrow<[T]>` hashes identically), so a hit allocates
+/// nothing. A miss copies the candidate once, into a shared slice that
+/// both the id table and the map hold.
 #[derive(Debug)]
 pub struct ContextArena {
-    ctxs: Vec<Vec<CtxElem>>,
-    map: FastMap<Vec<CtxElem>, CtxId>,
+    ctxs: Vec<Arc<[CtxElem]>>,
+    map: FastMap<Arc<[CtxElem]>, CtxId>,
     /// Candidate buffer of the allocation-free probes.
     scratch: Vec<CtxElem>,
 }
@@ -108,9 +111,10 @@ impl ContextArena {
         if ctxs.first().map(Vec::as_slice) != Some(&[]) {
             return Err("context 0 is not the empty context".to_owned());
         }
+        let ctxs: Vec<Arc<[CtxElem]>> = ctxs.into_iter().map(Arc::from).collect();
         let mut map = FastMap::default();
         for (i, elems) in ctxs.iter().enumerate() {
-            if map.insert(elems.clone(), CtxId(i as u32)).is_some() {
+            if map.insert(Arc::clone(elems), CtxId(i as u32)).is_some() {
                 return Err(format!("duplicate context at index {i}"));
             }
         }
@@ -123,27 +127,28 @@ impl ContextArena {
 
     /// Interns a context, returning its id.
     pub fn intern(&mut self, elems: Vec<CtxElem>) -> CtxId {
-        match self.map.get(&elems) {
-            Some(&id) => id,
-            None => self.push_new(elems),
-        }
+        self.intern_slice(&elems)
     }
 
-    /// Registers a context known to be absent from the map.
-    fn push_new(&mut self, elems: Vec<CtxElem>) -> CtxId {
-        let id = CtxId(u32::try_from(self.ctxs.len()).expect("too many contexts"));
-        self.map.insert(elems.clone(), id);
-        self.ctxs.push(elems);
+    /// Interns the contents of the scratch buffer.
+    fn intern_scratch(&mut self) -> CtxId {
+        let scratch = std::mem::take(&mut self.scratch);
+        let id = self.intern_slice(&scratch);
+        self.scratch = scratch;
         id
     }
 
-    /// Interns the contents of the scratch buffer: a borrowed-slice
-    /// probe first, an owned copy only on a miss.
-    fn intern_scratch(&mut self) -> CtxId {
-        match self.map.get(self.scratch.as_slice()) {
-            Some(&id) => id,
-            None => self.push_new(self.scratch.clone()),
+    /// A borrowed-slice probe first; on a miss, one shared copy that
+    /// the id table and the map both hold.
+    fn intern_slice(&mut self, elems: &[CtxElem]) -> CtxId {
+        if let Some(&id) = self.map.get(elems) {
+            return id;
         }
+        let id = CtxId(u32::try_from(self.ctxs.len()).expect("too many contexts"));
+        let shared: Arc<[CtxElem]> = Arc::from(elems);
+        self.map.insert(Arc::clone(&shared), id);
+        self.ctxs.push(shared);
+        id
     }
 
     /// Returns the elements of a context.
@@ -518,7 +523,7 @@ mod tests {
 
             // The same on an arena rebuilt from its raw table.
             let raw: Vec<Vec<CtxElem>> =
-                (0..probed.len()).map(|i| probed.ctxs[i].clone()).collect();
+                (0..probed.len()).map(|i| probed.elems(CtxId(i as u32)).to_vec()).collect();
             let mut restored = ContextArena::from_raw(raw).expect("valid table");
             assert_eq!(restored.append_truncated(base, cs(4), k), miss, "k={k}: restored hit");
             let fresh = restored.append_truncated(base, cs(5), k);
@@ -529,6 +534,19 @@ mod tests {
             let last = restored.truncate(fresh, 1);
             assert_eq!(restored.elems(last), &[cs(5)], "k={k}: truncate");
         }
+    }
+
+    #[test]
+    fn from_raw_rejects_malformed_tables() {
+        let cs = |i| CtxElem::CallSite(CallSiteId::from_usize(i));
+        assert!(ContextArena::from_raw(Vec::new()).is_err(), "no context 0");
+        assert!(ContextArena::from_raw(vec![vec![cs(1)]]).is_err(), "non-empty context 0");
+        let dup = vec![vec![], vec![cs(1)], vec![cs(2)], vec![cs(1)]];
+        assert!(ContextArena::from_raw(dup).is_err(), "duplicate context");
+        let mut arena = ContextArena::from_raw(vec![vec![], vec![cs(1)], vec![cs(2), cs(1)]])
+            .expect("valid table");
+        assert_eq!(arena.elems(CtxId(2)), &[cs(2), cs(1)]);
+        assert_eq!(arena.intern(vec![cs(2), cs(1)]), CtxId(2), "restored contexts are interned");
     }
 
     #[test]

@@ -98,6 +98,12 @@ pub(crate) struct TopoOrder {
     preds: Vec<[u32; 2]>,
     /// Out-of-order edges awaiting repair.
     queue: Vec<(PtrId, PtrId)>,
+    /// The drained batch's buffer, handed back by
+    /// [`TopoOrder::recycle_repairs`] to become the next queue.
+    spare_queue: Vec<(PtrId, PtrId)>,
+    /// The finished side's window minus the cycle, reused across
+    /// repairs.
+    moved: Vec<u32>,
     fwd: Side,
     bwd: Side,
     /// Copy-graph edges scanned by repair searches and cycle
@@ -137,8 +143,18 @@ impl TopoOrder {
     }
 
     /// Drains the repair queue (endpoints as recorded, not normalized).
+    /// Edges queued while the batch is repaired start a new queue; hand
+    /// the batch back through [`TopoOrder::recycle_repairs`] so that
+    /// queue reuses its buffer.
     pub(crate) fn take_repairs(&mut self) -> Vec<(PtrId, PtrId)> {
-        std::mem::take(&mut self.queue)
+        let spare = std::mem::take(&mut self.spare_queue);
+        std::mem::replace(&mut self.queue, spare)
+    }
+
+    /// Keeps a repaired batch's buffer for the next queue.
+    pub(crate) fn recycle_repairs(&mut self, mut batch: Vec<(PtrId, PtrId)>) {
+        batch.clear();
+        self.spare_queue = batch;
     }
 
     /// Repairs the order for the edge `x → y` (both representatives).
@@ -177,18 +193,16 @@ impl TopoOrder {
         } else {
             FastSet::default()
         };
-        let mut moved: Vec<u32> = side
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| !cycle.contains(n))
-            .collect();
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
+        moved.extend(side.nodes.iter().copied().filter(|n| !cycle.contains(n)));
         moved.sort_unstable_by_key(|&n| (self.label[n as usize], n));
         if !self.place(&moved, anchor, side.bound, forward_done) {
             self.renumber(dsu);
             let placed = self.place(&moved, anchor, side.bound, forward_done);
             assert!(placed, "a renumbered gap always fits one window");
         }
+        self.moved = moved;
         if forward_done {
             self.fwd = side;
         } else {
@@ -432,12 +446,14 @@ mod tests {
         }
 
         fn repair(&mut self) {
-            for (x, y) in self.order.take_repairs() {
+            let batch = self.order.take_repairs();
+            for &(x, y) in &batch {
                 let (x, y) = (PtrId(self.rep(x.0)), PtrId(self.rep(y.0)));
                 if let Some(cycle) = self.order.repair(x, y, &self.succ, &self.dsu) {
                     self.collapse(&cycle);
                 }
             }
+            self.order.recycle_repairs(batch);
         }
 
         fn collapse(&mut self, members: &[u32]) {

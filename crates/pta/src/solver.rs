@@ -535,9 +535,9 @@ struct Solver<'a, S, H> {
     /// Receiver buffer of the current dispatch group, reused across
     /// [`Solver::dispatch_batch`] calls.
     dispatch_group: Vec<ObjId>,
-    /// Base objects of a load or store being registered, reused across
-    /// registrations (the replay creates pointers, so it cannot walk
-    /// the base row in place).
+    /// Base objects of a load, store or call being registered, reused
+    /// across registrations (the replay creates pointers, so it cannot
+    /// walk the base row in place).
     replay_ids: Vec<ObjId>,
 
     worklist: VecDeque<PtrId>,
@@ -896,12 +896,14 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// cycles the repairs uncover. Runs only between pops: collapse
     /// merges consumer rows, so no row may be under iteration.
     fn repair_order(&mut self) {
-        for (x, y) in self.order.take_repairs() {
+        let batch = self.order.take_repairs();
+        for &(x, y) in &batch {
             let (x, y) = (self.rep(x), self.rep(y));
             if let Some(cycle) = self.order.repair(x, y, &self.succ, &self.dsu) {
                 self.collapse_scc(&cycle);
             }
         }
+        self.order.recycle_repairs(batch);
     }
 
     /// Routes pointers dirtied since the last routing step: downstream
@@ -1332,7 +1334,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         let n_calls = self.calls[i].len();
         for k in 0..n_calls {
             let call = self.calls[i][k];
-            self.dispatch_batch(call, delta);
+            self.dispatch_batch(call, delta.iter());
         }
     }
 
@@ -1462,14 +1464,17 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             fixed_target,
         };
         self.calls[rp.index()].push(call);
-        // An owned copy: binding can grow this very row.
-        let existing = self.pts[rp.index()].clone();
-        self.dispatch_batch(call, &existing);
+        // Binding can grow this very row, so dispatch over a copy in
+        // the replay buffer.
+        let objs = self.base_objects(rp);
+        self.dispatch_batch(call, objs.iter().copied());
+        self.replay_ids = objs;
     }
 
     /// The objects of `base`'s row, in the reused replay buffer. A
-    /// load or store replays them into field pointers, and creating a
-    /// pointer grows the rows, so the row cannot stay borrowed.
+    /// load or store replays them into field pointers, and a call
+    /// dispatches over them; both create pointers, which grows the
+    /// rows, so the row cannot stay borrowed.
     fn base_objects(&mut self, base: PtrId) -> Vec<ObjId> {
         let mut objs = std::mem::take(&mut self.replay_ids);
         objs.clear();
@@ -1521,13 +1526,13 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// resolves to one method. The selector is pure, so reusing its
     /// answer creates the same contexts in the same order, with the
     /// same ids, as asking per receiver.
-    fn dispatch_batch(&mut self, call: PendingCall, objs: &PtsSet<ObjId>) {
+    fn dispatch_batch(&mut self, call: PendingCall, objs: impl IntoIterator<Item = ObjId>) {
         let mut group = std::mem::take(&mut self.dispatch_group);
         group.clear();
         let per_receiver = self.selector.reads_receiver();
         let mut cur: Option<(MethodId, CtxId)> = None;
         let mut resolved: Option<(TypeId, Option<MethodId>)> = None;
-        for obj in objs.iter() {
+        for obj in objs {
             let ty = self.objs.ty(obj);
             let target = match resolved {
                 Some((rty, t)) if rty == ty => t,

@@ -5,18 +5,25 @@
 //! of the worklist solver show two regimes: the overwhelming majority of
 //! sets hold a handful of objects (the median delta is a single object),
 //! while a few hub pointers accumulate thousands. [`PtsSet`] serves both
-//! with one type:
+//! with one 32-byte type:
 //!
-//! - **small**: a sorted, deduplicated `Vec<u32>` — cache-friendly,
-//!   four ids per cache word, cheap to scan;
+//! - **inline**: up to six sorted ids stored in the `PtsSet` itself —
+//!   no allocation to create, fill, clone or drop, which is what most
+//!   rows and deltas are;
+//! - **small**: a sorted, deduplicated heap `Vec<u32>` of up to
+//!   [`SMALL_MAX`] ids — cache-friendly and cheap to scan. An inline
+//!   set spills into it once, with room for all [`SMALL_MAX`];
 //! - **dense**: a `u64`-word bitmap once the set outgrows
 //!   [`SMALL_MAX`] elements — membership, union, and intersection
 //!   become word-wise operations, O(universe / 64) regardless of how
 //!   many objects the set holds.
 //!
+//! Inline and small sets read alike, as one sorted slice, so the
+//! kernels below have a sorted and a dense case.
+//!
 //! A bitmap is sized by the set's largest id. Where that id is
 //! untrusted (a restored snapshot), [`PtsSet::sorted_from_ascending`]
-//! keeps a set of any size in the small representation instead.
+//! keeps a set of any size sorted instead.
 //!
 //! The solver's kernels work on whole 64-bit words wherever the
 //! source operand is dense:
@@ -29,13 +36,13 @@
 //!   contribution means the edge is quiescent.
 //!
 //! Each reads the other operand a word at a time, whatever its
-//! representation, and builds its output a word at a time: a small
+//! representation, and builds its output a word at a time: a sorted
 //! output takes the word's ids, and a dense output ORs the word in.
-//! An output promotes exactly where inserting its elements one by one
-//! would, so kernel outputs have the representation (and
-//! [`PtsSet::mem_words`]) of an element-by-element build. Only a small
-//! source — at most [`SMALL_MAX`] elements — is walked element by
-//! element.
+//! An output spills and promotes exactly where inserting its elements
+//! one by one would, so kernel outputs have the representation (and
+//! [`PtsSet::mem_words`]) of an element-by-element build. Only a sorted
+//! source — at most [`SMALL_MAX`] elements, save a set built by
+//! [`PtsSet::sorted_from_ascending`] — is walked element by element.
 //!
 //! Iteration ([`PtsSet::iter`]) is always in ascending id order, borrows
 //! the set, and allocates nothing; [`PtsSet::to_vec`] is the escape
@@ -89,8 +96,8 @@ impl Elem for usize {
     }
 }
 
-/// Sets with at most this many elements stay in the sorted-vec
-/// representation; the next insertion promotes them to a bitmap.
+/// Sets with at most this many elements stay sorted (inline up to six,
+/// then in a heap vec); the next insertion promotes them to a bitmap.
 pub const SMALL_MAX: usize = 16;
 
 const WORD_BITS: usize = 64;
@@ -194,18 +201,71 @@ impl FromIterator<u32> for IdRanges {
     }
 }
 
+/// The most ids a set stores in place: as many as fit beside the
+/// length byte in the 32 bytes a heap vec or bitmap handle takes
+/// anyway (the unit tests pin that size).
+const INLINE_CAP: usize = 6;
+
 #[derive(Clone)]
 enum Repr {
-    /// Sorted ascending, deduplicated element indices: at most
-    /// [`SMALL_MAX`] of them, except in a set built by
+    /// Sorted ascending, deduplicated element indices stored in place:
+    /// the first `len` of `ids`.
+    Inline { len: u8, ids: [u32; INLINE_CAP] },
+    /// Sorted ascending, deduplicated element indices on the heap: at
+    /// most [`SMALL_MAX`] of them, except in a set built by
     /// [`PtsSet::sorted_from_ascending`].
     Small(Vec<u32>),
     /// Dense bitmap; `len` caches the population count.
     Dense { words: Vec<u64>, len: u32 },
 }
 
-/// A points-to set: hybrid sorted-vec / dense-bitmap over the indices
-/// of an [`Elem`] type.
+impl Repr {
+    /// A sorted set over the strictly ascending `ids`: in place if they
+    /// fit, else in `ids` itself.
+    fn sorted(ids: Vec<u32>) -> Repr {
+        if ids.len() <= INLINE_CAP {
+            let mut inline = [0; INLINE_CAP];
+            inline[..ids.len()].copy_from_slice(&ids);
+            Repr::Inline { len: ids.len() as u8, ids: inline }
+        } else {
+            Repr::Small(ids)
+        }
+    }
+
+    /// A bitmap over the strictly ascending `ids`, ending at the word
+    /// of the largest one or after `n_words` words, whichever is later.
+    fn dense(ids: &[u32], n_words: usize) -> Repr {
+        let top = ids.last().copied().unwrap_or(0) as usize;
+        let mut words = vec![0u64; (top / WORD_BITS + 1).max(n_words)];
+        for &i in ids {
+            words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
+        }
+        Repr::Dense { words, len: ids.len() as u32 }
+    }
+}
+
+/// A set as the read paths see it: the inline and heap sorted
+/// representations are one sorted slice.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    Sorted(&'a [u32]),
+    Dense(&'a [u64]),
+}
+
+/// The ids of the set bits of `bits`, the bitmap word whose first id is
+/// `base`, in ascending order.
+fn bit_ids(base: u32, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            base + b
+        })
+    })
+}
+
+/// A points-to set: hybrid inline / sorted-vec / dense-bitmap over the
+/// indices of an [`Elem`] type.
 ///
 /// # Examples
 ///
@@ -231,17 +291,27 @@ impl<T: Elem> Default for PtsSet<T> {
 }
 
 impl<T: Elem> PtsSet<T> {
-    /// Creates an empty set (no allocation until the first insert).
+    /// Creates an empty set. A set allocates nothing until it outgrows
+    /// its inline capacity of six elements.
     pub const fn new() -> Self {
         PtsSet {
-            repr: Repr::Small(Vec::new()),
+            repr: Repr::Inline { len: 0, ids: [0; INLINE_CAP] },
             _elem: PhantomData,
+        }
+    }
+
+    fn view(&self) -> View<'_> {
+        match &self.repr {
+            Repr::Inline { len, ids } => View::Sorted(&ids[..usize::from(*len)]),
+            Repr::Small(v) => View::Sorted(v),
+            Repr::Dense { words, .. } => View::Dense(words),
         }
     }
 
     /// Returns the number of elements.
     pub fn len(&self) -> usize {
         match &self.repr {
+            Repr::Inline { len, .. } => usize::from(*len),
             Repr::Small(v) => v.len(),
             Repr::Dense { len, .. } => *len as usize,
         }
@@ -255,9 +325,9 @@ impl<T: Elem> PtsSet<T> {
     /// Returns `true` if `elem` is a member.
     pub fn contains(&self, elem: T) -> bool {
         let i = elem.into_index();
-        match &self.repr {
-            Repr::Small(v) => v.binary_search(&(i as u32)).is_ok(),
-            Repr::Dense { words, .. } => words
+        match self.view() {
+            View::Sorted(ids) => ids.binary_search(&(i as u32)).is_ok(),
+            View::Dense(words) => words
                 .get(i / WORD_BITS)
                 .is_some_and(|w| w & (1u64 << (i % WORD_BITS)) != 0),
         }
@@ -266,50 +336,64 @@ impl<T: Elem> PtsSet<T> {
     /// Inserts `elem`; returns `true` if it was not already present.
     pub fn insert(&mut self, elem: T) -> bool {
         let i = elem.into_index();
-        match &mut self.repr {
-            Repr::Small(v) => {
+        let (pos, key) = match self.view() {
+            View::Sorted(ids) => {
                 let key = u32::try_from(i).expect("element index fits u32");
-                match v.binary_search(&key) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        if v.len() < SMALL_MAX {
-                            v.insert(pos, key);
-                        } else {
-                            self.promote();
-                            return self.insert(elem);
-                        }
-                        true
-                    }
+                match ids.binary_search(&key) {
+                    Ok(_) => return false,
+                    Err(pos) => (pos, key),
                 }
             }
-            Repr::Dense { words, len } => {
+            View::Dense(_) => {
                 let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-                if words.len() <= w {
-                    words.resize(w + 1, 0);
-                }
+                let (words, len) = self.dense_mut(w + 1);
                 if words[w] & b != 0 {
-                    false
-                } else {
-                    words[w] |= b;
-                    *len += 1;
-                    true
+                    return false;
                 }
+                words[w] |= b;
+                *len += 1;
+                return true;
+            }
+        };
+        match &mut self.repr {
+            Repr::Inline { len, ids } if usize::from(*len) < INLINE_CAP => {
+                ids.copy_within(pos..usize::from(*len), pos + 1);
+                ids[pos] = key;
+                *len += 1;
+            }
+            Repr::Inline { .. } => self.spill().insert(pos, key),
+            Repr::Small(v) if v.len() < SMALL_MAX => v.insert(pos, key),
+            _ => {
+                self.dense_mut(i / WORD_BITS + 1);
+                return self.insert(elem);
             }
         }
+        true
     }
 
-    /// Removes `elem`; returns `true` if it was present. A dense set
-    /// keeps its representation and its word count, so the bitmap may
-    /// end in zero words.
+    /// Removes `elem`; returns `true` if it was present. A set keeps
+    /// its representation: a heap vec stays on the heap, and a bitmap
+    /// keeps its word count, so it may end in zero words.
     pub fn remove(&mut self, elem: T) -> bool {
         let i = elem.into_index();
+        let Ok(key) = u32::try_from(i) else {
+            return false;
+        };
         match &mut self.repr {
-            Repr::Small(v) => match u32::try_from(i).map(|key| v.binary_search(&key)) {
-                Ok(Ok(pos)) => {
+            Repr::Inline { len, ids } => match ids[..usize::from(*len)].binary_search(&key) {
+                Ok(pos) => {
+                    ids.copy_within(pos + 1..usize::from(*len), pos);
+                    *len -= 1;
+                    true
+                }
+                Err(_) => false,
+            },
+            Repr::Small(v) => match v.binary_search(&key) {
+                Ok(pos) => {
                     v.remove(pos);
                     true
                 }
-                _ => false,
+                Err(_) => false,
             },
             Repr::Dense { words, len } => {
                 let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
@@ -325,24 +409,26 @@ impl<T: Elem> PtsSet<T> {
         }
     }
 
-    /// Converts the small representation to a bitmap.
-    fn promote(&mut self) {
-        if let Repr::Small(v) = &self.repr {
-            let top = v.last().copied().unwrap_or(0) as usize;
-            let mut words = vec![0u64; top / WORD_BITS + 1];
-            for &i in v {
-                words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
-            }
-            self.repr = Repr::Dense {
-                len: v.len() as u32,
-                words,
-            };
+    /// Moves an inline set's ids to a heap vec with room for
+    /// [`SMALL_MAX`], so it never reallocates before it promotes, and
+    /// borrows the vec.
+    fn spill(&mut self) -> &mut Vec<u32> {
+        if let Repr::Inline { len, ids } = &self.repr {
+            let mut v = Vec::with_capacity(SMALL_MAX);
+            v.extend_from_slice(&ids[..usize::from(*len)]);
+            self.repr = Repr::Small(v);
         }
+        let Repr::Small(v) = &mut self.repr else {
+            unreachable!("only a sorted set spills")
+        };
+        v
     }
 
-    /// Removes every element (keeps the representation's capacity).
+    /// Removes every element (a heap representation keeps its
+    /// capacity).
     pub fn clear(&mut self) {
         match &mut self.repr {
+            Repr::Inline { len, .. } => *len = 0,
             Repr::Small(v) => v.clear(),
             Repr::Dense { words, len } => {
                 words.clear();
@@ -355,9 +441,9 @@ impl<T: Elem> PtsSet<T> {
     /// set; allocates nothing.
     pub fn iter(&self) -> Iter<'_, T> {
         Iter {
-            inner: match &self.repr {
-                Repr::Small(v) => IterRepr::Small(v.iter()),
-                Repr::Dense { words, .. } => IterRepr::Dense {
+            inner: match self.view() {
+                View::Sorted(ids) => IterRepr::Small(ids.iter()),
+                View::Dense(words) => IterRepr::Dense {
                     words,
                     word_ix: 0,
                     cur: words.first().copied().unwrap_or(0),
@@ -374,9 +460,12 @@ impl<T: Elem> PtsSet<T> {
     }
 
     /// Promotes `self` to a bitmap of at least `n_words` words and
-    /// borrows its words and population count.
+    /// borrows its words and population count. A sorted set is
+    /// converted straight to that size, in one allocation.
     fn dense_mut(&mut self, n_words: usize) -> (&mut Vec<u64>, &mut u32) {
-        self.promote();
+        if let View::Sorted(ids) = self.view() {
+            self.repr = Repr::dense(ids, n_words);
+        }
         let Repr::Dense { words, len } = &mut self.repr else {
             unreachable!("just promoted")
         };
@@ -388,31 +477,66 @@ impl<T: Elem> PtsSet<T> {
 
     /// Appends the bits of `add` at word position `w` to an output
     /// under construction. Words arrive in ascending order (a word may
-    /// repeat with disjoint, higher bits), so a small output appends
+    /// repeat with disjoint, higher bits), so a sorted output appends
     /// its ids in order, and a dense one ORs the whole word in.
     ///
-    /// The small output promotes exactly when inserting the bits one
-    /// at a time would: once it would exceed [`SMALL_MAX`] elements.
-    /// Either way the bitmap ends at the word of the largest element,
-    /// so the representation and [`PtsSet::mem_words`] match an
-    /// element-by-element build.
+    /// The output changes representation exactly when inserting the
+    /// bits one at a time would: it spills to the heap past
+    /// `INLINE_CAP` elements and promotes to a bitmap past
+    /// [`SMALL_MAX`]. Either way the bitmap ends at the word of the
+    /// largest element, so the representation and
+    /// [`PtsSet::mem_words`] match an element-by-element build.
     fn push_word(&mut self, w: usize, add: u64) {
-        if let Repr::Small(v) = &mut self.repr {
-            if v.len() + add.count_ones() as usize <= SMALL_MAX {
-                let base = (w * WORD_BITS) as u32;
-                debug_assert!(v.last().is_none_or(|&l| l < base + add.trailing_zeros()));
-                let mut bits = add;
-                while bits != 0 {
-                    v.push(base + bits.trailing_zeros());
-                    bits &= bits - 1;
+        let n = self.len() + add.count_ones() as usize;
+        let base = (w * WORD_BITS) as u32;
+        if let View::Sorted(ids) = self.view() {
+            debug_assert!(ids.last().is_none_or(|&l| l < base + add.trailing_zeros()));
+        }
+        match &mut self.repr {
+            Repr::Inline { len, ids } if n <= INLINE_CAP => {
+                for (slot, id) in ids[usize::from(*len)..n].iter_mut().zip(bit_ids(base, add)) {
+                    *slot = id;
                 }
-                return;
+                *len = n as u8;
+            }
+            Repr::Inline { .. } if n <= SMALL_MAX => self.spill().extend(bit_ids(base, add)),
+            Repr::Small(v) if n <= SMALL_MAX => v.extend(bit_ids(base, add)),
+            _ => {
+                let (words, len) = self.dense_mut(w + 1);
+                debug_assert_eq!(words[w] & add, 0, "pushed bits already present");
+                words[w] |= add;
+                *len += add.count_ones();
             }
         }
-        let (words, len) = self.dense_mut(w + 1);
-        debug_assert_eq!(words[w] & add, 0, "pushed bits already present");
-        words[w] |= add;
-        *len += add.count_ones();
+    }
+
+    /// Builds a kernel output from the nonzero words `each` hands its
+    /// sink, in the order [`PtsSet::push_word`] takes them. `each` runs
+    /// twice: a counting pass, so that a dense output is allocated once
+    /// at its final size instead of growing word by word, and the pass
+    /// that fills it. An empty output, the common case, stops after
+    /// the count.
+    fn from_words(each: impl Fn(&mut dyn FnMut(usize, u64))) -> Self {
+        let (mut n, mut end) = (0, 0);
+        each(&mut |w, bits| {
+            n += bits.count_ones() as usize;
+            end = w + 1;
+        });
+        let mut out = PtsSet::new();
+        if n > SMALL_MAX {
+            out.repr = Repr::Dense { words: vec![0; end], len: 0 };
+        }
+        if n > 0 {
+            each(&mut |w, bits| out.push_word(w, bits));
+        }
+        debug_assert_eq!(out.len(), n, "the two passes disagree");
+        out
+    }
+
+    /// Appends index `i`, larger than every element, to an output under
+    /// construction (see [`PtsSet::push_word`]).
+    fn push_id(&mut self, i: usize) {
+        self.push_word(i / WORD_BITS, 1u64 << (i % WORD_BITS));
     }
 
     /// Returns `(self ∩ ranges) \ other` as a fresh set: a cast-filtered
@@ -422,29 +546,29 @@ impl<T: Elem> PtsSet<T> {
     /// A dense `self` does range-bounded word arithmetic: only the
     /// words each run overlaps are touched, with partial boundary
     /// words masked off, and `other` is read a word at a time whatever
-    /// its representation. A small `self` walks its elements through a
+    /// its representation. A sorted `self` walks its elements through a
     /// run cursor ([`PtsSet::iter_in_ranges`]).
     pub fn difference_in_ranges(&self, ranges: &IdRanges, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        match &self.repr {
-            Repr::Dense { words, .. } => {
+        match self.view() {
+            View::Dense(words) => PtsSet::from_words(|sink| {
                 let mut ow = other.word_reader();
                 for_range_words(ranges, words.len(), |w, m| {
                     let keep = words[w] & m & !ow.word(w);
                     if keep != 0 {
-                        out.push_word(w, keep);
+                        sink(w, keep);
                     }
                 });
-            }
-            Repr::Small(_) => {
+            }),
+            View::Sorted(_) => {
+                let mut out = PtsSet::new();
                 for e in self.iter_in_ranges(ranges) {
                     if !other.contains(e) {
-                        out.insert(e);
+                        out.push_id(e.into_index());
                     }
                 }
+                out
             }
         }
-        out
     }
 
     /// Range-bounded iteration: the elements of `self ∩ ranges` in
@@ -465,7 +589,7 @@ impl<T: Elem> PtsSet<T> {
 
     /// Returns `self \ other` as a fresh set. A dense `self` runs one
     /// word-wise pass (`other` read a word at a time whatever its
-    /// representation); a small `self` walks its elements.
+    /// representation); a sorted `self` walks its elements.
     ///
     /// This is the solver's propagation primitive: the contribution of
     /// a delta to a copy edge's target, computed read-only so that an
@@ -473,43 +597,42 @@ impl<T: Elem> PtsSet<T> {
     /// strongly connected component's members are merged, the part of
     /// the merged set some member's consumers have not seen yet.
     pub fn difference(&self, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        match &self.repr {
-            Repr::Dense { words, .. } => {
+        match self.view() {
+            View::Dense(words) => PtsSet::from_words(|sink| {
                 let mut ow = other.word_reader();
                 for (w, &s) in words.iter().enumerate() {
                     let keep = s & !ow.word(w);
                     if keep != 0 {
-                        out.push_word(w, keep);
+                        sink(w, keep);
                     }
                 }
-            }
-            Repr::Small(v) => {
-                for &i in v {
-                    let e = T::from_index(i as usize);
-                    if !other.contains(e) {
-                        out.insert(e);
+            }),
+            View::Sorted(ids) => {
+                let mut out = PtsSet::new();
+                for &i in ids {
+                    if !other.contains(T::from_index(i as usize)) {
+                        out.push_id(i as usize);
                     }
                 }
+                out
             }
         }
-        out
     }
 
     /// Unions `other` into `self` without computing a delta. A dense
-    /// `other` promotes `self` and ORs the words in; a small `other`
+    /// `other` promotes `self` and ORs the words in; a sorted `other`
     /// inserts element by element.
     pub fn union_with(&mut self, other: &PtsSet<T>) {
-        match &other.repr {
-            Repr::Dense { words, .. } => {
+        match other.view() {
+            View::Dense(words) => {
                 let (tw, tlen) = self.dense_mut(words.len());
                 for (t, &s) in tw.iter_mut().zip(words.iter()) {
                     *tlen += (s & !*t).count_ones();
                     *t |= s;
                 }
             }
-            Repr::Small(v) => {
-                for &i in v {
+            View::Sorted(ids) => {
+                for &i in ids {
                     self.insert(T::from_index(i as usize));
                 }
             }
@@ -520,9 +643,9 @@ impl<T: Elem> PtsSet<T> {
     /// read a second operand one word at a time in ascending word
     /// order.
     fn word_reader(&self) -> WordReader<'_> {
-        match &self.repr {
-            Repr::Small(v) => WordReader::Small { ids: v, pos: 0 },
-            Repr::Dense { words, .. } => WordReader::Dense(words),
+        match self.view() {
+            View::Sorted(ids) => WordReader::Sorted { ids, pos: 0 },
+            View::Dense(words) => WordReader::Dense(words),
         }
     }
 
@@ -530,24 +653,25 @@ impl<T: Elem> PtsSet<T> {
     /// 128-bit hash of the ascending `(word index, nonzero bits)` pairs
     /// of the set's bitmap, then its length.
     ///
-    /// A small set is folded into the same stream (its ids grouped by
+    /// A sorted set is folded into the same stream (its ids grouped by
     /// word), and zero words are skipped, so the value depends only on
-    /// the elements: a small set, its promoted twin and a bitmap with
-    /// trailing zero words all fingerprint alike, matching
-    /// representation-independent equality. A dense set hashes one pair
-    /// per nonzero word instead of one value per element.
+    /// the elements: an inline set, its heap twin, its promoted twin
+    /// and a bitmap with trailing zero words all fingerprint alike,
+    /// matching representation-independent equality. A dense set
+    /// hashes one pair per nonzero word instead of one value per
+    /// element.
     pub fn fingerprint(&self) -> u128 {
         let mut f = fxhash::Fingerprint128::new();
         let mut pair = |w: usize, bits: u64| {
             f.write_u64(w as u64);
             f.write_u64(bits);
         };
-        match &self.repr {
-            Repr::Small(v) => {
+        match self.view() {
+            View::Sorted(ids) => {
                 // The pair being filled; emitted once an id lands in a
                 // later word.
                 let mut cur = (0usize, 0u64);
-                for &i in v {
+                for &i in ids {
                     let w = i as usize / WORD_BITS;
                     if w != cur.0 && cur.1 != 0 {
                         pair(cur.0, cur.1);
@@ -560,7 +684,7 @@ impl<T: Elem> PtsSet<T> {
                     pair(cur.0, cur.1);
                 }
             }
-            Repr::Dense { words, .. } => {
+            View::Dense(words) => {
                 for (w, &bits) in words.iter().enumerate() {
                     if bits != 0 {
                         pair(w, bits);
@@ -575,10 +699,8 @@ impl<T: Elem> PtsSet<T> {
     /// Returns `true` if the sets share an element. Word-wise AND when
     /// both are dense; otherwise scans the smaller side.
     pub fn intersects(&self, other: &PtsSet<T>) -> bool {
-        match (&self.repr, &other.repr) {
-            (Repr::Dense { words: a, .. }, Repr::Dense { words: b, .. }) => {
-                a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0)
-            }
+        match (self.view(), other.view()) {
+            (View::Dense(a), View::Dense(b)) => a.iter().zip(b).any(|(&x, &y)| x & y != 0),
             _ => {
                 let (probe, scan) = if self.len() <= other.len() {
                     (other, self)
@@ -591,48 +713,51 @@ impl<T: Elem> PtsSet<T> {
     }
 
     /// Memory footprint in 64-bit words (the `peak set words` metric):
-    /// bitmap words, or the small vec's occupancy at two ids per word.
+    /// bitmap words, or a sorted set's occupancy at two ids per word,
+    /// whether it is stored inline or on the heap.
     pub fn mem_words(&self) -> usize {
-        match &self.repr {
-            Repr::Small(v) => v.len().div_ceil(2),
-            Repr::Dense { words, .. } => words.len(),
+        match self.view() {
+            View::Sorted(ids) => ids.len().div_ceil(2),
+            View::Dense(words) => words.len(),
         }
     }
 
     /// Builds a set from strictly ascending element indices in one go,
     /// in the representation an element-by-element build would have.
-    /// A small result keeps `ids` as its storage; a dense one sets its
-    /// bits in a single pass. Returns `None` unless `ids` is strictly
-    /// ascending.
+    /// Up to six ids are copied inline; a heap sorted result keeps
+    /// `ids` as its storage; a dense one sets its bits in a single
+    /// pass. Returns `None` unless `ids` is strictly ascending.
     pub fn from_ascending(ids: Vec<u32>) -> Option<Self> {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return None;
         }
-        let repr = match ids.last() {
-            Some(&top) if ids.len() > SMALL_MAX => {
-                let mut words = vec![0u64; top as usize / WORD_BITS + 1];
-                for &i in &ids {
-                    words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
-                }
-                Repr::Dense { words, len: ids.len() as u32 }
-            }
-            _ => Repr::Small(ids),
+        let repr = if ids.len() > SMALL_MAX {
+            Repr::dense(&ids, 0)
+        } else {
+            Repr::sorted(ids)
         };
-        Some(PtsSet { repr, _elem: PhantomData })
+        Some(PtsSet {
+            repr,
+            _elem: PhantomData,
+        })
     }
 
     /// Builds a set from strictly ascending element indices that stays
-    /// a sorted vec however many there are, so no bitmap is sized by
-    /// its largest id: the form for a read-only set over ids that are
-    /// untrusted or spread over a universe far wider than the set.
-    /// Every operation stays correct; membership is a binary search,
-    /// and an insertion promotes to a bitmap as usual. Returns `None`
-    /// unless `ids` is strictly ascending.
+    /// sorted however many there are (inline up to six, else in `ids`
+    /// itself), so no bitmap is sized by its largest id: the form for a
+    /// read-only set over ids that are untrusted or spread over a
+    /// universe far wider than the set. Every operation stays correct;
+    /// membership is a binary search, and an insertion promotes to a
+    /// bitmap as usual. Returns `None` unless `ids` is strictly
+    /// ascending.
     pub fn sorted_from_ascending(ids: Vec<u32>) -> Option<Self> {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return None;
         }
-        Some(PtsSet { repr: Repr::Small(ids), _elem: PhantomData })
+        Some(PtsSet {
+            repr: Repr::sorted(ids),
+            _elem: PhantomData,
+        })
     }
 }
 
@@ -657,25 +782,26 @@ impl UnionScratch {
     }
 
     /// ORs `set` into the accumulator: word-wise for a dense set, a bit
-    /// per element for a small one.
+    /// per element for a sorted one.
     pub fn add<T: Elem>(&mut self, set: &PtsSet<T>) {
-        let (first, end) = match &set.repr {
-            Repr::Small(v) => match (v.first(), v.last()) {
+        let view = set.view();
+        let (first, end) = match view {
+            View::Sorted(ids) => match (ids.first(), ids.last()) {
                 (Some(&a), Some(&b)) => (a as usize / WORD_BITS, b as usize / WORD_BITS + 1),
                 _ => return,
             },
-            Repr::Dense { words, .. } => (0, words.len()),
+            View::Dense(words) => (0, words.len()),
         };
         if self.words.len() < end {
             self.words.resize(end, 0);
         }
-        match &set.repr {
-            Repr::Small(v) => {
-                for &i in v {
+        match view {
+            View::Sorted(ids) => {
+                for &i in ids {
                     self.words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
                 }
             }
-            Repr::Dense { words, .. } => {
+            View::Dense(words) => {
                 for (t, &s) in self.words.iter_mut().zip(words) {
                     *t |= s;
                 }
@@ -692,13 +818,15 @@ impl UnionScratch {
     /// the representation an element-by-element build would have, and
     /// leaves the accumulator empty.
     pub fn take<T: Elem>(&mut self) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        for (w, word) in self.words[self.lo..self.hi].iter_mut().enumerate() {
-            if *word != 0 {
-                out.push_word(self.lo + w, *word);
-                *word = 0;
+        let (lo, span) = (self.lo, &mut self.words[self.lo..self.hi]);
+        let out = PtsSet::from_words(|sink| {
+            for (w, &word) in span.iter().enumerate() {
+                if word != 0 {
+                    sink(lo + w, word);
+                }
             }
-        }
+        });
+        span.fill(0);
         (self.lo, self.hi) = (0, 0);
         out
     }
@@ -737,9 +865,9 @@ fn for_range_words(ranges: &IdRanges, n_words: usize, mut f: impl FnMut(usize, u
 /// allowed, for the boundary word two ranges share).
 enum WordReader<'a> {
     Dense(&'a [u64]),
-    /// A small set's sorted ids; `pos` is the first id not in an
-    /// earlier word than the last one read.
-    Small { ids: &'a [u32], pos: usize },
+    /// A sorted set's ids; `pos` is the first id not in an earlier
+    /// word than the last one read.
+    Sorted { ids: &'a [u32], pos: usize },
 }
 
 impl WordReader<'_> {
@@ -747,7 +875,7 @@ impl WordReader<'_> {
     fn word(&mut self, w: usize) -> u64 {
         match self {
             WordReader::Dense(words) => words.get(w).copied().unwrap_or(0),
-            WordReader::Small { ids, pos } => {
+            WordReader::Sorted { ids, pos } => {
                 while *pos < ids.len() && (ids[*pos] as usize) / WORD_BITS < w {
                     *pos += 1;
                 }
@@ -769,18 +897,18 @@ impl<T: Elem> PartialEq for PtsSet<T> {
     /// representation: a promoted set equals its small twin.
     ///
     /// Every interner fingerprint hit runs this comparison, so it works
-    /// on the representation where it can: two small sets compare as
-    /// slices, two dense sets word by word over their common prefix,
-    /// with any words past the shorter bitmap required to be zero (a
-    /// bitmap may keep trailing zero words after [`PtsSet::remove`]).
-    /// Only mixed pairs walk the elements.
+    /// on the representation where it can: two sorted sets (inline or
+    /// heap) compare as slices, two dense sets word by word over their
+    /// common prefix, with any words past the shorter bitmap required
+    /// to be zero (a bitmap may keep trailing zero words after
+    /// [`PtsSet::remove`]). Only sorted–dense pairs walk the elements.
     fn eq(&self, other: &Self) -> bool {
         if self.len() != other.len() {
             return false;
         }
-        match (&self.repr, &other.repr) {
-            (Repr::Small(a), Repr::Small(b)) => a == b,
-            (Repr::Dense { words: a, .. }, Repr::Dense { words: b, .. }) => {
+        match (self.view(), other.view()) {
+            (View::Sorted(a), View::Sorted(b)) => a == b,
+            (View::Dense(a), View::Dense(b)) => {
                 let n = a.len().min(b.len());
                 a[..n] == b[..n]
                     && a[n..].iter().all(|&w| w == 0)
@@ -869,6 +997,13 @@ impl<T: Elem> Iterator for Iter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_set_is_32_bytes() {
+        // The inline capacity is what fits in this size; a bigger set
+        // would cost every row and every delta more memory.
+        assert_eq!(std::mem::size_of::<PtsSet<u32>>(), 32);
+    }
 
     #[test]
     fn empty_set_basics() {

@@ -6,9 +6,10 @@
 //! `BTreeSet<u32>` and asserts they agree on membership, cardinality,
 //! iteration order, unions, differences, range-filtered
 //! differences, fingerprints and intersection — deliberately crossing
-//! the small→dense promotion boundary. The word-wise kernels must also
-//! leave their outputs in the representation an element-by-element
-//! build would have (`mem_words` feeds the `pts_peak_words` metric).
+//! both representation boundaries: inline→heap at 6 → 7 elements and
+//! sorted→dense at 16 → 17. The word-wise kernels must also leave their
+//! outputs in the representation an element-by-element build would
+//! have (`mem_words` feeds the `pts_peak_words` metric).
 
 use obs::rng::SplitMix64;
 use pts::{IdRanges, PtsSet, UnionScratch, SMALL_MAX};
@@ -17,6 +18,22 @@ use std::collections::BTreeSet;
 /// Universe large enough to exercise multi-word bitmaps, small enough
 /// for collisions (re-inserts, overlapping unions) to be common.
 const UNIVERSE: u64 = 700;
+
+/// The most elements a set stores inline (the unit tests pin the
+/// 32-byte layout this capacity comes from).
+const INLINE: usize = 6;
+
+/// Set sizes on either side of the two representation boundaries.
+const BOUNDARY_SIZES: [usize; 8] = [
+    INLINE - 1,
+    INLINE,
+    INLINE + 1,
+    INLINE + 2,
+    SMALL_MAX - 1,
+    SMALL_MAX,
+    SMALL_MAX + 1,
+    SMALL_MAX + 2,
+];
 
 fn assert_matches(set: &PtsSet<u32>, oracle: &BTreeSet<u32>, ctx: &str) {
     assert_eq!(set.len(), oracle.len(), "len mismatch: {ctx}");
@@ -28,13 +45,28 @@ fn assert_matches(set: &PtsSet<u32>, oracle: &BTreeSet<u32>, ctx: &str) {
     assert_eq!(set.to_vec(), want, "to_vec mismatch: {ctx}");
 }
 
+/// A random set built by insertion, next to its oracle. Half the
+/// time its size sits right at a representation boundary (when
+/// `max_len` allows it); otherwise it takes up to `max_len - 1`
+/// insertions.
 fn random_set(rng: &mut SplitMix64, max_len: u64) -> (PtsSet<u32>, BTreeSet<u32>) {
-    let n = rng.below(max_len);
     let mut set = PtsSet::new();
     let mut oracle = BTreeSet::new();
-    for _ in 0..n {
-        let v = rng.below(UNIVERSE) as u32;
-        assert_eq!(set.insert(v), oracle.insert(v), "insert return value");
+    let near: Vec<usize> = BOUNDARY_SIZES
+        .into_iter()
+        .filter(|&n| (n as u64) < max_len)
+        .collect();
+    if !near.is_empty() && rng.below(2) == 0 {
+        let n = near[rng.below(near.len() as u64) as usize];
+        while oracle.len() < n {
+            let v = rng.below(UNIVERSE) as u32;
+            assert_eq!(set.insert(v), oracle.insert(v), "insert return value");
+        }
+    } else {
+        for _ in 0..rng.below(max_len) {
+            let v = rng.below(UNIVERSE) as u32;
+            assert_eq!(set.insert(v), oracle.insert(v), "insert return value");
+        }
     }
     (set, oracle)
 }
@@ -180,13 +212,22 @@ fn union_with_matches_extend() {
     }
 }
 
-/// Four representations of `oracle`'s contents: the canonical build
-/// (small up to `SMALL_MAX` elements, dense past it), a forced-dense
-/// bitmap, a dense bitmap that keeps trailing zero words after a high
-/// element is inserted and removed again, and a sorted vec of any
-/// length.
-fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 4] {
+/// Five representations of `oracle`'s contents: the canonical build
+/// (inline up to six elements, a heap vec up to `SMALL_MAX`, dense past
+/// it), a heap twin of an inline set (grown past six elements, then
+/// shrunk back with `remove`), a forced-dense bitmap, a dense bitmap
+/// that keeps trailing zero words after a high element is inserted and
+/// removed again, and a sorted set of any length.
+fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 5] {
     let canonical: PtsSet<u32> = oracle.iter().copied().collect();
+    let mut heap = canonical.clone();
+    let fillers: Vec<u32> = (UNIVERSE as u32..)
+        .take((INLINE + 1).saturating_sub(oracle.len()))
+        .collect();
+    heap.extend(fillers.iter().copied());
+    for &f in &fillers {
+        assert!(heap.remove(f), "filler {f}");
+    }
     let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
     dense.clear();
     dense.extend(oracle.iter().copied());
@@ -197,7 +238,13 @@ fn representations(oracle: &BTreeSet<u32>) -> [(&'static str, PtsSet<u32>); 4] {
     assert!(!trailing.remove(high), "second remove of {high}");
     let sorted =
         PtsSet::sorted_from_ascending(oracle.iter().copied().collect()).expect("ascending");
-    [("canonical", canonical), ("dense", dense), ("trailing-zero", trailing), ("sorted", sorted)]
+    [
+        ("canonical", canonical),
+        ("heap-small", heap),
+        ("dense", dense),
+        ("trailing-zero", trailing),
+        ("sorted", sorted),
+    ]
 }
 
 #[test]
@@ -308,14 +355,13 @@ fn difference_matches_oracle_and_element_build() {
     }
 }
 
-/// The small→dense promotion of a kernel output at 16 → 17 elements,
-/// including when the boundary falls inside one bitmap word (one push,
-/// or two pushes of the same word from two ranges) and when it falls
-/// on a later word.
+/// A kernel output's change of representation at 6 → 7 (inline to
+/// heap) and at 16 → 17 elements (sorted to dense), including when the
+/// boundary falls inside one bitmap word (one push, or two pushes of
+/// the same word from two ranges) and when it falls on a later word.
 #[test]
 fn kernel_outputs_promote_at_the_element_boundary() {
-    let limit = SMALL_MAX as u32;
-    for n in (limit - 2)..=(limit + 2) {
+    for n in BOUNDARY_SIZES.map(|n| n as u32) {
         // All `n` survivors in word 0, in one push.
         let src: PtsSet<u32> = (0u32..64).collect();
         let other: PtsSet<u32> = (n..64).collect();
@@ -323,8 +369,8 @@ fn kernel_outputs_promote_at_the_element_boundary() {
         assert_built_like_elements(&src.difference(&other), &want, &format!("one word, n={n}"));
 
         // Two ranges in word 0: the same word pushed twice.
-        let ranges = IdRanges::from_sorted_ids((0u32..8).chain(9..n + 1));
-        let want: BTreeSet<u32> = (0u32..8).chain(9..n + 1).collect();
+        let ranges = IdRanges::from_sorted_ids((0..n / 2).chain(n / 2 + 1..n + 1));
+        let want: BTreeSet<u32> = (0..n / 2).chain(n / 2 + 1..n + 1).collect();
         let empty = PtsSet::new();
         assert_built_like_elements(
             &src.difference_in_ranges(&ranges, &empty),
@@ -332,8 +378,8 @@ fn kernel_outputs_promote_at_the_element_boundary() {
             &format!("two ranges, one word, n={n}"),
         );
 
-        // Ten survivors in word 0, the rest in word 1.
-        let src: PtsSet<u32> = (0u32..10).chain(64..64 + n - 10).collect();
+        // Half the survivors in word 0, the rest in word 1.
+        let src: PtsSet<u32> = (0u32..n / 2).chain(64..64 + n - n / 2).collect();
         let want: BTreeSet<u32> = src.iter().collect();
         assert_built_like_elements(&src.difference(&empty), &want, &format!("two words, n={n}"));
         let mut target = PtsSet::new();
@@ -413,5 +459,90 @@ fn union_scratch_matches_oracle_across_reuse() {
         let got: PtsSet<u32> = scratch.take();
         assert_built_like_elements(&got, &union_o, &format!("union scratch, trial {trial}"));
     }
-    assert!(scratch.take::<u32>().is_empty(), "take leaves the scratch empty");
+    assert!(
+        scratch.take::<u32>().is_empty(),
+        "take leaves the scratch empty"
+    );
+}
+
+/// Random insert/remove/clear walks that hover around both
+/// representation boundaries track the oracle after every step. While
+/// a set has never outgrown `SMALL_MAX` it is sorted (inline or on the
+/// heap), and its footprint is that of an element-by-element build.
+#[test]
+fn insert_remove_clear_track_the_oracle_across_boundaries() {
+    let mut rng = SplitMix64::new(0x3c6ef372fe94f82b);
+    for trial in 0..200 {
+        // A small universe keeps the walk near its target size.
+        let target = BOUNDARY_SIZES[trial % BOUNDARY_SIZES.len()];
+        let span = 2 * target as u64 + 2;
+        let (mut set, mut oracle) = (PtsSet::<u32>::new(), BTreeSet::new());
+        let mut peak = 0;
+        for step in 0..64 {
+            let v = rng.below(span) as u32 * 37;
+            let ctx = format!("trial {trial} step {step} (target {target})");
+            match rng.below(16) {
+                0 => {
+                    set.clear();
+                    oracle.clear();
+                }
+                1..=8 => assert_eq!(set.insert(v), oracle.insert(v), "insert({v}), {ctx}"),
+                _ => assert_eq!(set.remove(v), oracle.remove(&v), "remove({v}), {ctx}"),
+            }
+            peak = peak.max(oracle.len());
+            if peak <= SMALL_MAX {
+                assert_built_like_elements(&set, &oracle, &ctx);
+            } else {
+                assert_matches(&set, &oracle, &ctx);
+            }
+        }
+    }
+}
+
+/// `union_with` into every representation of the target, from every
+/// representation of the source, matches the oracle. When neither side
+/// is a bitmap built some other way (a forced-dense source ORs in its
+/// whole bitmap), the result keeps the representation of an
+/// element-by-element build.
+#[test]
+fn union_with_matches_oracle_across_representations() {
+    let mut rng = SplitMix64::new(0xbb67ae8584caa73b);
+    for trial in 0..150 {
+        let (_, a) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        let (_, b) = random_set(&mut rng, 3 * SMALL_MAX as u64);
+        let want: BTreeSet<u32> = a.union(&b).copied().collect();
+        for (ks, src) in &representations(&a) {
+            for (kt, target) in &representations(&b) {
+                let mut got = target.clone();
+                got.union_with(src);
+                let ctx = format!("{kt} ∪= {ks}, trial {trial}");
+                let built = matches!(*kt, "canonical" | "heap-small")
+                    && matches!(*ks, "canonical" | "heap-small" | "sorted");
+                if built {
+                    assert_built_like_elements(&got, &want, &ctx);
+                } else {
+                    assert_matches(&got, &want, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// `from_ascending` and `sorted_from_ascending` at every size around
+/// both boundaries: the former builds like elements, the latter stays
+/// sorted (two ids per word) at any size.
+#[test]
+fn ascending_builds_at_the_boundaries() {
+    for n in 0..=SMALL_MAX + 3 {
+        let ids: Vec<u32> = (0..n as u32).map(|i| i * 37).collect();
+        let oracle: BTreeSet<u32> = ids.iter().copied().collect();
+        let ctx = format!("n={n}");
+        let built = PtsSet::<u32>::from_ascending(ids.clone()).expect("ascending");
+        assert_built_like_elements(&built, &oracle, &ctx);
+        let sorted = PtsSet::<u32>::sorted_from_ascending(ids).expect("ascending");
+        assert_matches(&sorted, &oracle, &ctx);
+        assert_eq!(sorted.mem_words(), n.div_ceil(2), "{ctx}");
+        assert_eq!(sorted, built, "{ctx}");
+        assert_eq!(sorted.fingerprint(), built.fingerprint(), "{ctx}");
+    }
 }
