@@ -15,7 +15,8 @@
 //! & Hankin, *Online Cycle Detection and Difference Propagation for
 //! Pointer Analysis*, SCAM 2003):
 //!
-//! - **forward** from `y` over copy rows, through labels `<= label(x)`;
+//! - **forward** from `y` over the copy edges of consumer rows (other
+//!   consumers are skipped, uncounted), through labels `<= label(x)`;
 //! - **backward** from `x` over predecessor lists, through labels
 //!   `>= label(y)`.
 //!
@@ -41,9 +42,8 @@
 //! collapse partition when scanned.
 
 use dsu::DisjointSets;
-use jir::TypeId;
 
-use crate::solver::PtrId;
+use crate::solver::{Consumer, PtrId};
 use crate::util::FastSet;
 
 /// Label distance between consecutive fresh pointers and between
@@ -61,7 +61,7 @@ const SCRATCH_KEEP: usize = 1024;
 /// of the copy graph, restricted to a label window.
 #[derive(Default)]
 struct Side {
-    /// DFS frames: node and cursor (copy-row index going forward,
+    /// DFS frames: node and cursor (consumer-row index going forward,
     /// predecessor link going backward).
     stack: Vec<(u32, u32)>,
     seen: FastSet<u32>,
@@ -164,7 +164,7 @@ impl TopoOrder {
         &mut self,
         x: PtrId,
         y: PtrId,
-        succ: &[Vec<(PtrId, Option<TypeId>)>],
+        cons: &[Vec<Consumer>],
         dsu: &DisjointSets,
     ) -> Option<Vec<u32>> {
         let (lx, ly) = (self.label[x.index()], self.label[y.index()]);
@@ -174,7 +174,7 @@ impl TopoOrder {
         self.fwd.start(y.0, 0);
         self.bwd.start(x.0, self.pred_head[x.index()]);
         let forward_done = loop {
-            if self.step_forward(succ, dsu, lx) {
+            if self.step_forward(cons, dsu, lx) {
                 break true;
             }
             if self.step_backward(dsu, ly) {
@@ -189,7 +189,7 @@ impl TopoOrder {
             (std::mem::take(&mut self.bwd), y.0)
         };
         let cycle = if side.seen.contains(&anchor) {
-            self.cycle_within(anchor, &side.seen, forward_done, succ, dsu)
+            self.cycle_within(anchor, &side.seen, forward_done, cons, dsu)
         } else {
             FastSet::default()
         };
@@ -242,22 +242,21 @@ impl TopoOrder {
         }
     }
 
-    /// Advances the forward search by one copy-row entry; `true` once
-    /// the window below `ub` is exhausted.
-    fn step_forward(
-        &mut self,
-        succ: &[Vec<(PtrId, Option<TypeId>)>],
-        dsu: &DisjointSets,
-        ub: u64,
-    ) -> bool {
+    /// Advances the forward search by one copy edge of a consumer row,
+    /// skipping (and not counting) the row's other consumers; `true`
+    /// once the window below `ub` is exhausted.
+    fn step_forward(&mut self, cons: &[Vec<Consumer>], dsu: &DisjointSets, ub: u64) -> bool {
         let side = &mut self.fwd;
         while let Some(frame) = side.stack.last_mut() {
             let (v, k) = *frame;
-            let Some(&(to, filter)) = succ[v as usize].get(k as usize) else {
+            let Some(&entry) = cons[v as usize].get(k as usize) else {
                 side.stack.pop();
                 continue;
             };
             frame.1 += 1;
+            let Consumer::Copy(to, filter) = entry else {
+                continue;
+            };
             self.edges_scanned += 1;
             if filter.is_some() {
                 return false;
@@ -319,7 +318,7 @@ impl TopoOrder {
         from: u32,
         window: &FastSet<u32>,
         forward_window: bool,
-        succ: &[Vec<(PtrId, Option<TypeId>)>],
+        cons: &[Vec<Consumer>],
         dsu: &DisjointSets,
     ) -> FastSet<u32> {
         let mut cycle: FastSet<u32> = FastSet::default();
@@ -341,7 +340,10 @@ impl TopoOrder {
                     link = next;
                 }
             } else {
-                for &(to, filter) in &succ[v as usize] {
+                for &entry in &cons[v as usize] {
+                    let Consumer::Copy(to, filter) = entry else {
+                        continue;
+                    };
                     self.edges_scanned += 1;
                     if filter.is_none() {
                         visit(to.index(), &mut cycle, &mut todo);
@@ -394,26 +396,40 @@ impl TopoOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CtxId;
+    use crate::solver::PendingCall;
+    use jir::{CallSiteId, FieldId, TypeId};
     use obs::rng::SplitMix64;
 
     /// A bare copy graph driving a [`TopoOrder`] the way the solver
-    /// does: rows on representatives, repairs drained after each batch
-    /// of edges, cycles collapsed through the same partition.
+    /// does: consumer rows on representatives, repairs drained after
+    /// each batch of edges, cycles collapsed through the same
+    /// partition.
     struct Graph {
-        succ: Vec<Vec<(PtrId, Option<TypeId>)>>,
+        cons: Vec<Vec<Consumer>>,
         dsu: DisjointSets,
         order: TopoOrder,
         /// Every unfiltered edge as added (raw endpoints).
         edges: Vec<(u32, u32)>,
+        /// Interleave loads and calls with the copy edges: every third
+        /// node's row starts with a load and a call, and a load follows
+        /// every copy edge that brings a row to a multiple of four
+        /// entries. The searches must skip them without a trace.
+        noise: bool,
     }
 
     impl Graph {
         fn with_nodes(n: usize) -> Self {
+            Graph::new(n, false)
+        }
+
+        fn new(n: usize, noise: bool) -> Self {
             let mut g = Graph {
-                succ: Vec::new(),
+                cons: Vec::new(),
                 dsu: DisjointSets::new(0),
                 order: TopoOrder::default(),
                 edges: Vec::new(),
+                noise,
             };
             for _ in 0..n {
                 g.node();
@@ -421,8 +437,22 @@ mod tests {
             g
         }
 
+        fn load(p: u32) -> Consumer {
+            Consumer::Load(FieldId::from_usize(0), PtrId(p))
+        }
+
         fn node(&mut self) -> u32 {
-            self.succ.push(Vec::new());
+            let p = self.cons.len() as u32;
+            let mut row = Vec::new();
+            if self.noise && p.is_multiple_of(3) {
+                row.push(Graph::load(p));
+                row.push(Consumer::Call(PendingCall {
+                    site: CallSiteId::from_usize(p as usize),
+                    caller_ctx: CtxId(0),
+                    fixed_target: None,
+                }));
+            }
+            self.cons.push(row);
             self.order.push();
             self.dsu.push() as u32
         }
@@ -439,7 +469,11 @@ mod tests {
                     return;
                 }
             }
-            self.succ[ra as usize].push((PtrId(rb), filter));
+            let row = &mut self.cons[ra as usize];
+            row.push(Consumer::Copy(PtrId(rb), filter));
+            if self.noise && row.len().is_multiple_of(4) {
+                row.push(Graph::load(rb));
+            }
             if filter.is_none() {
                 self.order.add_edge(PtrId(ra), PtrId(rb));
             }
@@ -449,7 +483,7 @@ mod tests {
             let batch = self.order.take_repairs();
             for &(x, y) in &batch {
                 let (x, y) = (PtrId(self.rep(x.0)), PtrId(self.rep(y.0)));
-                if let Some(cycle) = self.order.repair(x, y, &self.succ, &self.dsu) {
+                if let Some(cycle) = self.order.repair(x, y, &self.cons, &self.dsu) {
                     self.collapse(&cycle);
                 }
             }
@@ -463,13 +497,15 @@ mod tests {
             let r = self.dsu.find(members[0] as usize);
             let mut row = Vec::new();
             for &m in members {
-                row.append(&mut self.succ[m as usize]);
+                row.append(&mut self.cons[m as usize]);
             }
-            for e in &mut row {
-                e.0 = PtrId(self.dsu.find(e.0.index()) as u32);
+            for c in &mut row {
+                if let Consumer::Copy(to, _) = c {
+                    *to = PtrId(self.dsu.find(to.index()) as u32);
+                }
             }
-            row.retain(|&(to, f)| !(to.index() == r && f.is_none()));
-            self.succ[r] = row;
+            row.retain(|&c| c != Consumer::Copy(PtrId(r as u32), None));
+            self.cons[r] = row;
             self.order.absorb(members, r);
         }
 
@@ -560,35 +596,63 @@ mod tests {
         t.out
     }
 
+    /// Drives one seeded random stream of nodes, edges and repairs,
+    /// checking the order after every repair.
+    fn random_stream(seed: u64, noise: bool) -> Graph {
+        let ty = TypeId::from_usize(0);
+        let mut rng = SplitMix64::new(seed);
+        let n = 2 + rng.below(40) as usize;
+        let mut g = Graph::new(n, noise);
+        let batches = 1 + rng.below(60);
+        for _ in 0..batches {
+            // Occasionally a fresh pointer, as field pointers appear
+            // mid-solve; then a few edges before the next repair.
+            if rng.below(4) == 0 {
+                g.node();
+            }
+            let live = g.cons.len() as u64;
+            for _ in 0..1 + rng.below(4) {
+                let (a, b) = (rng.below(live) as u32, rng.below(live) as u32);
+                let filter = (rng.below(5) == 0).then_some(ty);
+                g.edge(a, b, filter);
+            }
+            g.repair();
+            g.assert_ordered();
+        }
+        g
+    }
+
+    /// Every random stream keeps the order and collapses exactly the
+    /// SCCs. Its noisy twin, with loads and calls in the rows, must do
+    /// exactly what the plain stream does: the same labels, the same
+    /// collapses and the same scanned-edge count.
     #[test]
     fn random_streams_keep_the_order_and_collapse_exactly_the_sccs() {
-        let ty = TypeId::from_usize(0);
+        let mut interleaved = 0;
         for seed in 0..200u64 {
-            let mut rng = SplitMix64::new(seed);
-            let n = 2 + rng.below(40) as usize;
-            let mut g = Graph::with_nodes(n);
-            let batches = 1 + rng.below(60);
-            for _ in 0..batches {
-                // Occasionally a fresh pointer, as field pointers appear
-                // mid-solve; then a few edges before the next repair.
-                if rng.below(4) == 0 {
-                    g.node();
-                }
-                let live = g.succ.len() as u64;
-                for _ in 0..1 + rng.below(4) {
-                    let (a, b) = (rng.below(live) as u32, rng.below(live) as u32);
-                    let filter = (rng.below(5) == 0).then_some(ty);
-                    g.edge(a, b, filter);
-                }
-                g.repair();
-                g.assert_ordered();
-            }
+            let (plain, noisy) = (random_stream(seed, false), random_stream(seed, true));
             assert_eq!(
-                g.partition(),
-                tarjan(g.succ.len(), &g.edges),
+                plain.partition(),
+                tarjan(plain.cons.len(), &plain.edges),
                 "seed {seed}: collapse partition differs from the SCCs"
             );
+            assert_eq!(noisy.partition(), plain.partition(), "seed {seed}");
+            assert_eq!(noisy.order.label, plain.order.label, "seed {seed}");
+            assert_eq!(
+                noisy.order.edges_scanned, plain.order.edges_scanned,
+                "seed {seed}: non-copy entries were counted as scanned edges"
+            );
+            let copy = |c: &Consumer| matches!(c, Consumer::Copy(..));
+            interleaved += noisy
+                .cons
+                .iter()
+                .filter(|row| row.iter().any(copy) && !row.iter().all(copy))
+                .count();
         }
+        assert!(
+            interleaved > 0,
+            "no row mixed copy edges with other consumers"
+        );
     }
 
     #[test]
@@ -614,12 +678,12 @@ mod tests {
             g.order.renumbers >= 1,
             "40 halvings never exhausted a 2^32 gap"
         );
-        assert_eq!(g.partition(), tarjan(g.succ.len(), &g.edges));
+        assert_eq!(g.partition(), tarjan(g.cons.len(), &g.edges));
         // Closing the chain into a cycle collapses all of it.
         g.edge(3, a, None);
         g.repair();
         g.assert_ordered();
-        assert_eq!(g.partition(), tarjan(g.succ.len(), &g.edges));
+        assert_eq!(g.partition(), tarjan(g.cons.len(), &g.edges));
         assert_eq!(g.dsu.set_count(), 1);
     }
 }

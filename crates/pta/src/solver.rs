@@ -56,15 +56,15 @@
 //! points-to set — one delta hop per worklist pop, around and around.
 //! Collapsed pointers are unioned in a [`dsu::DisjointSets`]. The
 //! *representative* owns the single shared points-to set, the single
-//! pending-delta slot, the merged consumer rows (copy edges, loads,
-//! stores, calls) and the merged predecessor list; non-representatives
-//! keep empty slots. Every solver entry point normalizes pointers
-//! through `find()` before touching per-pointer state, and the final
-//! [`AnalysisResult`] carries the redirect table so queries against
-//! collapsed pointers resolve to the representative's set — collapse
-//! is invisible in analysis results (members of an unfiltered copy
-//! cycle provably converge to identical sets by mutual subset
-//! inclusion).
+//! pending-delta slot, the merged consumer row (copy edges, loads,
+//! stores and calls in one sorted row) and the merged predecessor
+//! list; non-representatives keep empty slots. Every solver entry
+//! point normalizes pointers through `find()` before touching
+//! per-pointer state, and the final [`AnalysisResult`] carries the
+//! redirect table so queries against collapsed pointers resolve to the
+//! representative's set — collapse is invisible in analysis results
+//! (members of an unfiltered copy cycle provably converge to identical
+//! sets by mutual subset inclusion).
 //!
 //! # Receiver-batched dispatch
 //!
@@ -87,14 +87,15 @@
 //! # Plain rows, one seal
 //!
 //! Points-to rows and pending deltas are plain [`pts::PtsSet`]s owned
-//! by the solver; a new pointer pushes two empty sets, which allocate
-//! nothing. (Cast filters are *not* sets at all: under the hierarchy
-//! numbering each filter type's subtype cone compiles to a
-//! [`pts::IdRanges`] list of a few `[lo, hi)` runs — see
-//! [`crate::numbering`].) Context-sensitive runs end with thousands of
-//! bit-identical rows (the same receiver objects under many calling
-//! contexts): on pmd@4 2cs the 217,171 rows hold 3,839,563 words when
-//! the fixpoint ends and 31,722 distinct words, 121× less. Finalize
+//! by the solver; a new pointer pushes two empty sets and one empty
+//! consumer row, which allocate nothing. (Cast filters are *not* sets
+//! at all: under the hierarchy numbering each filter type's subtype
+//! cone compiles to a [`pts::IdRanges`] list of a few `[lo, hi)` runs
+//! — see [`crate::numbering`].) Context-sensitive runs end with
+//! thousands of bit-identical rows (the same receiver objects under
+//! many calling contexts): on pmd@4 2cs the 217,171 rows hold
+//! 3,839,563 words when the fixpoint ends and 31,722 distinct words,
+//! 121× less. Finalize
 //! therefore *seals* every non-empty row exactly once, in row order,
 //! into one [`pts::SetInterner`], a table of unique sets
 //! keyed by a fingerprint of the set's nonzero bitmap words
@@ -336,12 +337,36 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
 
 /// A statically resolved call waiting for receiver objects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct PendingCall {
-    site: CallSiteId,
-    caller_ctx: CtxId,
+pub(crate) struct PendingCall {
+    pub(crate) site: CallSiteId,
+    pub(crate) caller_ctx: CtxId,
     /// For special calls the target is fixed; virtual calls dispatch on
     /// the receiver type.
-    fixed_target: Option<MethodId>,
+    pub(crate) fixed_target: Option<MethodId>,
+}
+
+/// One observer of a pointer's points-to set, as stored in the
+/// pointer's consumer row. Every kind shares the one row, so a pointer
+/// costs one `Vec` however many kinds observe it, and an entry is 16
+/// bytes (the tag lives in a niche; a unit test pins the size).
+///
+/// The derived order ranks kinds `Copy < Load < Store < Call`, so a
+/// sorted row holds its copy edges first, then the loads, stores and
+/// calls, each kind sorted by its fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Consumer {
+    /// A copy edge to the target, with the optional declared-type
+    /// filter carried by cast edges. Targets are normalized lazily at
+    /// processing time and eagerly when a cycle collapses onto the row.
+    Copy(PtrId, Option<TypeId>),
+    /// `lhs = base.field` on the row's pointer as `base`: each new base
+    /// object's field pointer gets a copy edge to `lhs`.
+    Load(FieldId, PtrId),
+    /// `base.field = rhs` on the row's pointer as `base`: `rhs` gets a
+    /// copy edge to each new base object's field pointer.
+    Store(FieldId, PtrId),
+    /// A call dispatching on the row's pointer as receiver.
+    Call(PendingCall),
 }
 
 /// A level batch (or coalesced run of batches) at least this expensive
@@ -358,13 +383,14 @@ const TL_FREE_RECORDS: u32 = 256;
 /// Rows in the hottest-pointer table published at finalize.
 const TL_TOP_K: usize = 24;
 
-/// Copy-row length at which `add_edge` membership switches from a
-/// linear scan of the row to a mirrored hash set. Short rows stay
-/// scan-only (cheaper and allocation-free); hub rows — field pointers
-/// replayed once per load/store-site × object — get the set.
+/// Consumer-row length at which `add_edge` membership switches from a
+/// linear scan of the row to the row's mirrored hash set of copy edges.
+/// Short rows stay scan-only (cheaper and allocation-free); hub rows —
+/// field pointers replayed once per load/store-site × object — get the
+/// set.
 const EDGE_SET_MIN: usize = 48;
 
-/// A copy edge as stored in `succ` rows: target pointer plus the
+/// A copy edge as mirrored for hub rows: target pointer plus the
 /// optional declared-type filter carried by cast edges.
 type Edge = (PtrId, Option<TypeId>);
 
@@ -491,19 +517,19 @@ struct Solver<'a, S, H> {
     /// Pending (coalesced) delta per pointer; non-empty only on
     /// representatives, and only while the pointer awaits processing.
     pending: Vec<PtsSet<ObjId>>,
-    /// Copy edges with an optional declared-type filter (cast edges).
-    /// Rows live on representatives; targets are normalized lazily at
-    /// processing time and eagerly when a cycle collapses onto the row.
-    succ: Vec<Vec<Edge>>,
-    /// Exact membership mirror of `succ` rows past [`EDGE_SET_MIN`]
-    /// entries. `add_edge` is called once per (edge site, replayed
-    /// object); on hub rows the linear `contains` scan is the solver's
-    /// dominant cost, so long rows carry a hash set that must always
-    /// reflect the row's exact (possibly unnormalized) contents.
-    succ_set: Vec<Option<Box<FastSet<Edge>>>>,
-    loads: Vec<Vec<(FieldId, PtrId)>>,
-    stores: Vec<Vec<(FieldId, PtrId)>>,
-    calls: Vec<Vec<PendingCall>>,
+    /// Everything that observes a pointer's points-to set — copy
+    /// edges, loads, stores and calls — in one row per pointer, in
+    /// arrival order until a cycle collapse sorts it. Rows live on
+    /// representatives.
+    cons: Vec<Vec<Consumer>>,
+    /// Exact membership mirror of the copy edges of consumer rows of at
+    /// least [`EDGE_SET_MIN`] entries, keyed by pointer. `add_edge` is
+    /// called once per (edge site, replayed object); on hub rows the
+    /// linear `contains` scan is the solver's dominant cost, so a long
+    /// row may carry a hash set, which must always hold exactly the
+    /// row's (possibly unnormalized) copy edges. Few rows are long, so
+    /// the mirrors live in a sparse map, probed only for long rows.
+    hub_edges: FastMap<u32, FastSet<Edge>>,
     /// Range-compiled cast masks: `ranges[ty]` covers every interned
     /// object whose type is a subtype of `ty`, as coalesced id runs
     /// (short under hierarchy numbering — that is the point of the
@@ -596,11 +622,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             ptr_keys: Vec::new(),
             pts: Vec::new(),
             pending: Vec::new(),
-            succ: Vec::new(),
-            succ_set: Vec::new(),
-            loads: Vec::new(),
-            stores: Vec::new(),
-            calls: Vec::new(),
+            cons: Vec::new(),
+            hub_edges: FastMap::default(),
             ranges: FastMap::default(),
             dsu: DisjointSets::new(0),
             order: TopoOrder::default(),
@@ -702,11 +725,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // sealed.
         self.order = TopoOrder::default();
         self.pending = Vec::new();
-        self.succ = Vec::new();
-        self.succ_set = Vec::new();
-        self.loads = Vec::new();
-        self.stores = Vec::new();
-        self.calls = Vec::new();
+        self.cons = Vec::new();
+        self.hub_edges = FastMap::default();
         if obs::enabled() {
             obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
         }
@@ -899,7 +919,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         let batch = self.order.take_repairs();
         for &(x, y) in &batch {
             let (x, y) = (self.rep(x), self.rep(y));
-            if let Some(cycle) = self.order.repair(x, y, &self.succ, &self.dsu) {
+            if let Some(cycle) = self.order.repair(x, y, &self.cons, &self.dsu) {
                 self.collapse_scc(&cycle);
             }
         }
@@ -1011,7 +1031,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
     /// Collapses one strongly connected component (all members must be
     /// current representatives): unions the members, moves every
-    /// member's points-to set, pending delta, and consumer rows onto
+    /// member's points-to set, pending delta, and consumer row onto
     /// the surviving representative, and queues whatever some member's
     /// consumers have not seen yet.
     fn collapse_scc(&mut self, members: &[u32]) {
@@ -1044,39 +1064,27 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             }
         }
 
-        let mut succ_r: Vec<(PtrId, Option<TypeId>)> = Vec::new();
-        let mut loads_r: Vec<(FieldId, PtrId)> = Vec::new();
-        let mut stores_r: Vec<(FieldId, PtrId)> = Vec::new();
-        let mut calls_r: Vec<PendingCall> = Vec::new();
+        let mut row: Vec<Consumer> = Vec::new();
         for &m in members {
-            let mi = m as usize;
-            succ_r.append(&mut self.succ[mi]);
-            self.succ_set[mi] = None;
-            loads_r.append(&mut self.loads[mi]);
-            stores_r.append(&mut self.stores[mi]);
-            calls_r.append(&mut self.calls[mi]);
+            row.extend(std::mem::take(&mut self.cons[m as usize]));
+            self.hub_edges.remove(&m);
         }
-        // Normalize the merged copy row; intra-SCC unfiltered edges
+        // Normalize the merged copy edges; intra-SCC unfiltered edges
         // became self-loops and can never contribute again. (Filtered
-        // self-loops are kept but skipped at processing time.)
-        for e in &mut succ_r {
-            e.0 = PtrId(self.dsu.find(e.0.index()) as u32);
+        // self-loops are kept but skipped at processing time.) Sorting
+        // groups the row by kind, copy edges first.
+        for c in &mut row {
+            if let Consumer::Copy(to, _) = c {
+                *to = self.rep(*to);
+            }
         }
-        succ_r.retain(|&(to, f)| !(to.index() == r && f.is_none()));
-        succ_r.sort_unstable();
-        succ_r.dedup();
-        loads_r.sort_unstable();
-        loads_r.dedup();
-        stores_r.sort_unstable();
-        stores_r.dedup();
-        calls_r.sort_unstable();
-        calls_r.dedup();
-        self.succ[r] = succ_r;
-        self.rebuild_succ_set(r);
+        let self_loop = Consumer::Copy(PtrId(r as u32), None);
+        row.retain(|&c| c != self_loop);
+        row.sort_unstable();
+        row.dedup();
+        self.cons[r] = row;
+        self.rebuild_hub_edges(r);
         self.order.absorb(members, r);
-        self.loads[r] = loads_r;
-        self.stores[r] = stores_r;
-        self.calls[r] = calls_r;
 
         self.stats.scc_collapsed_ptrs += (members.len() - 1) as u64;
         self.pts[r] = merged;
@@ -1085,15 +1093,16 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
     // --- Pointer graph primitives ----------------------------------------
 
-    /// Re-derives the membership mirror of `succ[i]` after the row was
-    /// mutated in place (normalization, collapse merge, tidy). Keeps
-    /// the invariant: a mirror exists iff the row is long, and answers
-    /// membership over exactly the row's current contents.
-    fn rebuild_succ_set(&mut self, i: usize) {
-        if self.succ[i].len() >= EDGE_SET_MIN {
-            self.succ_set[i] = Some(Box::new(self.succ[i].iter().copied().collect()));
+    /// Re-derives the copy-edge mirror of `cons[i]` after a collapse
+    /// merged and normalized the row. Keeps the invariant: only a long
+    /// row has a mirror, and a mirror holds exactly the row's current
+    /// copy edges.
+    fn rebuild_hub_edges(&mut self, i: usize) {
+        if self.cons[i].len() >= EDGE_SET_MIN {
+            self.hub_edges
+                .insert(i as u32, copy_edges(&self.cons[i]).collect());
         } else {
-            self.succ_set[i] = None;
+            self.hub_edges.remove(&(i as u32));
         }
     }
 
@@ -1106,11 +1115,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.ptr_keys.push(key);
         self.pts.push(PtsSet::new());
         self.pending.push(PtsSet::new());
-        self.succ.push(Vec::new());
-        self.succ_set.push(None);
-        self.loads.push(Vec::new());
-        self.stores.push(Vec::new());
-        self.calls.push(Vec::new());
+        self.cons.push(Vec::new());
         self.dsu.push();
         self.order.push();
         if self.tl.on {
@@ -1164,10 +1169,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// an outgoing copy edge, a registered load/store, or a call
     /// dispatching on it.
     fn has_consumers(&self, i: usize) -> bool {
-        !self.succ[i].is_empty()
-            || !self.loads[i].is_empty()
-            || !self.stores[i].is_empty()
-            || !self.calls[i].is_empty()
+        !self.cons[i].is_empty()
     }
 
     /// Merges `delta` into the pointer's pending set, enqueueing the
@@ -1231,23 +1233,27 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             return;
         }
         let fi = from.index();
-        let entry = (to, filter);
-        let present = match &self.succ_set[fi] {
-            Some(set) => set.contains(&entry),
-            None => self.succ[fi].contains(&entry),
+        let (edge, entry) = ((to, filter), Consumer::Copy(to, filter));
+        let row = &self.cons[fi];
+        let mirror = if row.len() >= EDGE_SET_MIN {
+            self.hub_edges.get(&from.0)
+        } else {
+            None
+        };
+        let present = match mirror {
+            Some(set) => set.contains(&edge),
+            None => row.contains(&entry),
         };
         if present {
             return;
         }
-        self.succ[fi].push(entry);
-        match &mut self.succ_set[fi] {
-            Some(set) => {
-                set.insert(entry);
-            }
-            None if self.succ[fi].len() >= EDGE_SET_MIN => {
-                self.succ_set[fi] = Some(Box::new(self.succ[fi].iter().copied().collect()));
-            }
-            None => {}
+        let row = &mut self.cons[fi];
+        row.push(entry);
+        if row.len() >= EDGE_SET_MIN {
+            self.hub_edges
+                .entry(from.0)
+                .or_insert_with(|| copy_edges(row).collect())
+                .insert(edge);
         }
         self.stats.copy_edges += 1;
         if filter.is_none() {
@@ -1285,13 +1291,17 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // after a collapse), so every popped object flows on.
         self.stats.propagated_objects += delta.len() as u64;
 
-        // Rows are append-only between collapse points; iterate a
-        // snapshot of the length. An entry appended mid-processing
-        // replays the full source set at add time, which already covers
-        // this delta.
-        let n_succ = self.succ[i].len();
-        for k in 0..n_succ {
-            let (to_raw, filter) = self.succ[i][k];
+        // Rows are append-only between collapse points; walk a snapshot
+        // of the length, once per kind: copy edges, then loads, stores
+        // and calls. An entry appended mid-processing replays the full
+        // source set at add time, which already covers this delta, and
+        // the passes append only copy edges (a load, store or call
+        // joins a row only when a method body is processed).
+        let n = self.cons[i].len();
+        for k in 0..n {
+            let Consumer::Copy(to_raw, filter) = self.cons[i][k] else {
+                continue;
+            };
             let to = self.rep(to_raw);
             if to == ptr {
                 continue; // self-edge: never contributes
@@ -1315,25 +1325,28 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // Non-copy consumers: field loads and stores materialize field
         // pointers and edges, calls dispatch on the new receiver
         // objects. They hang off variable pointers only.
-        let n_loads = self.loads[i].len();
-        for k in 0..n_loads {
-            let (field, lhs) = self.loads[i][k];
+        for k in 0..n {
+            let Consumer::Load(field, lhs) = self.cons[i][k] else {
+                continue;
+            };
             for obj in delta.iter() {
                 let fp = self.ptr(PtrKey::Field(obj, field));
                 self.add_edge(fp, lhs, None);
             }
         }
-        let n_stores = self.stores[i].len();
-        for k in 0..n_stores {
-            let (field, rhs) = self.stores[i][k];
+        for k in 0..n {
+            let Consumer::Store(field, rhs) = self.cons[i][k] else {
+                continue;
+            };
             for obj in delta.iter() {
                 let fp = self.ptr(PtrKey::Field(obj, field));
                 self.add_edge(rhs, fp, None);
             }
         }
-        let n_calls = self.calls[i].len();
-        for k in 0..n_calls {
-            let call = self.calls[i][k];
+        for k in 0..n {
+            let Consumer::Call(call) = self.cons[i][k] else {
+                continue;
+            };
             self.dispatch_batch(call, delta.iter());
         }
     }
@@ -1381,7 +1394,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 let bp = self.var_ptr(ctx, base);
                 let lp = self.var_ptr(ctx, lhs);
                 let bp = self.rep(bp);
-                self.loads[bp.index()].push((field, lp));
+                self.cons[bp.index()].push(Consumer::Load(field, lp));
                 // Replay objects already known for the base.
                 let objs = self.base_objects(bp);
                 for &obj in &objs {
@@ -1394,7 +1407,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 let bp = self.var_ptr(ctx, base);
                 let rp = self.var_ptr(ctx, rhs);
                 let bp = self.rep(bp);
-                self.stores[bp.index()].push((field, rp));
+                self.cons[bp.index()].push(Consumer::Store(field, rp));
                 let objs = self.base_objects(bp);
                 for &obj in &objs {
                     let fp = self.ptr(PtrKey::Field(obj, field));
@@ -1463,7 +1476,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             caller_ctx: ctx,
             fixed_target,
         };
-        self.calls[rp.index()].push(call);
+        self.cons[rp.index()].push(Consumer::Call(call));
         // Binding can grow this very row, so dispatch over a copy in
         // the replay buffer.
         let objs = self.base_objects(rp);
@@ -1637,6 +1650,14 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     }
 }
 
+/// The copy edges of a consumer row, in row order.
+fn copy_edges(row: &[Consumer]) -> impl Iterator<Item = Edge> + '_ {
+    row.iter().filter_map(|&c| match c {
+        Consumer::Copy(to, filter) => Some((to, filter)),
+        _ => None,
+    })
+}
+
 /// Convenience: runs the context-insensitive allocation-site pre-analysis
 /// the Mahjong pipeline starts from (paper Section 3.1, "ci").
 ///
@@ -1651,4 +1672,40 @@ pub fn pre_analysis(program: &Program) -> Result<AnalysisResult, Unscalable> {
         crate::heap::AllocSiteAbstraction,
     )
     .run(program)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::ContextInsensitive;
+    use crate::heap::AllocSiteAbstraction;
+
+    #[test]
+    fn a_consumer_is_16_bytes() {
+        // Every kind shares one row; the tag must stay in a niche, or
+        // each entry of every row would grow by a third.
+        assert_eq!(std::mem::size_of::<Consumer>(), 16);
+    }
+
+    /// One pointer with 60 distinct copy targets, each edge stated
+    /// twice, behind a load that shares its row: past [`EDGE_SET_MIN`]
+    /// entries the hub mirror answers membership, so it must hold every
+    /// copy edge of the row and no other entry.
+    #[test]
+    fn a_hub_row_adds_each_edge_once() {
+        let mut body = String::from("x = new A; f = x.f;");
+        for _ in 0..2 {
+            for i in 0..60 {
+                body += &format!(" y{i} = x;");
+            }
+        }
+        let src =
+            format!("class A {{ field f: A; entry static method main() {{ {body} return; }} }}");
+        let program = jir::parse(&src).expect("the hub program parses");
+        let result = AnalysisConfig::new(ContextInsensitive, AllocSiteAbstraction)
+            .run(&program)
+            .expect("a tiny program fits the default budget");
+        // The 60 from `x`, plus the load's edge from `o.f` to `f`.
+        assert_eq!(result.stats().copy_edges, 61);
+    }
 }

@@ -66,10 +66,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// luindex@2, 2cs, alloc-site heap: allocations and reallocations of
-/// one solver run (measured: 17,432).
-const BOUND_2CS: u64 = 19_200;
-/// luindex@2, 2obj, alloc-site heap (measured: 8,924).
-const BOUND_2OBJ: u64 = 9_850;
+/// one solver run (measured: 15,283, with one consumer row per pointer
+/// and the seal's shrink of each kept set).
+const BOUND_2CS: u64 = 16_800;
+/// luindex@2, 2obj, alloc-site heap (measured: 7,395).
+const BOUND_2OBJ: u64 = 8_150;
 
 /// Allocations and reallocations made by one run of `selector` on
 /// `program`, the result's drop excluded.

@@ -65,8 +65,9 @@ impl<T: Elem> SetInterner<T> {
 
     /// Interns `set`: returns its id and whether the content was new to
     /// the table. A content already present is dropped (one dedup hit);
-    /// only a miss keeps the set, under the next id.
-    pub fn intern(&mut self, set: PtsSet<T>) -> (u32, bool) {
+    /// only a miss keeps the set, under the next id, with its heap
+    /// buffer shrunk to its length (a kept set never grows again).
+    pub fn intern(&mut self, mut set: PtsSet<T>) -> (u32, bool) {
         let id = u32::try_from(self.sets.len())
             .ok()
             .filter(|&id| id != NO_NEXT)
@@ -90,6 +91,7 @@ impl<T: Elem> SetInterner<T> {
                 self.next[at as usize] = id;
             }
         }
+        set.shrink_to_fit();
         self.sets.push(set);
         self.next.push(NO_NEXT);
         (id, true)
@@ -168,6 +170,34 @@ mod tests {
         assert!(interner.get(SetInterner::<u32>::EMPTY).is_empty());
         let sets = interner.into_sets();
         assert_eq!(sets, vec![set(&[]), set(&[1, 2, 3]), set(&[4])]);
+    }
+
+    /// A kept set holds no room to grow: neither the slots a spilled
+    /// sorted set reserves nor bitmap words past its length.
+    #[test]
+    fn a_kept_set_holds_no_spare_capacity() {
+        let mut interner = SetInterner::<u32>::new();
+        let mut small = PtsSet::new();
+        for i in 0..7 {
+            small.insert(i);
+        }
+        assert!(
+            matches!(&small.repr, crate::Repr::Small(v) if v.capacity() > 7),
+            "precondition: a spilled set with room to grow"
+        );
+        let mut words = Vec::with_capacity(8);
+        words.extend([0b1011u64, 1]);
+        let dense = PtsSet::<u32> {
+            repr: crate::Repr::Dense { words, len: 4 },
+            _elem: std::marker::PhantomData,
+        };
+        let (s, _) = interner.intern(small);
+        let (d, _) = interner.intern(dense);
+        assert!(matches!(&interner.get(s).repr, crate::Repr::Small(v) if v.capacity() == 7));
+        assert!(
+            matches!(&interner.get(d).repr, crate::Repr::Dense { words, .. } if words.capacity() == 2)
+        );
+        assert_eq!(interner.get(d).to_vec(), vec![0, 1, 3, 64]);
     }
 
     /// Two contents on one fingerprint stay apart on the chain, and a

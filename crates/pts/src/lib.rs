@@ -424,6 +424,17 @@ impl<T: Elem> PtsSet<T> {
         v
     }
 
+    /// Drops the spare capacity of a heap representation: the slots a
+    /// spilled set keeps for growing to [`SMALL_MAX`], or bitmap words
+    /// reserved past the last one. For a set that will not grow again.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        match &mut self.repr {
+            Repr::Inline { .. } => {}
+            Repr::Small(v) => v.shrink_to_fit(),
+            Repr::Dense { words, .. } => words.shrink_to_fit(),
+        }
+    }
+
     /// Removes every element (a heap representation keeps its
     /// capacity).
     pub fn clear(&mut self) {
