@@ -14,13 +14,7 @@ fn main() {
         for s in Sensitivity::TABLE2 {
             for (heap, label) in [(HeapKind::AllocSite, ""), (HeapKind::Mahjong, "M-")] {
                 timing::bench(&format!("table2/{label}{}/{name}", s.name()), || {
-                    bench::run_configuration(
-                        &prepared.program,
-                        s,
-                        heap,
-                        &prepared.mahjong.mom,
-                        budget,
-                    )
+                    bench::run_configuration(&prepared, s, heap, budget)
                 });
             }
         }

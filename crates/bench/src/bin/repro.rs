@@ -28,17 +28,15 @@
 //! (pre-analysis vs. Mahjong vs. the main analysis). Set
 //! `OBS_DISABLE=1` to turn recording into no-ops.
 //!
-//! `--profile` writes the solver-introspection profile (per-wave
-//! timeline records, the memory-attribution breakdown, and the
-//! hottest-pointer table — see `obs::timeline`) as `PROFILE_pta.json`
-//! next to the benchmark record, or wherever `--profile-json PATH`
-//! says (implies `--profile`). Unlike bench records the profile is a
-//! derived artifact and is overwritten freely. `--heartbeat SECS`
-//! prints a one-line progress pulse (wave round, worklist pops, live
-//! set words) to stderr every `SECS` seconds so multi-minute runs are
-//! not silent. These two flags are the only ones that arm the solver
-//! timeline; without them the solver reads no clock per pop and keeps
-//! no per-pointer tallies.
+//! `--profile` writes the solver profile, one row per solver run keyed
+//! by cell (`luindex.ci`, `luindex.2cs`, `luindex.M-2cs`) with the
+//! run's phase seconds and work ledger (see `bench::profile`), as
+//! `PROFILE_pta.json` next to the benchmark record, or wherever
+//! `--profile-json PATH` says (implies `--profile`). Unlike bench
+//! records the profile is a derived artifact and is overwritten
+//! freely. `--heartbeat SECS` prints a one-line progress pulse (waves,
+//! worklist pops, the largest sealed points-to footprint so far) to
+//! stderr every `SECS` seconds so multi-minute runs are not silent.
 //!
 //! # Snapshots and serving
 //!
@@ -90,7 +88,7 @@ repro options:
   --scale N            workload scale factor (default: 4)
   --budget SECS        per-run time budget (default: 60)
   --programs a,b,c     restrict to a comma-separated program list
-  --profile            write the solver-introspection profile
+  --profile            write the per-run solver profile
                        (PROFILE_pta.json next to the bench record)
   --profile-json PATH  profile destination (implies --profile)
 
@@ -253,9 +251,6 @@ fn main() {
     // clobber after a multi-minute run would throw the work away.
     args.common.check_bench_target("repro");
     args.common.start_heartbeat("repro");
-    if args.profile {
-        obs::timeline().arm(true);
-    }
     let budget = Budget::seconds(args.budget);
     if args.save_snapshot.is_some() || args.load_snapshot.is_some() || args.serve_bench {
         serve_pipeline(&args, budget);
@@ -372,14 +367,8 @@ fn serve_pipeline(args: &Args, budget: Budget) {
             .unwrap_or_else(|| die("--programs is empty".to_owned()));
         let start = Instant::now();
         let prepared = bench::prepare(name, args.scale, &MahjongConfig::default());
-        let result = bench::run_for_result(
-            &prepared.program,
-            sensitivity,
-            heap_kind,
-            &prepared.mahjong.mom,
-            budget,
-        )
-        .unwrap_or_else(|_| {
+        let result = bench::run_for_result(&prepared, sensitivity, heap_kind, budget)
+            .unwrap_or_else(|_| {
             die(format!("{name} ({}) exceeded the {}s budget", args.analysis, args.budget))
         });
         let warm_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -477,15 +466,14 @@ fn profile_path(args: &Args, bench_target: Option<&str>) -> String {
     }
 }
 
-/// The solver-introspection profile: run header plus the timeline's
-/// own JSON export (records, memory breakdown, top-K table) under
-/// `"profile"`.
+/// The solver profile: run header plus one row per solver run (see
+/// `bench::profile`) under `"rows"`.
 fn profile_json(args: &Args) -> String {
     let r = obs::registry();
     format!(
         "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"budget_secs\": {},\n  \"threads\": {},\n  \
          \"pre_analysis_secs\": {:.6},\n  \"main_analysis_secs\": {:.6},\n  \
-         \"pts_peak_words\": {},\n  \"pending_peak_words\": {},\n  \"profile\": {}\n}}\n",
+         \"pts_peak_words\": {},\n  \"rows\": {}\n}}\n",
         args.exp,
         args.scale,
         args.budget,
@@ -493,8 +481,7 @@ fn profile_json(args: &Args) -> String {
         r.phase_time("pre_analysis").as_secs_f64(),
         r.phase_time("main_analysis").as_secs_f64(),
         obs::gauge("pta.pts_peak_words").get(),
-        obs::gauge("pta.pending_peak_words").get(),
-        obs::timeline().export_json(),
+        bench::profile::rows_json(&bench::profile::take_rows()),
     )
 }
 

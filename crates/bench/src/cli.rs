@@ -165,24 +165,23 @@ shared options:
     }
 
     /// Spawns the `--heartbeat` stderr pulse (detached; dies with the
-    /// process). Reads the solver's live counters, which are updated
-    /// once per wave while the solver timeline is armed, so this arms
-    /// it.
+    /// process). Reads the solver's live counters, which every run
+    /// updates once per wave, and the physical footprint of the
+    /// largest run sealed so far (`pta.pts_peak_words`).
     pub fn start_heartbeat(&self, bin: &'static str) {
         let secs = self.heartbeat;
         if secs == 0 {
             return;
         }
-        obs::timeline().arm(true);
         let start = std::time::Instant::now();
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_secs(secs));
             eprintln!(
-                "{bin}: [{}s] wave {} · {} pops · {} live words",
+                "{bin}: [{}s] wave {} · {} pops · {} peak sealed words",
                 start.elapsed().as_secs(),
                 obs::counter("pta.live_wave_rounds").get(),
                 obs::counter("pta.live_worklist_pops").get(),
-                obs::gauge("pta.live_pts_words").get(),
+                obs::gauge("pta.pts_peak_words").get(),
             );
         });
     }

@@ -29,8 +29,7 @@ use jir::Program;
 use mahjong::{FieldPointsToGraph, MahjongConfig, MahjongOutput, Representative};
 use pta::{
     AllocSiteAbstraction, AllocTypeAbstraction, AnalysisConfig, AnalysisResult, Budget,
-    CallSiteSensitive, ContextInsensitive, HeapAbstraction, MergedObjectMap, ObjectSensitive,
-    TypeSensitive,
+    CallSiteSensitive, ContextInsensitive, HeapAbstraction, ObjectSensitive, TypeSensitive,
 };
 
 /// Which context-sensitivity to run.
@@ -121,60 +120,52 @@ impl RunOutcome {
     }
 }
 
-/// Runs one `(sensitivity, heap)` configuration under a budget.
+/// Runs one `(sensitivity, heap)` configuration of a prepared program
+/// under a budget.
 pub fn run_configuration(
-    program: &Program,
+    prepared: &Prepared,
     sensitivity: Sensitivity,
     heap: HeapKind,
-    mom: &MergedObjectMap,
-    budget: Budget,
-) -> RunOutcome {
-    match heap {
-        HeapKind::AllocSite => run_with_heap(program, sensitivity, AllocSiteAbstraction, budget),
-        HeapKind::AllocType => {
-            run_with_heap(program, sensitivity, AllocTypeAbstraction::new(program), budget)
-        }
-        HeapKind::Mahjong => run_with_heap(program, sensitivity, mom.clone(), budget),
-    }
-}
-
-fn run_with_heap<H: HeapAbstraction>(
-    program: &Program,
-    sensitivity: Sensitivity,
-    heap: H,
     budget: Budget,
 ) -> RunOutcome {
     // The elapsed time (like the `main_analysis` span) covers only the
     // solver run: client metrics computed by `RunOutcome::from_result`
-    // are reporting cost, not analysis cost, and the timeline's
-    // attribution check (timeline records vs. `main_analysis` wall)
-    // relies on the span bounding solver work alone.
+    // are reporting cost, not analysis cost.
     let start = Instant::now();
-    let result = result_with_heap(program, sensitivity, heap, budget);
+    let result = run_for_result(prepared, sensitivity, heap, budget);
     let elapsed = start.elapsed();
     match result {
-        Ok(r) => RunOutcome::from_result(program, &r, elapsed),
+        Ok(r) => RunOutcome::from_result(&prepared.program, &r, elapsed),
         Err(_) => RunOutcome::unscalable(),
     }
 }
 
 /// Like [`run_configuration`], but hands back the [`AnalysisResult`]
 /// itself instead of summarized metrics — the entry point for callers
-/// that keep the result alive (snapshot save, query serving).
+/// that keep the result alive (snapshot save, query serving). Either
+/// way the run leaves its [`profile`] row.
 pub fn run_for_result(
-    program: &Program,
+    prepared: &Prepared,
     sensitivity: Sensitivity,
     heap: HeapKind,
-    mom: &MergedObjectMap,
     budget: Budget,
 ) -> Result<AnalysisResult, pta::Unscalable> {
-    match heap {
-        HeapKind::AllocSite => result_with_heap(program, sensitivity, AllocSiteAbstraction, budget),
-        HeapKind::AllocType => {
-            result_with_heap(program, sensitivity, AllocTypeAbstraction::new(program), budget)
+    let program = &prepared.program;
+    let (result, prefix) = match heap {
+        HeapKind::AllocSite => {
+            (result_with_heap(program, sensitivity, AllocSiteAbstraction, budget), "")
         }
-        HeapKind::Mahjong => result_with_heap(program, sensitivity, mom.clone(), budget),
-    }
+        HeapKind::AllocType => {
+            let heap = AllocTypeAbstraction::new(program);
+            (result_with_heap(program, sensitivity, heap, budget), "T-")
+        }
+        HeapKind::Mahjong => {
+            let heap = prepared.mahjong.mom.clone();
+            (result_with_heap(program, sensitivity, heap, budget), "M-")
+        }
+    };
+    profile::record(format!("{}.{prefix}{}", prepared.name, sensitivity.name()), result.as_ref());
+    result
 }
 
 fn result_with_heap<H: HeapAbstraction>(
@@ -201,6 +192,8 @@ fn result_with_heap<H: HeapAbstraction>(
 /// The pre-analysis products every experiment starts from.
 #[derive(Debug)]
 pub struct Prepared {
+    /// Program name, the first part of every [`profile`] row key.
+    pub name: String,
     /// The generated program.
     pub program: Program,
     /// The context-insensitive pre-analysis result.
@@ -235,6 +228,7 @@ pub fn prepare(name: &str, scale: usize, config: &MahjongConfig) -> Prepared {
             .run(&program)
             .expect("pre-analysis fits its budget")
     };
+    profile::record(format!("{name}.ci"), Ok(&pre));
     let ci_seconds = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
@@ -246,6 +240,7 @@ pub fn prepare(name: &str, scale: usize, config: &MahjongConfig) -> Prepared {
     let mahjong_seconds = t.elapsed().as_secs_f64();
 
     Prepared {
+        name: name.to_owned(),
         program,
         pre,
         ci_seconds,
@@ -276,12 +271,11 @@ pub struct Table2Row {
 /// Runs the Table 2 matrix for one program.
 pub fn table2_program(name: &str, scale: usize, budget: Budget) -> (Prepared, Vec<Table2Row>) {
     let prepared = prepare(name, scale, &MahjongConfig::default());
-    let mom = &prepared.mahjong.mom;
     let rows = Sensitivity::TABLE2
         .iter()
         .map(|&s| {
-            let baseline = run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget);
-            let mahjong = run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget);
+            let baseline = run_configuration(&prepared, s, HeapKind::AllocSite, budget);
+            let mahjong = run_configuration(&prepared, s, HeapKind::Mahjong, budget);
             let speedup = match (baseline.seconds, mahjong.seconds) {
                 (Some(b), Some(m)) if m > 0.0 => Some(b / m),
                 _ => None,
@@ -406,12 +400,11 @@ pub struct MotivationResult {
 /// Runs the motivation experiment.
 pub fn motivation(scale: usize, budget: Budget) -> (Prepared, MotivationResult) {
     let prepared = prepare("pmd", scale, &MahjongConfig::default());
-    let mom = &prepared.mahjong.mom;
     let s = Sensitivity::Obj(3);
     let result = MotivationResult {
-        obj3: run_configuration(&prepared.program, s, HeapKind::AllocSite, mom, budget),
-        t_obj3: run_configuration(&prepared.program, s, HeapKind::AllocType, mom, budget),
-        m_obj3: run_configuration(&prepared.program, s, HeapKind::Mahjong, mom, budget),
+        obj3: run_configuration(&prepared, s, HeapKind::AllocSite, budget),
+        t_obj3: run_configuration(&prepared, s, HeapKind::AllocType, budget),
+        m_obj3: run_configuration(&prepared, s, HeapKind::Mahjong, budget),
     };
     (prepared, result)
 }
@@ -506,13 +499,7 @@ pub fn ablations(name: &str, scale: usize, budget: Budget) -> Vec<AblationRow> {
         .into_iter()
         .map(|(label, config)| {
             let prepared = prepare(name, scale, &config);
-            let outcome = run_configuration(
-                &prepared.program,
-                Sensitivity::Cs(2),
-                HeapKind::Mahjong,
-                &prepared.mahjong.mom,
-                budget,
-            );
+            let outcome = run_configuration(&prepared, Sensitivity::Cs(2), HeapKind::Mahjong, budget);
             AblationRow {
                 name: label.to_owned(),
                 merged_objects: prepared.mahjong.stats.merged_objects,
@@ -550,14 +537,11 @@ pub struct AliasTradeoffRow {
 pub fn alias_tradeoff(name: &str, scale: usize, budget: Budget) -> AliasTradeoffRow {
     let prepared = prepare(name, scale, &MahjongConfig::default());
     let p = &prepared.program;
-    let base = AnalysisConfig::new(ObjectSensitive::new(2), AllocSiteAbstraction)
-        .budget(budget)
-        .run(p)
-        .expect("baseline fits budget");
-    let merged = AnalysisConfig::new(ObjectSensitive::new(2), prepared.mahjong.mom.clone())
-        .budget(budget)
-        .run(p)
-        .expect("merged run fits budget");
+    let obj2 = Sensitivity::Obj(2);
+    let base =
+        run_for_result(&prepared, obj2, HeapKind::AllocSite, budget).expect("baseline fits budget");
+    let merged =
+        run_for_result(&prepared, obj2, HeapKind::Mahjong, budget).expect("merged run fits budget");
     let bm = ClientMetrics::compute(p, &base);
     let mm = ClientMetrics::compute(p, &merged);
     assert_eq!(bm.may_fail_casts, mm.may_fail_casts);
@@ -572,6 +556,7 @@ pub fn alias_tradeoff(name: &str, scale: usize, budget: Budget) -> AliasTradeoff
 }
 
 pub mod cli;
+pub mod profile;
 pub mod serve;
 
 // --- Micro-bench harness ----------------------------------------------------------

@@ -64,8 +64,8 @@ impl Registry {
     /// complete (`"ph": "X"`) events — loadable in `about:tracing` and
     /// Perfetto. Counters are attached as process-level metadata on a
     /// final summary event. The process-global exporter
-    /// ([`crate::export_chrome_trace`]) additionally merges in the
-    /// timeline's parallel-propagate shard spans.
+    /// ([`crate::export_chrome_trace`]) renders the global registry
+    /// the same way.
     pub fn export_chrome_trace(&self) -> String {
         render_chrome_trace(&self.spans(), &self.counters())
     }

@@ -15,8 +15,8 @@
 //! - **counters** — monotonic `u64`s ([`counter`]);
 //! - **gauges** — last-write-wins `i64`s ([`gauge`]);
 //! - **histograms** — lock-free log₂-bucketed distributions
-//!   ([`histogram`]) for points-to-set sizes, DFA state counts,
-//!   worklist delta sizes;
+//!   ([`histogram`]), e.g. the NFA sizes of Mahjong's merge
+//!   candidates;
 //! - **spans** — RAII wall-clock phase scopes ([`span`]) that nest and
 //!   aggregate into per-phase totals.
 //!
@@ -54,7 +54,6 @@
 
 pub mod json;
 pub mod rng;
-pub mod timeline;
 
 mod export;
 mod histogram;
@@ -69,7 +68,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
-static TIMELINE: OnceLock<timeline::Timeline> = OnceLock::new();
 static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
 
 fn enabled_flag() -> &'static AtomicBool {
@@ -105,12 +103,6 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// Returns the process-global solver-introspection timeline (see
-/// [`mod@timeline`]).
-pub fn timeline() -> &'static timeline::Timeline {
-    TIMELINE.get_or_init(timeline::Timeline::default)
-}
-
 /// Microseconds elapsed since the process trace epoch (the zero point
 /// of every span timestamp). Pins the epoch on first
 /// use, exactly like opening a span does.
@@ -139,14 +131,12 @@ pub fn span(name: impl Into<String>) -> Span {
     Span::enter(name.into())
 }
 
-/// Zeroes every instrument in place, clears the span log, and clears
-/// the solver-introspection [`timeline()`].
+/// Zeroes every instrument in place and clears the span log.
 ///
 /// Existing [`Counter`]/[`Gauge`]/[`Histogram`] handles stay valid:
 /// they point at the same cells, which are reset to zero.
 pub fn reset() {
     registry().reset();
-    timeline().reset();
 }
 
 /// Renders the human-readable summary table.

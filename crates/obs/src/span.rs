@@ -4,8 +4,8 @@
 //! drop and records the result in the global registry's span log. Spans
 //! opened on the same thread nest: each event carries the nesting depth
 //! at which it ran, and timestamps are offsets from a process-wide
-//! epoch so the Chrome-trace exporter can lay events out on a shared
-//! timeline.
+//! epoch so the Chrome-trace exporter can lay events out on one
+//! shared time axis.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

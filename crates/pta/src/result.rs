@@ -43,6 +43,14 @@ pub struct AnalysisStats {
     pub fixpoint_time: Duration,
     /// Wall-clock spent assembling the result (`solver.finalize`).
     pub finalize_time: Duration,
+    /// Part of `fixpoint_time` spent processing the statements of newly
+    /// reachable methods (see the solver's phase clocks). Not part of
+    /// the snapshot format: restored results read 0.
+    pub methods_time: Duration,
+    /// Part of `fixpoint_time` spent repairing the topological order
+    /// (cycle collapse included) and building each wave's queue. Not
+    /// part of the snapshot format: restored results read 0.
+    pub order_time: Duration,
     /// Worklist entries processed. One pop consumes a pointer's whole
     /// coalesced delta, so this is typically far below
     /// `propagated_objects`.
@@ -62,9 +70,14 @@ pub struct AnalysisStats {
     pub context_count: usize,
     /// **Physical** memory footprint of all points-to sets, in 64-bit
     /// words, as sealed at finalize: each distinct content counts once
-    /// however many rows share it. The logical (per-row) footprint
-    /// travels on the timeline as `mem_logical_words`.
+    /// however many rows share it. The logical (per-row) footprint is
+    /// `pts_logical_words`.
     pub pts_peak_words: u64,
+    /// **Logical** footprint of the sealed rows in 64-bit words: every
+    /// row counts its full set, shared or not, so this is never below
+    /// `pts_peak_words`. Not part of the snapshot format: restored
+    /// results read 0.
+    pub pts_logical_words: u64,
     /// Distinct row contents in the set table at finalize, the empty
     /// set included.
     pub pts_interned: u64,
@@ -92,8 +105,8 @@ pub struct AnalysisStats {
     pub dsu_ops: u64,
     /// Total `[lo, hi)` runs across all compiled cast range tables at
     /// the end of the run — the whole footprint of cast filtering
-    /// under the hierarchy numbering (two words per run; compare the
-    /// old `pta.mem_mask_words` bitmap cost).
+    /// under the hierarchy numbering. A run is one `(u32, u32)` pair,
+    /// one 64-bit word ([`pts::IdRanges::mem_words`]).
     pub mask_ranges: u64,
     /// Filtered (cast-edge) propagation steps answered by a range
     /// table instead of a materialized mask set.

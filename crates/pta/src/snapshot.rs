@@ -222,6 +222,9 @@ pub fn extract(result: &AnalysisResult) -> RawResult {
         // Counters outside the snapshot format read 0, as they will
         // after a save/load round trip.
         stats: AnalysisStats {
+            methods_time: Default::default(),
+            order_time: Default::default(),
+            pts_logical_words: 0,
             order_search_edges: 0,
             dispatch_groups: 0,
             ..result.stats.clone()

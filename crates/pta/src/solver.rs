@@ -112,8 +112,23 @@
 //! programs at scale 6). `pta.pts_interned` /
 //! `pta.pts_dedup_hits` / `pta.intern_probe_ns` report the seal's work;
 //! `pta.pts_peak_words` is the *physical* footprint of the sealed rows
-//! (each distinct content counted once), with the logical (per-row)
-//! footprint reported through the timeline's memory breakdown.
+//! (each distinct content counted once), and
+//! [`AnalysisStats::pts_logical_words`] the logical (per-row) one.
+//!
+//! # Phase clocks
+//!
+//! Every run times the driver's phases into its [`AnalysisStats`], at
+//! drain grain rather than per pop. `methods_time` covers statement
+//! processing: the seed drain that opens each wave and every drain of
+//! methods a popped delta made reachable; the clock is read only when
+//! a method is pending. `order_time` covers the order's upkeep: the
+//! wave-boundary repair and heap build, and every repair batch between
+//! pops, cycle collapse included. Propagation is what the fixpoint
+//! spends outside those two, and the seal is `intern_probe_ns`. A
+//! table2-shaped pass (ci and the 20 cells of pmd@4 and lusearch@4)
+//! reads 163,869 clock pairs this way against 404,385 pops, roughly 1%
+//! of its solver time; splitting propagation into copy, consumer and
+//! dispatch work would need a clock read per pop.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -123,15 +138,12 @@ use dsu::DisjointSets;
 use jir::{
     AllocId, CallKind, CallSiteId, CallTarget, FieldId, MethodId, Program, Stmt, TypeId, VarId,
 };
-use obs::timeline::{
-    HotPointer, MemoryBreakdown, WaveRecord, LEVEL_MIXED, LEVEL_OVERHEAD, LEVEL_SEED,
-};
 use pts::{IdRanges, PtsSet, SetInterner};
 
 use crate::context::{ContextArena, ContextSelector, CtxId};
 use crate::heap::HeapAbstraction;
 use crate::object::{Numbering, ObjId, ObjTable};
-use crate::order::{TopoOrder, GAP};
+use crate::order::TopoOrder;
 use crate::result::{AnalysisResult, AnalysisStats};
 use crate::util::{FastMap, FastSet};
 
@@ -369,20 +381,6 @@ pub(crate) enum Consumer {
     Call(PendingCall),
 }
 
-/// A level batch (or coalesced run of batches) at least this expensive
-/// always gets its own timeline record; cheaper work coalesces into a
-/// `LEVEL_MIXED` residual so the record ring tracks where the time
-/// went without one entry per micro-batch.
-const TL_FLUSH_NS: u64 = 4_000_000;
-
-/// Per-run budget of standalone records for level batches below
-/// [`TL_FLUSH_NS`], so short runs (tests, tiny programs) still produce
-/// per-level records instead of one coalesced blob.
-const TL_FREE_RECORDS: u32 = 256;
-
-/// Rows in the hottest-pointer table published at finalize.
-const TL_TOP_K: usize = 24;
-
 /// Consumer-row length at which `add_edge` membership switches from a
 /// linear scan of the row to the row's mirrored hash set of copy edges.
 /// Short rows stay scan-only (cheaper and allocation-free); hub rows —
@@ -393,113 +391,6 @@ const EDGE_SET_MIN: usize = 48;
 /// A copy edge as mirrored for hub rows: target pointer plus the
 /// optional declared-type filter carried by cast edges.
 type Edge = (PtrId, Option<TypeId>);
-
-/// Per-run funnel from the solver's hot loops into [`obs::timeline`].
-///
-/// Batches worth at least [`TL_FLUSH_NS`] become standalone
-/// [`WaveRecord`]s; real level batches below that spend the per-run
-/// [`TL_FREE_RECORDS`] budget; everything else is absorbed into a
-/// `LEVEL_MIXED` residual flushed once it accumulates [`TL_FLUSH_NS`]
-/// or at a wave boundary. When the timeline was unarmed at run start
-/// (`on == false`, see [`obs::timeline::Timeline::arm`]) every method
-/// returns immediately and no `Instant` is ever read — the profiler is
-/// fully inert.
-struct TimelineSink {
-    on: bool,
-    run: u32,
-    wave: u32,
-    free_left: u32,
-    residual: WaveRecord,
-}
-
-impl TimelineSink {
-    fn new() -> Self {
-        let on = obs::timeline().armed();
-        TimelineSink {
-            on,
-            run: if on { obs::timeline().begin_run() } else { 0 },
-            wave: 0,
-            free_left: TL_FREE_RECORDS,
-            residual: WaveRecord::default(),
-        }
-    }
-
-    /// `Instant::now()` when recording, `None` otherwise — the hot
-    /// loops thread these marks through so disabled runs never touch
-    /// the clock.
-    fn now(&self) -> Option<Instant> {
-        if self.on {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Routes one measured batch record (run/wave stamped here).
-    fn batch(&mut self, mut rec: WaveRecord) {
-        if !self.on {
-            return;
-        }
-        rec.run = self.run;
-        rec.wave = self.wave;
-        if rec.total_ns() >= TL_FLUSH_NS {
-            obs::timeline().record_wave(rec);
-            return;
-        }
-        // The free budget is reserved for real level batches (pops >
-        // 0): tiny runs still get per-level records, while cheap
-        // seed/overhead slivers always coalesce.
-        if rec.pops > 0 && self.free_left > 0 {
-            self.free_left -= 1;
-            obs::timeline().record_wave(rec);
-            return;
-        }
-        if self.residual.pops == 0 && self.residual.total_ns() == 0 {
-            self.residual.wave = rec.wave;
-        }
-        self.residual.absorb(&rec);
-        if self.residual.total_ns() >= TL_FLUSH_NS {
-            self.flush_residual();
-        }
-    }
-
-    /// Emits the coalesced residual as one `LEVEL_MIXED` record.
-    fn flush_residual(&mut self) {
-        if !self.on {
-            return;
-        }
-        let rec = std::mem::take(&mut self.residual);
-        if rec.pops == 0 && rec.total_ns() == 0 {
-            return;
-        }
-        obs::timeline().record_wave(WaveRecord {
-            run: self.run,
-            level: LEVEL_MIXED,
-            ..rec
-        });
-    }
-
-    /// Records solver bookkeeping (collapse, wave scheduling, init and
-    /// finalize) elapsed since `t0`; no-op on disabled runs.
-    fn overhead_since(&mut self, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
-        self.batch(WaveRecord {
-            level: LEVEL_OVERHEAD,
-            resolve_ns: t0.elapsed().as_nanos() as u64,
-            ..WaveRecord::default()
-        });
-    }
-
-    /// Records a statement-processing (seed) drain elapsed since `t0`.
-    fn seed_since(&mut self, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
-        self.batch(WaveRecord {
-            level: LEVEL_SEED,
-            merge_ns: t0.elapsed().as_nanos() as u64,
-            ..WaveRecord::default()
-        });
-    }
-}
 
 struct Solver<'a, S, H> {
     program: &'a Program,
@@ -572,20 +463,6 @@ struct Solver<'a, S, H> {
     /// chains).
     pending_methods: VecDeque<(CtxId, MethodId)>,
     stats: AnalysisStats,
-
-    /// Timeline funnel for this run (inert when observability was off
-    /// at run start).
-    tl: TimelineSink,
-    /// Per-pointer popped-delta words, feeding the hottest-pointer
-    /// table; grown alongside `pts` only while profiling.
-    hot_words: Vec<u64>,
-    /// Per-pointer worklist pops, feeding the hottest-pointer table.
-    hot_pops: Vec<u32>,
-    /// Largest pending-delta footprint seen at a wave boundary, where
-    /// every dirty pointer still holds its delta.
-    pending_peak_words: u64,
-    /// `worklist_pops` already mirrored into `pta.live_worklist_pops`.
-    live_pops_published: u64,
 }
 
 impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
@@ -638,81 +515,52 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             worklist: VecDeque::new(),
             pending_methods: VecDeque::new(),
             stats: AnalysisStats::default(),
-            tl: TimelineSink::new(),
-            hot_words: Vec::new(),
-            hot_pops: Vec::new(),
-            pending_peak_words: 0,
-            live_pops_published: 0,
         }
     }
 
     fn solve(mut self) -> Result<AnalysisResult, Unscalable> {
         {
             let _init = obs::span("solver.init");
-            let t0 = self.tl.now();
             let empty = self.arena.empty();
             self.mark_reachable(empty, self.program.entry());
             self.stats.init_time = self.start.elapsed();
-            self.tl.overhead_since(t0);
         }
 
         let fixpoint_start = Instant::now();
         let fixpoint_span = obs::span("solver.fixpoint");
-        let delta_hist = obs::histogram("pta.worklist_delta_size");
+        // The `--heartbeat` pulse reads these between waves.
+        let (live_waves, live_pops) =
+            (obs::counter("pta.live_wave_rounds"), obs::counter("pta.live_worklist_pops"));
         let mut since_check = 0usize;
         'fixpoint: loop {
             // Statement processing first: it seeds objects and edges the
             // wave below will propagate.
-            let t_seed = if self.pending_methods.is_empty() {
-                None
-            } else {
-                self.tl.now()
-            };
-            while let Some((ctx, method)) = self.pending_methods.pop_front() {
-                self.process_method(ctx, method);
-            }
-            self.tl.seed_since(t_seed);
+            self.drain_methods();
             if self.worklist.is_empty() {
                 break 'fixpoint;
             }
 
             // Wave boundary: repair the order for the edges statement
             // processing added, then queue every dirty pointer by label.
-            let t_over = self.tl.now();
+            let t0 = Instant::now();
             self.repair_order();
             self.stats.wave_rounds += 1;
-            self.tl.wave = self.stats.wave_rounds as u32;
-            if self.tl.on {
-                // Every dirty pointer still holds its delta here; a
-                // collapsed cycle's representative may be queued twice.
-                let mut ids: Vec<u32> = self.worklist.iter().map(|p| p.0).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                let live: u64 = ids
-                    .iter()
-                    .map(|&i| self.pending[i as usize].mem_words() as u64)
-                    .sum();
-                self.pending_peak_words = self.pending_peak_words.max(live);
-            }
             let dirty: Vec<PtrId> = self.worklist.drain(..).collect();
             let mut wave: BinaryHeap<Reverse<(u64, u32)>> = dirty
                 .into_iter()
                 .map(|p| Reverse((self.label(p), p.0)))
                 .collect();
             let mut next_wave: Vec<PtrId> = Vec::new();
-            self.tl.overhead_since(t_over);
+            self.stats.order_time += t0.elapsed();
 
-            if self.run_wave(&mut wave, &mut next_wave, &delta_hist, &mut since_check) {
+            let pops_before = self.stats.worklist_pops;
+            if self.run_wave(&mut wave, &mut next_wave, &mut since_check) {
                 drop(fixpoint_span);
                 return Err(self.overrun(fixpoint_start));
             }
             self.worklist.extend(next_wave);
-            if self.tl.on {
-                obs::counter("pta.live_wave_rounds").inc();
-                let pops = self.stats.worklist_pops;
-                obs::counter("pta.live_worklist_pops").add(pops - self.live_pops_published);
-                self.live_pops_published = pops;
-            }
+            live_waves.inc();
+            live_pops.add(self.stats.worklist_pops - pops_before);
         }
         drop(fixpoint_span);
         self.stats.fixpoint_time = fixpoint_start.elapsed();
@@ -730,9 +578,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         if obs::enabled() {
             obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
         }
-        self.publish_timeline_tables();
         let mut interner = SetInterner::new();
-        let row_set = self.seal_rows(&mut interner, 0);
+        let row_set = self.seal_rows(&mut interner);
         let result = AnalysisResult::from_parts(
             self.arena,
             self.objs,
@@ -749,12 +596,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         );
         drop(finalize_span);
         self.stats.finalize_time = finalize_start.elapsed();
-        self.tl.batch(WaveRecord {
-            level: LEVEL_OVERHEAD,
-            resolve_ns: self.stats.finalize_time.as_nanos() as u64,
-            ..WaveRecord::default()
-        });
-        self.tl.flush_residual();
         self.stats.elapsed = self.start.elapsed();
         self.stats.publish();
         Ok(result.with_stats(self.stats))
@@ -762,16 +603,11 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
     /// Final bookkeeping of a budget-overrun exit. The rows are sealed
     /// like a finished run's, so the partial stats report the same
-    /// interner counts and physical footprint.
+    /// interner counts and footprints.
     fn overrun(&mut self, fixpoint_start: Instant) -> Unscalable {
         self.stats.fixpoint_time = fixpoint_start.elapsed();
         self.count_structures();
-        self.publish_timeline_tables();
-        // An aborted run may still be the process peak: the seal's
-        // memory sample covers whatever `pts_peak_words` the bench
-        // record ends up reporting.
-        self.seal_rows(&mut SetInterner::new(), self.stats.wave_rounds as u32);
-        self.tl.flush_residual();
+        self.seal_rows(&mut SetInterner::new());
         self.stats.elapsed = self.start.elapsed();
         self.stats.publish();
         Unscalable {
@@ -797,9 +633,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// set, a non-empty one goes through [`SetInterner::intern`], which
     /// keeps only a content it has not seen. The misses' words are the
     /// physical footprint (`pts_peak_words`), every row's words the
-    /// logical one. Takes the timeline's memory sample (`wave` 0 =
-    /// finalize).
-    fn seal_rows(&mut self, interner: &mut SetInterner<ObjId>, wave: u32) -> Vec<u32> {
+    /// logical one (`pts_logical_words`).
+    fn seal_rows(&mut self, interner: &mut SetInterner<ObjId>) -> Vec<u32> {
         let t0 = Instant::now();
         let (mut physical, mut logical) = (0u64, 0u64);
         let rows = std::mem::take(&mut self.pts)
@@ -821,83 +656,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stats.pts_interned = interner.interned();
         self.stats.pts_dedup_hits = interner.dedup_hits();
         self.stats.pts_peak_words = physical;
-        if self.tl.on {
-            self.sample_memory(wave, physical, logical);
-            obs::gauge("pta.pending_peak_words").set(self.pending_peak_words as i64);
-        }
+        self.stats.pts_logical_words = logical;
         rows
-    }
-
-    /// Offers the run's memory sample (`wave` 0 = finalize) to the
-    /// timeline and mirrors it into the `pta.mem_*` gauges when it
-    /// becomes the retained (largest-`rep_words`) sample.
-    fn sample_memory(&mut self, wave: u32, rep_words: u64, logical_words: u64) {
-        let pending_words: u64 = self.pending.iter().map(|s| s.mem_words() as u64).sum();
-        // Compiled range tables cost one word per run — the whole
-        // point of the compilation; this attribution used to be the
-        // mask bitmaps' footprint.
-        let mask_words: u64 = self.ranges.values().map(|r| r.mem_words() as u64).sum();
-        self.pending_peak_words = self.pending_peak_words.max(pending_words);
-        obs::gauge("pta.live_pts_words").set(rep_words as i64);
-        let retained = obs::timeline().offer_memory(MemoryBreakdown {
-            run: self.tl.run,
-            wave,
-            rep_words,
-            logical_words,
-            pending_words,
-            mask_words,
-        });
-        if retained {
-            obs::gauge("pta.mem_rep_words").set(rep_words as i64);
-            obs::gauge("pta.mem_logical_words").set(logical_words as i64);
-            obs::gauge("pta.mem_pending_words").set(pending_words as i64);
-            obs::gauge("pta.mem_mask_words").set(mask_words as i64);
-        }
-    }
-
-    /// Records the final set-size histogram and offers the
-    /// hottest-pointer table (top [`TL_TOP_K`] popped-delta word
-    /// totals, scored by this run's total popped words). Timeline only.
-    fn publish_timeline_tables(&self) {
-        if !self.tl.on {
-            return;
-        }
-        let pts_hist = obs::histogram("pta.points_to_set_size");
-        for set in &self.pts {
-            pts_hist.record(set.len() as u64);
-        }
-        let total: u64 = self.hot_words.iter().sum();
-        if total == 0 {
-            return;
-        }
-        let mut idx: Vec<u32> = (0..self.hot_words.len() as u32)
-            .filter(|&i| self.hot_words[i as usize] > 0)
-            .collect();
-        idx.sort_unstable_by_key(|&i| (Reverse(self.hot_words[i as usize]), i));
-        idx.truncate(TL_TOP_K);
-        // Count collapsed-SCC members for just the selected reps.
-        let mut scc_size: FastMap<u32, u32> = idx.iter().map(|&i| (i, 0)).collect();
-        for p in 0..self.pts.len() {
-            if let Some(c) = scc_size.get_mut(&(self.dsu.find(p) as u32)) {
-                *c += 1;
-            }
-        }
-        let rows: Vec<HotPointer> = idx
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| {
-                let ii = i as usize;
-                HotPointer {
-                    rank: k as u32 + 1,
-                    key: format!("{:?}", self.ptr_keys[ii]),
-                    words: self.hot_words[ii],
-                    pops: u64::from(self.hot_pops[ii]),
-                    set_len: self.pts[self.dsu.find(ii)].len() as u64,
-                    scc_size: scc_size.get(&i).copied().unwrap_or(1).max(1),
-                }
-            })
-            .collect();
-        obs::timeline().offer_top_pointers(total, rows);
     }
 
     // --- Order maintenance and cycle collapse ------------------------------
@@ -952,19 +712,14 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         &mut self,
         wave: &mut BinaryHeap<Reverse<(u64, u32)>>,
         next_wave: &mut Vec<PtrId>,
-        delta_hist: &obs::Histogram,
         since_check: &mut usize,
     ) -> bool {
-        // Consecutive pops within one label gap coalesce into one
-        // timeline record.
-        let mut cur = WaveRecord::default();
-        let mut cur_any = false;
         while let Some(Reverse((cursor, pi))) = wave.pop() {
             if self.order.has_repairs() {
-                let t0 = self.tl.now();
+                let t0 = Instant::now();
                 self.repair_order();
                 self.route_dirty(wave, next_wave, cursor);
-                self.tl.overhead_since(t0);
+                self.stats.order_time += t0.elapsed();
             }
 
             let ptr = PtrId(pi);
@@ -986,46 +741,16 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             if *since_check >= 4096 {
                 *since_check = 0;
                 if self.start.elapsed() > self.budget.time_limit {
-                    if cur_any {
-                        self.tl.batch(std::mem::take(&mut cur));
-                    }
-                    self.tl.flush_residual();
                     return true;
                 }
             }
 
             let delta = self.take_pending(ptr);
             self.stats.worklist_pops += 1;
-            delta_hist.record(delta.len() as u64);
-            if self.tl.on {
-                let level = (label / GAP).min(u64::from(LEVEL_OVERHEAD - 1)) as u32;
-                if cur_any && cur.level != level {
-                    self.tl.batch(std::mem::take(&mut cur));
-                }
-                cur.level = level;
-                cur_any = true;
-                cur.pops += 1;
-                cur.objects += delta.len() as u64;
-                cur.words += delta.mem_words() as u64;
-                self.hot_words[ptr.index()] += delta.mem_words() as u64;
-                self.hot_pops[ptr.index()] += 1;
-            }
-            let t0 = self.tl.now();
             self.process(ptr, &delta);
-            let t1 = self.tl.now();
-            while let Some((ctx, method)) = self.pending_methods.pop_front() {
-                self.process_method(ctx, method);
-            }
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                cur.propagate_ns += t1.duration_since(t0).as_nanos() as u64;
-                cur.merge_ns += t1.elapsed().as_nanos() as u64;
-            }
+            self.drain_methods();
             self.route_dirty(wave, next_wave, cursor);
         }
-        if cur_any {
-            self.tl.batch(std::mem::take(&mut cur));
-        }
-        self.tl.flush_residual();
         false
     }
 
@@ -1118,10 +843,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.cons.push(Vec::new());
         self.dsu.push();
         self.order.push();
-        if self.tl.on {
-            self.hot_words.push(0);
-            self.hot_pops.push(0);
-        }
         p
     }
 
@@ -1360,6 +1081,19 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.reachable_methods.insert(method);
         self.stats.reachable_method_contexts += 1;
         self.pending_methods.push_back((ctx, method));
+    }
+
+    /// Processes every pending `(context, method)` pair into
+    /// `methods_time`; reads no clock when none is pending.
+    fn drain_methods(&mut self) {
+        if self.pending_methods.is_empty() {
+            return;
+        }
+        let t0 = Instant::now();
+        while let Some((ctx, method)) = self.pending_methods.pop_front() {
+            self.process_method(ctx, method);
+        }
+        self.stats.methods_time += t0.elapsed();
     }
 
     fn process_method(&mut self, ctx: CtxId, method: MethodId) {

@@ -394,6 +394,9 @@ fn stats_from_words(w: &[u64; 20]) -> Result<AnalysisStats, SnapshotError> {
         dsu_ops: w[17],
         mask_ranges: w[18],
         range_union_hits: w[19],
+        methods_time: Duration::ZERO,
+        order_time: Duration::ZERO,
+        pts_logical_words: 0,
         order_search_edges: 0,
         dispatch_groups: 0,
     })

@@ -263,7 +263,6 @@ fn cycle_collapse_is_active() {
 /// program they ran on.
 fn luindex2_seal_cells() -> (jir::Program, Vec<(&'static str, pta::AnalysisResult)>) {
     let prepared = bench::prepare("luindex", 2, &MahjongConfig::default());
-    let mom = &prepared.mahjong.mom;
     let budget = Budget::seconds(120);
     let cells = [
         ("2cs", Sensitivity::Cs(2), HeapKind::AllocSite),
@@ -272,7 +271,7 @@ fn luindex2_seal_cells() -> (jir::Program, Vec<(&'static str, pta::AnalysisResul
     ]
     .into_iter()
     .map(|(label, sens, heap)| {
-        let r = bench::run_for_result(&prepared.program, sens, heap, mom, budget)
+        let r = bench::run_for_result(&prepared, sens, heap, budget)
             .unwrap_or_else(|e| panic!("luindex@2 {label}: {e}"));
         (label, r)
     })

@@ -2,15 +2,17 @@
 //! counters on the figure-1 corpus program, span-nesting invariants,
 //! and both export formats written to disk and re-parsed.
 //!
-//! The `obs` registry is process-global, so every test here takes the
-//! same lock and resets the registry before making assertions. The lock
-//! also disarms the solver timeline; the tests that inspect it arm it.
+//! The `obs` registry and the `bench::profile` rows are process-global,
+//! so every test here takes the same lock, which resets the registry
+//! and drops the rows earlier runs left.
 
 use std::sync::Mutex;
 
+use bench::profile::ProfileRow;
+use bench::{HeapKind, Sensitivity};
 use mahjong::{build_heap_abstraction, MahjongConfig};
 use obs::json;
-use pta::Budget;
+use pta::{AnalysisStats, Budget};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -18,7 +20,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::reset();
     obs::set_enabled(true);
-    obs::timeline().arm(false);
+    bench::profile::take_rows();
     guard
 }
 
@@ -151,131 +153,104 @@ fn chrome_trace_is_valid() {
     assert!(metas >= 1, "at least the main thread is named");
 }
 
-/// The solver timeline is deterministic: its pop/object/word totals
-/// agree with the registry counters, and an identical rerun reproduces
-/// them exactly (timings differ; work does not).
-#[test]
-fn timeline_contents_are_deterministic_on_figure1() {
-    let _guard = lock();
-    obs::timeline().arm(true);
-    let totals = |p: &jir::Program| {
-        let pre = pta::pre_analysis(p).unwrap();
-        let _ = build_heap_abstraction(p, &pre, &MahjongConfig::default());
-        let records = obs::timeline().records();
-        assert!(!records.is_empty(), "solver runs leave timeline records");
-        let pops: u64 = records.iter().map(|r| u64::from(r.pops)).sum();
-        let objects: u64 = records.iter().map(|r| r.objects).sum();
-        let words: u64 = records.iter().map(|r| r.words).sum();
-        assert_eq!(pops, counter("pta.worklist_pops"), "timeline pops match the counter");
-        (pops, objects, words)
-    };
-    let p = load_figure1();
-    let first = totals(&p);
-    obs::reset();
-    obs::set_enabled(true);
-    let second = totals(&p);
-    assert_eq!(first, second, "rerun reproduces the timeline totals");
-}
-
-/// Until the timeline is armed it costs nothing and records nothing:
-/// an unarmed figure-1 pipeline leaves no timeline record, memory
-/// sample or hottest-pointer table, and no timeline-only instrument
-/// (`pta.live_*`, `pta.mem_*`, `pta.points_to_set_size`), while every
-/// `pta.*` counter matches an armed run of the same pipeline.
-#[test]
-fn timeline_costs_nothing_until_armed() {
-    let _guard = lock();
-    let pta_counters = || -> Vec<(String, u64)> {
-        obs::registry()
-            .counters()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("pta.") && name != "pta.intern_probe_ns")
-            .filter(|(name, _)| !name.starts_with("pta.live_"))
-            .collect()
-    };
-    let p = load_figure1();
-    let pipeline = |p: &jir::Program| {
-        let pre = pta::pre_analysis(p).unwrap();
-        let _ = build_heap_abstraction(p, &pre, &MahjongConfig::default());
-    };
-
-    pipeline(&p);
-    let tl = obs::timeline();
-    assert!(tl.records().is_empty(), "an unarmed run left timeline records");
-    assert!(tl.memory().is_none(), "an unarmed run offered a memory sample");
-    assert!(tl.top_pointers().is_empty(), "an unarmed run offered a top-pointer table");
-    // Instruments outlive `obs::reset` (it zeroes them in place), so
-    // "not recorded" means zero, not absent.
-    let timeline_only = |name: &str| {
-        ["pta.live_", "pta.mem_", "pta.points_to_set_size", "pta.pending_peak_words"]
-            .iter()
-            .any(|prefix| name.starts_with(prefix))
-    };
-    let r = obs::registry();
-    for (name, v) in r.counters() {
-        assert!(!timeline_only(&name) || v == 0, "unarmed run counted `{name}` = {v}");
-    }
-    for (name, v) in r.gauges() {
-        assert!(!timeline_only(&name) || v == 0, "unarmed run set `{name}` = {v}");
-    }
-    for (name, h) in r.histograms() {
-        assert!(!timeline_only(&name) || h.count == 0, "unarmed run recorded `{name}`");
-    }
-    let unarmed = pta_counters();
-    assert!(
-        unarmed.iter().any(|(n, v)| n == "pta.pts_interned" && *v > 0),
-        "counters still record while the timeline is unarmed"
-    );
-
-    obs::reset();
-    obs::timeline().arm(true);
-    pipeline(&p);
-    assert!(!tl.records().is_empty(), "an armed run records");
-    assert_eq!(unarmed, pta_counters(), "arming the timeline changed a pta counter");
-    tl.arm(false);
-}
-
-/// The timeline ring keeps the newest records once capacity is
-/// exceeded and counts what it dropped.
-#[test]
-fn timeline_ring_wraps_at_capacity() {
-    use obs::timeline::{Timeline, WaveRecord};
-    let _guard = lock();
-    let tl = Timeline::new(4);
-    for wave in 0..10u32 {
-        tl.record_wave(WaveRecord { wave, pops: wave, ..WaveRecord::default() });
-    }
-    let records = tl.records();
-    assert_eq!(records.len(), 4);
-    assert_eq!(tl.records_dropped(), 6);
-    // Oldest-first order over the surviving (newest) records.
-    assert_eq!(records.iter().map(|r| r.wave).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
-}
-
-/// `export_json` round-trips through the parser and mirrors the
-/// in-memory ring.
-#[test]
-fn timeline_export_roundtrips() {
-    let _guard = lock();
-    obs::timeline().arm(true);
-    let p = load_figure1();
-    let pre = pta::pre_analysis(&p).unwrap();
-    let _ = build_heap_abstraction(&p, &pre, &MahjongConfig::default());
-
-    let tl = obs::timeline();
-    let doc = json::parse(&tl.export_json()).expect("timeline export parses");
-    let records = doc.get("records").unwrap().as_array().unwrap();
-    assert_eq!(records.len(), tl.records().len());
-    for rec in records {
-        // Sentinel levels export as small negatives, real levels as >= 0.
-        let level = rec.get("level").unwrap().as_f64().unwrap();
-        assert!(level >= -4.0, "level {level} in range");
-        for key in ["pops", "resolve_ns", "propagate_ns", "merge_ns"] {
-            assert!(rec.get(key).is_some(), "record lacks `{key}`");
+/// The Table 2 runs of luindex@1, each rerun on the same program, and
+/// the profile rows those runs leave, in run order.
+fn luindex_table2_runs() -> (Vec<(String, AnalysisStats)>, Vec<ProfileRow>) {
+    let prepared = bench::prepare("luindex", 1, &MahjongConfig::default());
+    let mut runs = vec![("luindex.ci".to_owned(), prepared.pre.stats().clone())];
+    for s in Sensitivity::TABLE2 {
+        for (heap, prefix) in [(HeapKind::AllocSite, ""), (HeapKind::Mahjong, "M-")] {
+            let r = bench::run_for_result(&prepared, s, heap, Budget::seconds(120))
+                .expect("scale-1 run fits its budget");
+            runs.push((format!("luindex.{prefix}{}", s.name()), r.stats().clone()));
         }
     }
-    assert!(doc.get("records_dropped").unwrap().as_u64().is_some());
-    assert!(doc.get("top_pointers").unwrap().as_array().is_some());
+    (runs, bench::profile::take_rows())
+}
+
+/// A row's key and work ledger, the part of a row two runs must agree
+/// on (times differ; work does not).
+fn ledgers(rows: &[ProfileRow]) -> Vec<(String, Vec<(&'static str, u64)>)> {
+    rows.iter().map(|r| (r.key.clone(), r.ledger().to_vec())).collect()
+}
+
+/// Every `pta.*` counter but the seal's nanoseconds.
+fn pta_counters() -> Vec<(String, u64)> {
+    obs::registry()
+        .counters()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("pta.") && name != "pta.intern_probe_ns")
+        .collect()
+}
+
+/// Two passes over luindex@1's Table 2 leave one row per solver run,
+/// ci plus the ten cells, keyed as `perfbench` keys its cells, with
+/// identical work ledgers and identical `pta.*` counters.
+#[test]
+fn profile_rows_are_deterministic_on_luindex_table2() {
+    let _guard = lock();
+    let (_, first) = luindex_table2_runs();
+    let counters = pta_counters();
+    let keys: Vec<&str> = first.iter().map(|r| r.key.as_str()).collect();
+    assert_eq!(keys.len(), 11, "{keys:?}");
+    assert_eq!(keys[..3], ["luindex.ci", "luindex.2cs", "luindex.M-2cs"]);
+    assert!(first.iter().all(|r| r.finished));
+    assert!(counters.iter().any(|(n, v)| n == "pta.live_wave_rounds" && *v > 0));
+
+    obs::reset();
+    let (_, second) = luindex_table2_runs();
+    assert_eq!(ledgers(&first), ledgers(&second), "rerun changed a row ledger");
+    assert_eq!(counters, pta_counters(), "rerun changed a pta counter");
+}
+
+/// On every row each measured phase fits inside the run's elapsed
+/// time, the phase clocks nest inside the fixpoint, so `propagate` is
+/// a true remainder, and the logical footprint is at least the
+/// physical one. The rendered JSON says the same.
+#[test]
+fn profile_row_phases_fit_inside_elapsed() {
+    let _guard = lock();
+    let (_, rows) = luindex_table2_runs();
+    for row in &rows {
+        let s = &row.stats;
+        assert!(s.methods_time + s.order_time <= s.fixpoint_time, "{}: {s:?}", row.key);
+        assert!(s.pts_logical_words >= s.pts_peak_words, "{}: {s:?}", row.key);
+        for (phase, d) in row.phases() {
+            assert!(d <= s.elapsed, "{}: {phase} {d:?} > elapsed {:?}", row.key, s.elapsed);
+        }
+    }
+    let doc = json::parse(&bench::profile::rows_json(&rows)).expect("rows parse");
+    let parsed = doc.as_array().expect("rows are an array");
+    assert_eq!(parsed.len(), rows.len());
+    for row in parsed {
+        let secs = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("{k}"));
+        let elapsed = secs("elapsed");
+        for phase in ["init", "methods", "order", "propagate", "seal", "finalize"] {
+            assert!((0.0..=elapsed).contains(&secs(phase)), "{phase} outside [0, {elapsed}]");
+        }
+    }
+}
+
+/// The rendered rows carry exactly the ledger of the runs' own
+/// `AnalysisStats`.
+#[test]
+fn profile_row_ledgers_equal_run_stats() {
+    let _guard = lock();
+    let (runs, rows) = luindex_table2_runs();
+    let doc = json::parse(&bench::profile::rows_json(&rows)).expect("rows parse");
+    let parsed = doc.as_array().expect("rows are an array");
+    assert_eq!(parsed.len(), runs.len());
+    for ((key, s), row) in runs.iter().zip(parsed) {
+        assert_eq!(row.get("key").unwrap().as_str(), Some(key.as_str()));
+        let count = |k: &str| row.get(k).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("{k}"));
+        assert_eq!(count("pops"), s.worklist_pops, "{key}");
+        assert_eq!(count("propagated_objects"), s.propagated_objects, "{key}");
+        assert_eq!(count("waves"), s.wave_rounds, "{key}");
+        assert_eq!(count("contexts"), s.context_count as u64, "{key}");
+        assert_eq!(count("method_contexts"), s.reachable_method_contexts, "{key}");
+        assert_eq!(count("physical_words"), s.pts_peak_words, "{key}");
+        assert_eq!(count("logical_words"), s.pts_logical_words, "{key}");
+    }
 }
 
 /// Quantile estimation handles the degenerate inputs: an empty
@@ -313,10 +288,9 @@ fn full_pipeline_exports_roundtrip() {
     let _guard = lock();
     let prepared = bench::prepare("luindex", 1, &MahjongConfig::default());
     let outcome = bench::run_configuration(
-        &prepared.program,
-        bench::Sensitivity::Cs(1),
-        bench::HeapKind::Mahjong,
-        &prepared.mahjong.mom,
+        &prepared,
+        Sensitivity::Cs(1),
+        HeapKind::Mahjong,
         Budget::seconds(120),
     );
     assert!(outcome.seconds.is_some(), "scale-1 run fits its budget");

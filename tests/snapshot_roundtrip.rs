@@ -200,6 +200,8 @@ fn encoded_bytes_are_pinned() {
         stats.init_time = Default::default();
         stats.fixpoint_time = Default::default();
         stats.finalize_time = Default::default();
+        stats.methods_time = Default::default();
+        stats.order_time = Default::default();
         stats.intern_probe_ns = 0;
         stats.dsu_ops = 0; // debug builds' assertions count their finds too
         let bytes = snapshot::encode(&snap);
