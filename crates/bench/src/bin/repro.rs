@@ -54,7 +54,10 @@
 //! canonical result fingerprint, so save→load equivalence is a string
 //! comparison. `--serve-bench` then drives the concurrent query
 //! benchmark (`bench::serve`) and writes `BENCH_serve.json`
-//! (`--serve-json PATH` overrides; no-clobber unless `--force`).
+//! (`--serve-json PATH` overrides; no-clobber unless `--force`). The
+//! experiment artifacts (`--profile`, `--profile-json`, `--trace`,
+//! `--metrics-json`, `--bench-json`) are refused in this mode with
+//! exit code 2: it writes none of them.
 
 use std::time::{Duration, Instant};
 
@@ -247,12 +250,19 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let serving = args.save_snapshot.is_some() || args.load_snapshot.is_some() || args.serve_bench;
+    if let Some(flag) = serving.then(|| serving_artifact_flag(&args)).flatten() {
+        die(format!(
+            "{flag} writes nothing in the serving pipeline \
+             (--save-snapshot, --load-snapshot, --serve-bench); drop it"
+        ));
+    }
     // Validate the benchmark-record target up front: refusing to
     // clobber after a multi-minute run would throw the work away.
     args.common.check_bench_target("repro");
     args.common.start_heartbeat("repro");
     let budget = Budget::seconds(args.budget);
-    if args.save_snapshot.is_some() || args.load_snapshot.is_some() || args.serve_bench {
+    if serving {
         serve_pipeline(&args, budget);
         return;
     }
@@ -288,6 +298,22 @@ fn main() {
 }
 
 // --- Snapshots and query serving ------------------------------------------------
+
+/// The first experiment-artifact flag given, if any. The serving
+/// pipeline writes only its snapshot and `--serve-json` record, never
+/// the profile, trace, metrics or bench record, so these flags would
+/// be silently ignored there.
+fn serving_artifact_flag(args: &Args) -> Option<&'static str> {
+    [
+        ("--profile-json", args.profile_json.is_some()),
+        ("--profile", args.profile),
+        ("--trace", args.common.trace.is_some()),
+        ("--metrics-json", args.common.metrics_json.is_some()),
+        ("--bench-json", args.common.bench_json.is_some()),
+    ]
+    .into_iter()
+    .find_map(|(flag, given)| given.then_some(flag))
+}
 
 /// `--analysis` names: `ci` or `<k><cs|obj|type>` (e.g. `2obj`, `3type`).
 fn parse_analysis(name: &str) -> Option<bench::Sensitivity> {

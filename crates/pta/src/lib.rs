@@ -19,7 +19,7 @@
 //! context elements are automatically replaced by their class
 //! representatives, exactly as prescribed in paper Section 3.6.1.
 //!
-//! Points-to sets are hybrid sorted-vec / bitmap [`PtsSet`]s (from the
+//! Points-to sets are hybrid sorted-vec / sparse-chunk [`PtsSet`]s (from the
 //! `pts` crate) and the result API is borrow-first: accessors hand out
 //! `&PtsSet<ObjId>` views with `to_vec()` as the owned escape hatch.
 //!

@@ -48,9 +48,10 @@ impl std::fmt::Debug for ObjId {
 }
 
 /// Object ids index the numbering's id space, so points-to sets over
-/// them can use the hybrid vec/bitmap representation from the `pts`
-/// crate (bitmap words scale with the id space, which the hierarchy
-/// numbering keeps within a small constant of the object count).
+/// them can use the hybrid vec/chunk representation from the `pts`
+/// crate (a sparse set stores one chunk per 64-id word its objects
+/// fall in; the hierarchy numbering clusters related objects, so few
+/// words hold many of them).
 impl pts::Elem for ObjId {
     fn into_index(self) -> usize {
         self.0 as usize

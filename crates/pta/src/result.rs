@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use jir::{AllocId, CallSiteId, FieldId, MethodId, TypeId, VarId};
-use pts::{PtsSet, SetInterner, UnionScratch};
+use pts::{PtsSet, SetInterner};
 
 use crate::context::{ContextArena, CtxId};
 use crate::object::{ObjId, ObjTable};
@@ -228,30 +228,25 @@ impl AnalysisResult {
             }
         }));
         let row = |p: &PtrId| row_set[redirect[p.index()] as usize];
-        let wide = objs.is_wide();
-        let mut scratch = UnionScratch::new();
         let mut collapsed = Vec::with_capacity(var_ptrs.slot_count());
+        let mut distinct: Vec<u32> = Vec::new();
         for slot in 0..var_ptrs.slot_count() {
             let id = match var_ptrs.at(slot) {
                 [] => SetInterner::<ObjId>::EMPTY,
                 // One context, or every context sharing one row: the
                 // collapsed set IS that row.
                 [first, rest @ ..] if rest.iter().all(|p| row(p) == row(first)) => row(first),
-                // Otherwise OR the rows word-wise into the scratch
-                // bitmap and intern the union. A restored table with a
-                // wide id space sizes no bitmap by an id: its rows are
-                // sorted vecs, and so is their merge.
+                // Otherwise merge each distinct row into one set (many
+                // contexts share a row) and intern the union.
                 ptrs => {
-                    let rows = ptrs.iter().map(|p| interner.get(row(p)));
-                    let union = if wide {
-                        let mut ids: Vec<u32> = rows.flat_map(|r| r.iter().map(|o| o.0)).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        PtsSet::sorted_from_ascending(ids).expect("sorted and deduplicated")
-                    } else {
-                        rows.for_each(|r| scratch.add(r));
-                        scratch.take()
-                    };
+                    distinct.clear();
+                    distinct.extend(ptrs.iter().map(row));
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    let mut union = PtsSet::new();
+                    for &id in &distinct {
+                        union.union_with(interner.get(id));
+                    }
                     interner.intern(union).0
                 }
             };

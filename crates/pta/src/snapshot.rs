@@ -282,14 +282,9 @@ pub fn restore(raw: RawResult) -> Result<AnalysisResult, RestoreError> {
         if let Some(&e) = elems.iter().find(|&&e| !objs.has_id(e)) {
             return err(format!("set {i}: unknown object id {e}"));
         }
-        // Under a wide id space a bitmap would be sized by an
-        // untrusted id, so the set stays a sorted vec.
-        let set = if objs.is_wide() {
-            PtsSet::sorted_from_ascending(elems)
-        } else {
-            PtsSet::from_ascending(elems)
-        };
-        let Some(set) = set else {
+        // No id sizes a set: a sparse set stores only the words its
+        // elements fall in, so an untrusted id costs one chunk at most.
+        let Some(set) = PtsSet::from_ascending(elems) else {
             return err(format!("set {i}: elements not strictly ascending"));
         };
         set_ids.push(interner.intern(set).0);
@@ -607,12 +602,10 @@ mod tests {
         assert_eq!(extract(&restored), raw);
     }
 
-    /// Object ids moved to the top of the `u32` range restore: neither
-    /// the object table nor a set is sized by them. Rows of more than
-    /// `SMALL_MAX` objects stay sorted vecs, and so does the collapsed
-    /// union of `p`'s two call-site contexts.
-    #[test]
-    fn ids_near_u32_max_size_no_set_by_an_id() {
+    /// The raw tables of a 1-CFA run of `many_sites(40)`, with every
+    /// object id moved next to `u32::MAX` (two apart, in order) and the
+    /// id space widened to match, and the id map applied.
+    fn moved_to_the_top() -> (jir::Program, AnalysisResult, RawResult, impl Fn(u32) -> u32) {
         let p = many_sites(40);
         let r = AnalysisConfig::new(CallSiteSensitive::new(1), AllocSiteAbstraction)
             .run(&p)
@@ -631,6 +624,17 @@ mod tests {
             set.iter_mut().for_each(|e| *e = map(*e));
         }
         raw.obj_id_space = u32::MAX;
+        (p, r, raw, map)
+    }
+
+    /// Object ids moved to the top of the `u32` range restore: neither
+    /// the object table nor a set is sized by them. Rows of more than
+    /// `SMALL_MAX` objects are sparse, one chunk per 64-id word their
+    /// objects fall in, and so is the collapsed union of `p`'s two
+    /// call-site contexts.
+    #[test]
+    fn ids_near_u32_max_size_no_set_by_an_id() {
+        let (p, r, raw, map) = moved_to_the_top();
         let restored = restore(raw).expect("restores");
         assert!(restored.objs.is_wide());
         assert_same_answers(&p, &r, &restored, map);
@@ -644,5 +648,30 @@ mod tests {
             let (n, words) = (set.len(), set.mem_words());
             assert!(words <= n, "{n} objects in {words} words");
         }
+    }
+
+    /// A wide-id snapshot builds its sets through the one construction
+    /// path every restore uses (`PtsSet::from_ascending`): a row of 17+
+    /// ids near `u32::MAX` restores to the set an element-by-element
+    /// build gives, with one 2-word chunk per 64-id word its ids fall
+    /// in, and nothing for the ids below them.
+    #[test]
+    fn a_wide_snapshot_restores_sets_through_the_one_path() {
+        let (_, _, raw, _) = moved_to_the_top();
+        let big = raw
+            .sets
+            .iter()
+            .find(|s| s.len() > pts::SMALL_MAX)
+            .cloned()
+            .expect("a row of 17+ objects");
+        let restored = restore(raw).expect("restores");
+        assert!(restored.objs.is_wide());
+        let built: PtsSet<ObjId> = big.iter().map(|&e| ObjId(e)).collect();
+        let set = restored.sets.iter().find(|&s| *s == built).expect("the row restored");
+        let words: std::collections::BTreeSet<u32> = big.iter().map(|e| e / 64).collect();
+        assert_eq!(set.mem_words(), built.mem_words());
+        assert_eq!(set.mem_words(), 2 * words.len(), "{} ids", big.len());
+        assert_eq!(set.fingerprint(), built.fingerprint());
+        assert_eq!(set.to_vec(), built.to_vec());
     }
 }

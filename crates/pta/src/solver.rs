@@ -8,7 +8,7 @@
 //!
 //! # Difference propagation
 //!
-//! Points-to sets are [`pts::PtsSet`]s (hybrid sorted-vec / bitmap).
+//! Points-to sets are [`pts::PtsSet`]s (hybrid sorted-vec / sparse chunks).
 //! The worklist holds dirty *pointers*, not `(pointer, objects)` pairs:
 //! each pointer carries one pending delta set into which all incoming
 //! news is coalesced until the pointer is popped. Popping forwards only
@@ -94,11 +94,12 @@
 //! — see [`crate::numbering`].) Context-sensitive runs end with
 //! thousands of bit-identical rows (the same receiver objects under
 //! many calling contexts): on pmd@4 2cs the 217,171 rows hold
-//! 3,839,563 words when the fixpoint ends and 31,722 distinct words,
-//! 121× less. Finalize
+//! 1,814,383 words when the fixpoint ends (a sparse set pays two words
+//! per nonzero 64-id word, so none for the gaps between its objects)
+//! and 30,085 distinct words, 60× less. Finalize
 //! therefore *seals* every non-empty row exactly once, in row order,
 //! into one [`pts::SetInterner`], a table of unique sets
-//! keyed by a fingerprint of the set's nonzero bitmap words
+//! keyed by a fingerprint of the set's nonzero words
 //! ([`pts::PtsSet::fingerprint`]): a row becomes the set id of its
 //! content, and only a content not seen before is kept
 //! ([`pts::SetInterner::intern`]). The result holds that table and one
@@ -925,18 +926,11 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         std::mem::take(&mut self.pending[ptr.index()])
     }
 
-    /// Seeds `objs` into `pts(ptr)`, enqueueing the genuinely new part.
+    /// Seeds `objs`, strictly ascending, into `pts(ptr)`, enqueueing
+    /// the genuinely new part.
     fn add_objects(&mut self, ptr: PtrId, objs: impl IntoIterator<Item = ObjId>) {
         let ptr = self.rep(ptr);
-        let mut delta = PtsSet::new();
-        {
-            let set = &self.pts[ptr.index()];
-            for o in objs {
-                if !set.contains(o) {
-                    delta.insert(o);
-                }
-            }
-        }
+        let delta = self.pts[ptr.index()].missing(objs);
         if delta.is_empty() {
             return;
         }

@@ -8,10 +8,10 @@
 //!
 //! A set is looked up by its 128-bit content fingerprint
 //! ([`PtsSet::fingerprint`]), computed over the ascending `(word index,
-//! nonzero bits)` pairs of its bitmap plus its length — never over the
-//! in-memory representation — so a small-vec set, its promoted dense
-//! twin and a bitmap with trailing zero words get the same id, as
-//! `PtsSet`'s representation-independent `PartialEq` says they should.
+//! nonzero bits)` pairs of its elements plus its length — never over
+//! the in-memory representation — so a small-vec set and its sparse
+//! twin get the same id, as `PtsSet`'s representation-independent
+//! `PartialEq` says they should.
 //! A fingerprint hit counts only after an exact content comparison
 //! (`PtsSet::eq`); sets whose fingerprints collide are chained. Ids are
 //! therefore equal exactly when contents are, and interning never
@@ -144,17 +144,17 @@ mod tests {
 
     #[test]
     fn representation_does_not_affect_identity() {
-        // A small set and a promoted twin intern to the same id.
+        // A small set and a sparse twin intern to the same id.
         let mut interner = SetInterner::<u32>::new();
-        // Forced-dense detour: over-fill to promote, clear (keeps the
-        // dense representation), then insert the twin's content.
-        let mut dense = set(&(0..=crate::SMALL_MAX as u32).collect::<Vec<_>>());
-        dense.clear();
-        dense.insert(4);
-        dense.insert(9);
-        assert!(matches!(dense.repr, crate::Repr::Dense { .. }), "precondition: a dense twin");
+        // Forced-sparse detour: over-fill to turn sparse, clear (keeps
+        // the sparse representation), then insert the twin's content.
+        let mut sparse = set(&(0..=crate::SMALL_MAX as u32).collect::<Vec<_>>());
+        sparse.clear();
+        sparse.insert(4);
+        sparse.insert(9);
+        assert!(matches!(sparse.repr, crate::Repr::Sparse { .. }), "precondition: a sparse twin");
         let (small, _) = interner.intern(set(&[4, 9]));
-        assert_eq!(interner.intern(dense), (small, false));
+        assert_eq!(interner.intern(sparse), (small, false));
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
     }
 
     /// A kept set holds no room to grow: neither the slots a spilled
-    /// sorted set reserves nor bitmap words past its length.
+    /// sorted set reserves nor chunks past its length.
     #[test]
     fn a_kept_set_holds_no_spare_capacity() {
         let mut interner = SetInterner::<u32>::new();
@@ -185,19 +185,19 @@ mod tests {
             matches!(&small.repr, crate::Repr::Small(v) if v.capacity() > 7),
             "precondition: a spilled set with room to grow"
         );
-        let mut words = Vec::with_capacity(8);
-        words.extend([0b1011u64, 1]);
-        let dense = PtsSet::<u32> {
-            repr: crate::Repr::Dense { words, len: 4 },
-            _elem: std::marker::PhantomData,
-        };
+        let mut sparse: PtsSet<u32> = (0..=crate::SMALL_MAX as u32).map(|i| i * 64).collect();
+        sparse.remove(0);
+        assert!(
+            matches!(&sparse.repr, crate::Repr::Sparse { chunks, .. } if chunks.capacity() > 16),
+            "precondition: a sparse set with room to grow"
+        );
         let (s, _) = interner.intern(small);
-        let (d, _) = interner.intern(dense);
+        let (d, _) = interner.intern(sparse);
         assert!(matches!(&interner.get(s).repr, crate::Repr::Small(v) if v.capacity() == 7));
         assert!(
-            matches!(&interner.get(d).repr, crate::Repr::Dense { words, .. } if words.capacity() == 2)
+            matches!(&interner.get(d).repr, crate::Repr::Sparse { chunks, .. } if chunks.capacity() == 16)
         );
-        assert_eq!(interner.get(d).to_vec(), vec![0, 1, 3, 64]);
+        assert_eq!(interner.get(d).len(), 16);
     }
 
     /// Two contents on one fingerprint stay apart on the chain, and a

@@ -13,36 +13,37 @@
 //! - **small**: a sorted, deduplicated heap `Vec<u32>` of up to
 //!   [`SMALL_MAX`] ids — cache-friendly and cheap to scan. An inline
 //!   set spills into it once, with room for all [`SMALL_MAX`];
-//! - **dense**: a `u64`-word bitmap once the set outgrows
-//!   [`SMALL_MAX`] elements — membership, union, and intersection
-//!   become word-wise operations, O(universe / 64) regardless of how
-//!   many objects the set holds.
+//! - **sparse**: once the set outgrows [`SMALL_MAX`] elements, a sorted
+//!   `Vec` of 16-byte chunks `(word index, bits)`, one per *nonzero*
+//!   64-bit word of the set's bitmap. Union, difference and
+//!   intersection become chunk-wise merge walks that gallop through
+//!   the longer operand, and a set's memory grows with its nonzero
+//!   words, not with its largest id: the zero words before, between
+//!   and after an object's clusters are never stored.
 //!
 //! Inline and small sets read alike, as one sorted slice, so the
-//! kernels below have a sorted and a dense case.
-//!
-//! A bitmap is sized by the set's largest id. Where that id is
-//! untrusted (a restored snapshot), [`PtsSet::sorted_from_ascending`]
-//! keeps a set of any size sorted instead.
+//! kernels below have a sorted and a sparse case; where a kernel needs
+//! chunks from a sorted operand, its at most [`SMALL_MAX`] ids are
+//! grouped by word on the stack.
 //!
 //! The solver's kernels work on whole 64-bit words wherever the
-//! source operand is dense:
+//! source operand is sparse:
 //!
 //! - [`PtsSet::difference`] / [`PtsSet::difference_in_ranges`] — the
 //!   contribution of a delta to a copy edge's target (`self \ other`,
 //!   optionally restricted to a cast's id runs), computed read-only;
 //! - [`PtsSet::union_with`] — ORs a contribution into the target row
-//!   (or a pending delta) without building a delta. An empty
+//!   (or a pending delta) in place, without building a delta. An empty
 //!   contribution means the edge is quiescent.
 //!
 //! Each reads the other operand a word at a time, whatever its
 //! representation, and builds its output a word at a time: a sorted
-//! output takes the word's ids, and a dense output ORs the word in.
-//! An output spills and promotes exactly where inserting its elements
-//! one by one would, so kernel outputs have the representation (and
-//! [`PtsSet::mem_words`]) of an element-by-element build. Only a sorted
-//! source — at most [`SMALL_MAX`] elements, save a set built by
-//! [`PtsSet::sorted_from_ascending`] — is walked element by element.
+//! output takes the word's ids, and a sparse output appends the chunk.
+//! An output spills and turns sparse exactly where inserting its
+//! elements one by one would, so kernel outputs have the representation
+//! (and [`PtsSet::mem_words`]) of an element-by-element build. Only a
+//! sorted source — at most [`SMALL_MAX`] elements — is walked element
+//! by element.
 //!
 //! Iteration ([`PtsSet::iter`]) is always in ascending id order, borrows
 //! the set, and allocates nothing; [`PtsSet::to_vec`] is the escape
@@ -64,13 +65,16 @@ pub mod intern;
 
 pub use intern::SetInterner;
 
+use std::cmp::Ordering;
 use std::marker::PhantomData;
 
 /// A set element: a cheap bijection with a dense `usize` index.
 ///
 /// Implementations must be consistent (`from_index(into_index(x)) ==
-/// x`) and dense-ish: memory for dense sets scales with the largest
-/// index ever inserted, not with the element count.
+/// x`), and indices must fit in a `u32`. Ids need not be dense: a
+/// sparse set's memory grows with the number of distinct 64-id words
+/// its elements fall in, not with the largest index, so ids that
+/// cluster cost least.
 pub trait Elem: Copy + Eq + Ord {
     /// Returns this element's dense index.
     fn into_index(self) -> usize;
@@ -97,10 +101,10 @@ impl Elem for usize {
 }
 
 /// Sets with at most this many elements stay sorted (inline up to six,
-/// then in a heap vec); the next insertion promotes them to a bitmap.
+/// then in a heap vec); the next insertion makes them sparse.
 pub const SMALL_MAX: usize = 16;
 
-const WORD_BITS: usize = 64;
+const WORD_BITS: u32 = 64;
 
 /// A sorted, disjoint, coalesced list of half-open index ranges
 /// `[lo, hi)` — the compiled form of a membership mask whose members
@@ -111,7 +115,7 @@ const WORD_BITS: usize = 64;
 /// storing the runs instead of a materialized mask set turns cast
 /// filtering into range-bounded word arithmetic
 /// ([`PtsSet::difference_in_ranges`]) and shrinks the mask footprint
-/// from bitmap words to one word per run.
+/// to one word per run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IdRanges {
     /// Ascending, pairwise-disjoint, non-adjacent (coalesced) runs.
@@ -202,9 +206,29 @@ impl FromIterator<u32> for IdRanges {
 }
 
 /// The most ids a set stores in place: as many as fit beside the
-/// length byte in the 32 bytes a heap vec or bitmap handle takes
+/// length byte in the 32 bytes a heap vec or chunk list handle takes
 /// anyway (the unit tests pin that size).
 const INLINE_CAP: usize = 6;
+
+/// One nonzero 64-bit word of a sparse set: the ids `64 * word ..
+/// 64 * word + 64` that `bits` marks. 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Chunk {
+    word: u32,
+    bits: u64,
+}
+
+impl Chunk {
+    /// The chunk of the word holding id `i`, with only `i`'s bit set.
+    fn of(i: u32) -> Chunk {
+        Chunk { word: i / WORD_BITS, bits: 1u64 << (i % WORD_BITS) }
+    }
+
+    /// The id of this chunk's bit `b`.
+    fn id(self, b: u32) -> u32 {
+        self.word * WORD_BITS + b
+    }
+}
 
 #[derive(Clone)]
 enum Repr {
@@ -212,11 +236,11 @@ enum Repr {
     /// the first `len` of `ids`.
     Inline { len: u8, ids: [u32; INLINE_CAP] },
     /// Sorted ascending, deduplicated element indices on the heap: at
-    /// most [`SMALL_MAX`] of them, except in a set built by
-    /// [`PtsSet::sorted_from_ascending`].
+    /// most [`SMALL_MAX`] of them.
     Small(Vec<u32>),
-    /// Dense bitmap; `len` caches the population count.
-    Dense { words: Vec<u64>, len: u32 },
+    /// The set's nonzero words as chunks, strictly ascending by word
+    /// index; no chunk is zero. `len` caches the population count.
+    Sparse { chunks: Vec<Chunk>, len: u32 },
 }
 
 impl Repr {
@@ -232,15 +256,19 @@ impl Repr {
         }
     }
 
-    /// A bitmap over the strictly ascending `ids`, ending at the word
-    /// of the largest one or after `n_words` words, whichever is later.
-    fn dense(ids: &[u32], n_words: usize) -> Repr {
-        let top = ids.last().copied().unwrap_or(0) as usize;
-        let mut words = vec![0u64; (top / WORD_BITS + 1).max(n_words)];
+    /// A sparse set over the strictly ascending `ids`, with room for
+    /// `extra` more chunks.
+    fn sparse(ids: &[u32], extra: usize) -> Repr {
+        let words = ids.windows(2).filter(|w| w[0] / WORD_BITS != w[1] / WORD_BITS).count() + 1;
+        let mut chunks: Vec<Chunk> = Vec::with_capacity(words + extra);
         for &i in ids {
-            words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
+            let c = Chunk::of(i);
+            match chunks.last_mut() {
+                Some(last) if last.word == c.word => last.bits |= c.bits,
+                _ => chunks.push(c),
+            }
         }
-        Repr::Dense { words, len: ids.len() as u32 }
+        Repr::Sparse { chunks, len: ids.len() as u32 }
     }
 }
 
@@ -249,10 +277,10 @@ impl Repr {
 #[derive(Clone, Copy)]
 enum View<'a> {
     Sorted(&'a [u32]),
-    Dense(&'a [u64]),
+    Sparse(&'a [Chunk]),
 }
 
-/// The ids of the set bits of `bits`, the bitmap word whose first id is
+/// The ids of the set bits of `bits`, the word whose first id is
 /// `base`, in ascending order.
 fn bit_ids(base: u32, mut bits: u64) -> impl Iterator<Item = u32> {
     std::iter::from_fn(move || {
@@ -264,7 +292,160 @@ fn bit_ids(base: u32, mut bits: u64) -> impl Iterator<Item = u32> {
     })
 }
 
-/// A points-to set: hybrid inline / sorted-vec / dense-bitmap over the
+/// The first position at or after `from` whose chunk's word is at least
+/// `word` (`chunks.len()` if none). Gallops — probes `from`, `from + 1`,
+/// `from + 3`, `from + 7`, … — then binary-searches the last gap, so a
+/// merge walk pays O(log distance) per step and a walk of a short
+/// operand over a long one never scans the long one.
+fn seek(chunks: &[Chunk], from: usize, word: u32) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < chunks.len() && chunks[hi].word < word {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(chunks.len());
+    lo + chunks[lo..hi].partition_point(|c| c.word < word)
+}
+
+/// The position after the last chunk before `end` whose word is at most
+/// `word` (0 if none): [`seek`] galloping down from `end`.
+fn seek_back(chunks: &[Chunk], end: usize, word: u32) -> usize {
+    let (mut hi, mut step) = (end, 1);
+    loop {
+        let lo = hi.saturating_sub(step);
+        if lo == hi {
+            return hi;
+        }
+        if chunks[lo].word <= word {
+            return lo + 1 + chunks[lo + 1..hi].partition_point(|c| c.word <= word);
+        }
+        hi = lo;
+        step *= 2;
+    }
+}
+
+/// The bits of word `w` that the run `[lo, hi)` covers; the run must
+/// overlap the word.
+fn run_mask(lo: u32, hi: u32, w: u32) -> u64 {
+    let base = u64::from(w) * u64::from(WORD_BITS);
+    let from = u64::from(lo).max(base) - base;
+    let to = (u64::from(hi) - base).min(u64::from(WORD_BITS));
+    (!0u64 >> (u64::from(WORD_BITS) - (to - from))) << from
+}
+
+/// A sorted set's ids grouped into chunks on the stack, so that the
+/// chunk kernels read every representation alike. A sorted set holds
+/// at most [`SMALL_MAX`] ids, so it has at most that many chunks.
+struct Grouped {
+    chunks: [Chunk; SMALL_MAX],
+    n: usize,
+}
+
+impl Grouped {
+    fn new(ids: &[u32]) -> Grouped {
+        debug_assert!(ids.len() <= SMALL_MAX, "a sorted set holds at most SMALL_MAX ids");
+        let mut g = Grouped { chunks: [Chunk { word: 0, bits: 0 }; SMALL_MAX], n: 0 };
+        for &i in ids {
+            let c = Chunk::of(i);
+            if g.n > 0 && g.chunks[g.n - 1].word == c.word {
+                g.chunks[g.n - 1].bits |= c.bits;
+            } else {
+                g.chunks[g.n] = c;
+                g.n += 1;
+            }
+        }
+        g
+    }
+
+    fn as_slice(&self) -> &[Chunk] {
+        &self.chunks[..self.n]
+    }
+}
+
+/// ORs the strictly ascending chunks `src` into the sparse set `dst`
+/// (population count `len`) in place, with at most one reallocation.
+///
+/// A forward walk ORs each source word the target already has into it
+/// and counts the ones it lacks; the target then grows by exactly that
+/// many chunks, and a walk from the back slides each run of target
+/// chunks up to its final slot and drops the missing chunk in front
+/// of it. Chunks below the first missing one never move.
+fn merge_into(dst: &mut Vec<Chunk>, len: &mut u32, src: &[Chunk]) {
+    let mut missing = 0;
+    let mut pos = 0;
+    for c in src {
+        pos = seek(dst, pos, c.word);
+        match dst.get_mut(pos) {
+            Some(d) if d.word == c.word => {
+                *len += (c.bits & !d.bits).count_ones();
+                d.bits |= c.bits;
+            }
+            _ => {
+                *len += c.bits.count_ones();
+                missing += 1;
+            }
+        }
+    }
+    if missing == 0 {
+        return;
+    }
+    // `dst[..end]` holds the target chunks not yet moved, `dst[out..]`
+    // the merged tail.
+    let (mut end, mut out) = (dst.len(), dst.len() + missing);
+    dst.reserve_exact(missing);
+    dst.resize(out, Chunk { word: 0, bits: 0 });
+    for c in src.iter().rev() {
+        let at = seek_back(dst, end, c.word);
+        dst.copy_within(at..end, out - (end - at));
+        out -= end - at;
+        end = at;
+        if at > 0 && dst[at - 1].word == c.word {
+            continue; // present: ORed in by the forward walk
+        }
+        out -= 1;
+        dst[out] = *c;
+        if out == end {
+            break; // every missing chunk placed; the rest is in place
+        }
+    }
+}
+
+/// Calls `sink` with the `(word, bits)` pairs of the union of two
+/// strictly ascending chunk lists, in ascending word order.
+fn merge_or(a: &[Chunk], b: &[Chunk], sink: &mut dyn FnMut(u32, u64)) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let c = match (a.get(i), b.get(j)) {
+            (None, None) => return,
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), Some(&y)) => match x.word.cmp(&y.word) {
+                Ordering::Less => {
+                    i += 1;
+                    x
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    y
+                }
+                Ordering::Equal => {
+                    (i, j) = (i + 1, j + 1);
+                    Chunk { word: x.word, bits: x.bits | y.bits }
+                }
+            },
+        };
+        sink(c.word, c.bits);
+    }
+}
+
+/// A points-to set: hybrid inline / sorted-vec / sparse-chunk over the
 /// indices of an [`Elem`] type.
 ///
 /// # Examples
@@ -304,7 +485,16 @@ impl<T: Elem> PtsSet<T> {
         match &self.repr {
             Repr::Inline { len, ids } => View::Sorted(&ids[..usize::from(*len)]),
             Repr::Small(v) => View::Sorted(v),
-            Repr::Dense { words, .. } => View::Dense(words),
+            Repr::Sparse { chunks, .. } => View::Sparse(chunks),
+        }
+    }
+
+    /// Runs `f` on the set's chunks: a sparse set's own, or a sorted
+    /// set's ids grouped by word on the stack.
+    fn chunked<R>(&self, f: impl FnOnce(&[Chunk]) -> R) -> R {
+        match self.view() {
+            View::Sparse(chunks) => f(chunks),
+            View::Sorted(ids) => f(Grouped::new(ids).as_slice()),
         }
     }
 
@@ -313,7 +503,7 @@ impl<T: Elem> PtsSet<T> {
         match &self.repr {
             Repr::Inline { len, .. } => usize::from(*len),
             Repr::Small(v) => v.len(),
-            Repr::Dense { len, .. } => *len as usize,
+            Repr::Sparse { len, .. } => *len as usize,
         }
     }
 
@@ -324,36 +514,29 @@ impl<T: Elem> PtsSet<T> {
 
     /// Returns `true` if `elem` is a member.
     pub fn contains(&self, elem: T) -> bool {
-        let i = elem.into_index();
+        let Ok(i) = u32::try_from(elem.into_index()) else {
+            return false;
+        };
         match self.view() {
-            View::Sorted(ids) => ids.binary_search(&(i as u32)).is_ok(),
-            View::Dense(words) => words
-                .get(i / WORD_BITS)
-                .is_some_and(|w| w & (1u64 << (i % WORD_BITS)) != 0),
+            View::Sorted(ids) => ids.binary_search(&i).is_ok(),
+            View::Sparse(chunks) => {
+                let c = Chunk::of(i);
+                chunks
+                    .binary_search_by_key(&c.word, |x| x.word)
+                    .is_ok_and(|pos| chunks[pos].bits & c.bits != 0)
+            }
         }
     }
 
     /// Inserts `elem`; returns `true` if it was not already present.
     pub fn insert(&mut self, elem: T) -> bool {
-        let i = elem.into_index();
-        let (pos, key) = match self.view() {
-            View::Sorted(ids) => {
-                let key = u32::try_from(i).expect("element index fits u32");
-                match ids.binary_search(&key) {
-                    Ok(_) => return false,
-                    Err(pos) => (pos, key),
-                }
-            }
-            View::Dense(_) => {
-                let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-                let (words, len) = self.dense_mut(w + 1);
-                if words[w] & b != 0 {
-                    return false;
-                }
-                words[w] |= b;
-                *len += 1;
-                return true;
-            }
+        let key = u32::try_from(elem.into_index()).expect("element index fits u32");
+        let pos = match self.view() {
+            View::Sorted(ids) => match ids.binary_search(&key) {
+                Ok(_) => return false,
+                Err(pos) => pos,
+            },
+            View::Sparse(_) => 0,
         };
         match &mut self.repr {
             Repr::Inline { len, ids } if usize::from(*len) < INLINE_CAP => {
@@ -363,20 +546,30 @@ impl<T: Elem> PtsSet<T> {
             }
             Repr::Inline { .. } => self.spill().insert(pos, key),
             Repr::Small(v) if v.len() < SMALL_MAX => v.insert(pos, key),
-            _ => {
-                self.dense_mut(i / WORD_BITS + 1);
+            Repr::Small(v) => {
+                self.repr = Repr::sparse(v, 1);
                 return self.insert(elem);
+            }
+            Repr::Sparse { chunks, len } => {
+                let c = Chunk::of(key);
+                match chunks.binary_search_by_key(&c.word, |x| x.word) {
+                    Ok(at) if chunks[at].bits & c.bits != 0 => return false,
+                    Ok(at) => chunks[at].bits |= c.bits,
+                    Err(at) => chunks.insert(at, c),
+                }
+                *len += 1;
             }
         }
         true
     }
 
     /// Removes `elem`; returns `true` if it was present. A set keeps
-    /// its representation: a heap vec stays on the heap, and a bitmap
-    /// keeps its word count, so it may end in zero words.
+    /// its representation: a heap vec stays on the heap, and a sparse
+    /// set stays sparse, however few elements remain. A sparse set
+    /// drops a chunk its last element leaves, so it never holds a
+    /// zero word.
     pub fn remove(&mut self, elem: T) -> bool {
-        let i = elem.into_index();
-        let Ok(key) = u32::try_from(i) else {
+        let Ok(key) = u32::try_from(elem.into_index()) else {
             return false;
         };
         match &mut self.repr {
@@ -395,11 +588,14 @@ impl<T: Elem> PtsSet<T> {
                 }
                 Err(_) => false,
             },
-            Repr::Dense { words, len } => {
-                let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-                match words.get_mut(w) {
-                    Some(word) if *word & b != 0 => {
-                        *word &= !b;
+            Repr::Sparse { chunks, len } => {
+                let c = Chunk::of(key);
+                match chunks.binary_search_by_key(&c.word, |x| x.word) {
+                    Ok(at) if chunks[at].bits & c.bits != 0 => {
+                        chunks[at].bits &= !c.bits;
+                        if chunks[at].bits == 0 {
+                            chunks.remove(at);
+                        }
                         *len -= 1;
                         true
                     }
@@ -425,13 +621,13 @@ impl<T: Elem> PtsSet<T> {
     }
 
     /// Drops the spare capacity of a heap representation: the slots a
-    /// spilled set keeps for growing to [`SMALL_MAX`], or bitmap words
+    /// spilled set keeps for growing to [`SMALL_MAX`], or chunks
     /// reserved past the last one. For a set that will not grow again.
     pub(crate) fn shrink_to_fit(&mut self) {
         match &mut self.repr {
             Repr::Inline { .. } => {}
             Repr::Small(v) => v.shrink_to_fit(),
-            Repr::Dense { words, .. } => words.shrink_to_fit(),
+            Repr::Sparse { chunks, .. } => chunks.shrink_to_fit(),
         }
     }
 
@@ -441,8 +637,8 @@ impl<T: Elem> PtsSet<T> {
         match &mut self.repr {
             Repr::Inline { len, .. } => *len = 0,
             Repr::Small(v) => v.clear(),
-            Repr::Dense { words, len } => {
-                words.clear();
+            Repr::Sparse { chunks, len } => {
+                chunks.clear();
                 *len = 0;
             }
         }
@@ -453,11 +649,10 @@ impl<T: Elem> PtsSet<T> {
     pub fn iter(&self) -> Iter<'_, T> {
         Iter {
             inner: match self.view() {
-                View::Sorted(ids) => IterRepr::Small(ids.iter()),
-                View::Dense(words) => IterRepr::Dense {
-                    words,
-                    word_ix: 0,
-                    cur: words.first().copied().unwrap_or(0),
+                View::Sorted(ids) => IterRepr::Sorted(ids.iter()),
+                View::Sparse(chunks) => IterRepr::Sparse {
+                    chunks: chunks.iter(),
+                    cur: Chunk { word: 0, bits: 0 },
                 },
             },
             _elem: PhantomData,
@@ -470,36 +665,20 @@ impl<T: Elem> PtsSet<T> {
         self.iter().collect()
     }
 
-    /// Promotes `self` to a bitmap of at least `n_words` words and
-    /// borrows its words and population count. A sorted set is
-    /// converted straight to that size, in one allocation.
-    fn dense_mut(&mut self, n_words: usize) -> (&mut Vec<u64>, &mut u32) {
-        if let View::Sorted(ids) = self.view() {
-            self.repr = Repr::dense(ids, n_words);
-        }
-        let Repr::Dense { words, len } = &mut self.repr else {
-            unreachable!("just promoted")
-        };
-        if words.len() < n_words {
-            words.resize(n_words, 0);
-        }
-        (words, len)
-    }
-
-    /// Appends the bits of `add` at word position `w` to an output
-    /// under construction. Words arrive in ascending order (a word may
+    /// Appends the bits of `add` at word `w` to an output under
+    /// construction. Words arrive in ascending order (a word may
     /// repeat with disjoint, higher bits), so a sorted output appends
-    /// its ids in order, and a dense one ORs the whole word in.
+    /// its ids in order, and a sparse one appends a chunk or ORs into
+    /// its last.
     ///
     /// The output changes representation exactly when inserting the
     /// bits one at a time would: it spills to the heap past
-    /// `INLINE_CAP` elements and promotes to a bitmap past
-    /// [`SMALL_MAX`]. Either way the bitmap ends at the word of the
-    /// largest element, so the representation and
-    /// [`PtsSet::mem_words`] match an element-by-element build.
-    fn push_word(&mut self, w: usize, add: u64) {
+    /// `INLINE_CAP` elements and turns sparse past [`SMALL_MAX`], so the
+    /// representation and [`PtsSet::mem_words`] match an
+    /// element-by-element build.
+    fn push_word(&mut self, w: u32, add: u64) {
         let n = self.len() + add.count_ones() as usize;
-        let base = (w * WORD_BITS) as u32;
+        let base = w * WORD_BITS;
         if let View::Sorted(ids) = self.view() {
             debug_assert!(ids.last().is_none_or(|&l| l < base + add.trailing_zeros()));
         }
@@ -512,30 +691,47 @@ impl<T: Elem> PtsSet<T> {
             }
             Repr::Inline { .. } if n <= SMALL_MAX => self.spill().extend(bit_ids(base, add)),
             Repr::Small(v) if n <= SMALL_MAX => v.extend(bit_ids(base, add)),
-            _ => {
-                let (words, len) = self.dense_mut(w + 1);
-                debug_assert_eq!(words[w] & add, 0, "pushed bits already present");
-                words[w] |= add;
+            Repr::Sparse { chunks, len } => {
+                match chunks.last_mut() {
+                    Some(last) if last.word == w => {
+                        debug_assert_eq!(last.bits & add, 0, "pushed bits already present");
+                        last.bits |= add;
+                    }
+                    last => {
+                        debug_assert!(last.is_none_or(|l| l.word < w), "words not ascending");
+                        chunks.push(Chunk { word: w, bits: add });
+                    }
+                }
                 *len += add.count_ones();
+            }
+            _ => {
+                let View::Sorted(ids) = self.view() else {
+                    unreachable!("sparse handled above")
+                };
+                self.repr = Repr::sparse(ids, 1);
+                self.push_word(w, add);
             }
         }
     }
 
     /// Builds a kernel output from the nonzero words `each` hands its
     /// sink, in the order [`PtsSet::push_word`] takes them. `each` runs
-    /// twice: a counting pass, so that a dense output is allocated once
-    /// at its final size instead of growing word by word, and the pass
-    /// that fills it. An empty output, the common case, stops after
-    /// the count.
-    fn from_words(each: impl Fn(&mut dyn FnMut(usize, u64))) -> Self {
-        let (mut n, mut end) = (0, 0);
+    /// twice: a counting pass, so that a sparse output is allocated
+    /// once at its final chunk count instead of growing chunk by chunk,
+    /// and the pass that fills it. An empty output, the common case,
+    /// stops after the count.
+    fn from_words(each: impl Fn(&mut dyn FnMut(u32, u64))) -> Self {
+        let (mut n, mut chunks, mut last) = (0, 0, None);
         each(&mut |w, bits| {
             n += bits.count_ones() as usize;
-            end = w + 1;
+            if last != Some(w) {
+                chunks += 1;
+                last = Some(w);
+            }
         });
         let mut out = PtsSet::new();
         if n > SMALL_MAX {
-            out.repr = Repr::Dense { words: vec![0; end], len: 0 };
+            out.repr = Repr::Sparse { chunks: Vec::with_capacity(chunks), len: 0 };
         }
         if n > 0 {
             each(&mut |w, bits| out.push_word(w, bits));
@@ -544,41 +740,32 @@ impl<T: Elem> PtsSet<T> {
         out
     }
 
-    /// Appends index `i`, larger than every element, to an output under
-    /// construction (see [`PtsSet::push_word`]).
-    fn push_id(&mut self, i: usize) {
-        self.push_word(i / WORD_BITS, 1u64 << (i % WORD_BITS));
-    }
-
     /// Returns `(self ∩ ranges) \ other` as a fresh set: a cast-filtered
     /// copy edge's contribution to its target, reading the filter as
     /// coalesced id runs.
     ///
-    /// A dense `self` does range-bounded word arithmetic: only the
-    /// words each run overlaps are touched, with partial boundary
-    /// words masked off, and `other` is read a word at a time whatever
-    /// its representation. A sorted `self` walks its elements through a
-    /// run cursor ([`PtsSet::iter_in_ranges`]).
+    /// A sparse `self` gallops to the first chunk of each run and masks
+    /// only the chunks the run overlaps, with partial boundary words
+    /// masked off; `other` is read a word at a time whatever its
+    /// representation. A sorted `self` walks its elements through a
+    /// run cursor ([`PtsSet::iter_in_ranges`], [`PtsSet::missing`]).
     pub fn difference_in_ranges(&self, ranges: &IdRanges, other: &PtsSet<T>) -> PtsSet<T> {
         match self.view() {
-            View::Dense(words) => PtsSet::from_words(|sink| {
+            View::Sparse(chunks) => PtsSet::from_words(|sink| {
                 let mut ow = other.word_reader();
-                for_range_words(ranges, words.len(), |w, m| {
-                    let keep = words[w] & m & !ow.word(w);
-                    if keep != 0 {
-                        sink(w, keep);
-                    }
-                });
-            }),
-            View::Sorted(_) => {
-                let mut out = PtsSet::new();
-                for e in self.iter_in_ranges(ranges) {
-                    if !other.contains(e) {
-                        out.push_id(e.into_index());
+                let mut pos = 0;
+                for &(lo, hi) in ranges.runs() {
+                    let (w0, w1) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+                    pos = seek(chunks, pos, w0);
+                    for c in chunks[pos..].iter().take_while(|c| c.word <= w1) {
+                        let keep = c.bits & run_mask(lo, hi, c.word) & !ow.word(c.word);
+                        if keep != 0 {
+                            sink(c.word, keep);
+                        }
                     }
                 }
-                out
-            }
+            }),
+            View::Sorted(_) => other.missing(self.iter_in_ranges(ranges)),
         }
     }
 
@@ -598,9 +785,10 @@ impl<T: Elem> PtsSet<T> {
         })
     }
 
-    /// Returns `self \ other` as a fresh set. A dense `self` runs one
-    /// word-wise pass (`other` read a word at a time whatever its
-    /// representation); a sorted `self` walks its elements.
+    /// Returns `self \ other` as a fresh set. A sparse `self` runs one
+    /// chunk-wise pass (`other` read a word at a time, galloping
+    /// through a sparse `other`); a sorted `self` walks its elements
+    /// ([`PtsSet::missing`]).
     ///
     /// This is the solver's propagation primitive: the contribution of
     /// a delta to a copy edge's target, computed read-only so that an
@@ -609,141 +797,145 @@ impl<T: Elem> PtsSet<T> {
     /// the merged set some member's consumers have not seen yet.
     pub fn difference(&self, other: &PtsSet<T>) -> PtsSet<T> {
         match self.view() {
-            View::Dense(words) => PtsSet::from_words(|sink| {
+            View::Sparse(chunks) => PtsSet::from_words(|sink| {
                 let mut ow = other.word_reader();
-                for (w, &s) in words.iter().enumerate() {
-                    let keep = s & !ow.word(w);
+                for c in chunks {
+                    let keep = c.bits & !ow.word(c.word);
                     if keep != 0 {
-                        sink(w, keep);
+                        sink(c.word, keep);
                     }
                 }
             }),
-            View::Sorted(ids) => {
-                let mut out = PtsSet::new();
-                for &i in ids {
-                    if !other.contains(T::from_index(i as usize)) {
-                        out.push_id(i as usize);
-                    }
-                }
-                out
-            }
+            View::Sorted(_) => other.missing(self),
         }
     }
 
-    /// Unions `other` into `self` without computing a delta. A dense
-    /// `other` promotes `self` and ORs the words in; a sorted `other`
-    /// inserts element by element.
+    /// Returns the elements of `elems`, which must be strictly
+    /// ascending, that `self` lacks, as a fresh set with the
+    /// representation of an element-by-element build. `self` is read a
+    /// word at a time through one forward cursor, galloping through a
+    /// sparse `self`, so a run of elements costs one walk rather than
+    /// one search each.
+    pub fn missing(&self, elems: impl IntoIterator<Item = T>) -> PtsSet<T> {
+        let mut have = self.word_reader();
+        let mut out = PtsSet::new();
+        for e in elems {
+            let c = Chunk::of(u32::try_from(e.into_index()).expect("element index fits u32"));
+            if have.word(c.word) & c.bits == 0 {
+                out.push_word(c.word, c.bits);
+            }
+        }
+        out
+    }
+
+    /// Unions `other` into `self` without computing a delta, in the
+    /// representation an element-by-element build would have.
+    ///
+    /// A sparse `self` merges `other`'s chunks in place
+    /// (`merge_into`): one forward walk and, if `other` brings new
+    /// words, one reallocation and one walk from the back. A sorted
+    /// `self` inserts element by element while the union surely fits
+    /// [`SMALL_MAX`], and is otherwise rebuilt from a merge of both
+    /// sets' chunks, in one allocation.
     pub fn union_with(&mut self, other: &PtsSet<T>) {
-        match other.view() {
-            View::Dense(words) => {
-                let (tw, tlen) = self.dense_mut(words.len());
-                for (t, &s) in tw.iter_mut().zip(words.iter()) {
-                    *tlen += (s & !*t).count_ones();
-                    *t |= s;
-                }
+        if other.is_empty() {
+            return;
+        }
+        if let Repr::Sparse { chunks, len } = &mut self.repr {
+            other.chunked(|src| merge_into(chunks, len, src));
+        } else if self.len() + other.len() <= SMALL_MAX {
+            for e in other {
+                self.insert(e);
             }
-            View::Sorted(ids) => {
-                for &i in ids {
-                    self.insert(T::from_index(i as usize));
-                }
-            }
+        } else {
+            *self = self.chunked(|a| {
+                other.chunked(|b| PtsSet::from_words(|sink| merge_or(a, b, sink)))
+            });
         }
     }
 
-    /// A bitmap-word view of `self` for the word-wise kernels, which
-    /// read a second operand one word at a time in ascending word
-    /// order.
+    /// A word view of `self` for the chunk-wise kernels, which read a
+    /// second operand one word at a time in ascending word order.
     fn word_reader(&self) -> WordReader<'_> {
         match self.view() {
             View::Sorted(ids) => WordReader::Sorted { ids, pos: 0 },
-            View::Dense(words) => WordReader::Dense(words),
+            View::Sparse(chunks) => WordReader::Sparse { chunks, pos: 0 },
         }
     }
 
     /// The content fingerprint the interner keys its table with: a
     /// 128-bit hash of the ascending `(word index, nonzero bits)` pairs
-    /// of the set's bitmap, then its length.
+    /// of the set, then its length.
     ///
-    /// A sorted set is folded into the same stream (its ids grouped by
-    /// word), and zero words are skipped, so the value depends only on
-    /// the elements: an inline set, its heap twin, its promoted twin
-    /// and a bitmap with trailing zero words all fingerprint alike,
-    /// matching representation-independent equality. A dense set
-    /// hashes one pair per nonzero word instead of one value per
-    /// element.
+    /// A sparse set's chunks are that stream; a sorted set's ids are
+    /// grouped into it by word. So the value depends only on the
+    /// elements: an inline set, its heap twin and its sparse twin all
+    /// fingerprint alike, matching representation-independent
+    /// equality, and a sparse set hashes one pair per chunk instead of
+    /// one value per element.
     pub fn fingerprint(&self) -> u128 {
         let mut f = fxhash::Fingerprint128::new();
-        let mut pair = |w: usize, bits: u64| {
-            f.write_u64(w as u64);
-            f.write_u64(bits);
-        };
-        match self.view() {
-            View::Sorted(ids) => {
-                // The pair being filled; emitted once an id lands in a
-                // later word.
-                let mut cur = (0usize, 0u64);
-                for &i in ids {
-                    let w = i as usize / WORD_BITS;
-                    if w != cur.0 && cur.1 != 0 {
-                        pair(cur.0, cur.1);
-                        cur.1 = 0;
-                    }
-                    cur.0 = w;
-                    cur.1 |= 1u64 << (i as usize % WORD_BITS);
-                }
-                if cur.1 != 0 {
-                    pair(cur.0, cur.1);
-                }
+        self.chunked(|chunks| {
+            for c in chunks {
+                f.write_u64(u64::from(c.word));
+                f.write_u64(c.bits);
             }
-            View::Dense(words) => {
-                for (w, &bits) in words.iter().enumerate() {
-                    if bits != 0 {
-                        pair(w, bits);
-                    }
-                }
-            }
-        }
+        });
         f.write_u64(self.len() as u64);
         f.finish()
     }
 
-    /// Returns `true` if the sets share an element. Word-wise AND when
-    /// both are dense; otherwise scans the smaller side.
+    /// Returns `true` if the sets share an element. Two sparse sets
+    /// merge their chunk lists, each side galloping past the other's
+    /// gaps; otherwise the sorted side's elements probe the other
+    /// through one forward cursor.
     pub fn intersects(&self, other: &PtsSet<T>) -> bool {
-        match (self.view(), other.view()) {
-            (View::Dense(a), View::Dense(b)) => a.iter().zip(b).any(|(&x, &y)| x & y != 0),
-            _ => {
-                let (probe, scan) = if self.len() <= other.len() {
-                    (other, self)
-                } else {
-                    (self, other)
-                };
-                scan.iter().any(|e| probe.contains(e))
+        let (a, b) = match (self.view(), other.view()) {
+            (View::Sparse(a), View::Sparse(b)) => (a, b),
+            (View::Sorted(ids), _) => return other.has_any(ids),
+            (_, View::Sorted(ids)) => return self.has_any(ids),
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].word.cmp(&b[j].word) {
+                Ordering::Less => i = seek(a, i + 1, b[j].word),
+                Ordering::Greater => j = seek(b, j + 1, a[i].word),
+                Ordering::Equal if a[i].bits & b[j].bits != 0 => return true,
+                Ordering::Equal => (i, j) = (i + 1, j + 1),
             }
         }
+        false
+    }
+
+    /// Returns `true` if `self` holds one of the strictly ascending
+    /// `ids`.
+    fn has_any(&self, ids: &[u32]) -> bool {
+        ids.iter().any(|&i| self.contains(T::from_index(i as usize)))
     }
 
     /// Memory footprint in 64-bit words (the `peak set words` metric):
-    /// bitmap words, or a sorted set's occupancy at two ids per word,
-    /// whether it is stored inline or on the heap.
+    /// two per chunk of a sparse set (a word index and a word of bits),
+    /// or a sorted set's occupancy at two ids per word, whether it is
+    /// stored inline or on the heap.
     pub fn mem_words(&self) -> usize {
         match self.view() {
             View::Sorted(ids) => ids.len().div_ceil(2),
-            View::Dense(words) => words.len(),
+            View::Sparse(chunks) => 2 * chunks.len(),
         }
     }
 
     /// Builds a set from strictly ascending element indices in one go,
     /// in the representation an element-by-element build would have.
     /// Up to six ids are copied inline; a heap sorted result keeps
-    /// `ids` as its storage; a dense one sets its bits in a single
-    /// pass. Returns `None` unless `ids` is strictly ascending.
+    /// `ids` as its storage; a sparse one takes one chunk per word the
+    /// ids touch, allocated once, so no id however large sizes it.
+    /// Returns `None` unless `ids` is strictly ascending.
     pub fn from_ascending(ids: Vec<u32>) -> Option<Self> {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return None;
         }
         let repr = if ids.len() > SMALL_MAX {
-            Repr::dense(&ids, 0)
+            Repr::sparse(&ids, 0)
         } else {
             Repr::sorted(ids)
         };
@@ -752,150 +944,39 @@ impl<T: Elem> PtsSet<T> {
             _elem: PhantomData,
         })
     }
-
-    /// Builds a set from strictly ascending element indices that stays
-    /// sorted however many there are (inline up to six, else in `ids`
-    /// itself), so no bitmap is sized by its largest id: the form for a
-    /// read-only set over ids that are untrusted or spread over a
-    /// universe far wider than the set. Every operation stays correct;
-    /// membership is a binary search, and an insertion promotes to a
-    /// bitmap as usual. Returns `None` unless `ids` is strictly
-    /// ascending.
-    pub fn sorted_from_ascending(ids: Vec<u32>) -> Option<Self> {
-        if ids.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        Some(PtsSet {
-            repr: Repr::sorted(ids),
-            _elem: PhantomData,
-        })
-    }
 }
 
-/// A reusable bitmap accumulator for unions of many sets: OR sets in
-/// with [`UnionScratch::add`], then [`UnionScratch::take`] the union.
-///
-/// Only the span of words the added sets touched is scanned and
-/// cleared, so one scratch serves many small unions over a large
-/// universe without re-zeroing it.
-#[derive(Debug, Default)]
-pub struct UnionScratch {
-    words: Vec<u64>,
-    /// Touched span `[lo, hi)` of `words`; `lo == hi` while empty.
-    lo: usize,
-    hi: usize,
-}
-
-impl UnionScratch {
-    /// Creates an empty accumulator (no allocation until the first add).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// ORs `set` into the accumulator: word-wise for a dense set, a bit
-    /// per element for a sorted one.
-    pub fn add<T: Elem>(&mut self, set: &PtsSet<T>) {
-        let view = set.view();
-        let (first, end) = match view {
-            View::Sorted(ids) => match (ids.first(), ids.last()) {
-                (Some(&a), Some(&b)) => (a as usize / WORD_BITS, b as usize / WORD_BITS + 1),
-                _ => return,
-            },
-            View::Dense(words) => (0, words.len()),
-        };
-        if self.words.len() < end {
-            self.words.resize(end, 0);
-        }
-        match view {
-            View::Sorted(ids) => {
-                for &i in ids {
-                    self.words[i as usize / WORD_BITS] |= 1u64 << (i as usize % WORD_BITS);
-                }
-            }
-            View::Dense(words) => {
-                for (t, &s) in self.words.iter_mut().zip(words) {
-                    *t |= s;
-                }
-            }
-        }
-        if self.lo < self.hi {
-            (self.lo, self.hi) = (self.lo.min(first), self.hi.max(end));
-        } else {
-            (self.lo, self.hi) = (first, end);
-        }
-    }
-
-    /// Returns the union of everything added since the last `take`, in
-    /// the representation an element-by-element build would have, and
-    /// leaves the accumulator empty.
-    pub fn take<T: Elem>(&mut self) -> PtsSet<T> {
-        let (lo, span) = (self.lo, &mut self.words[self.lo..self.hi]);
-        let out = PtsSet::from_words(|sink| {
-            for (w, &word) in span.iter().enumerate() {
-                if word != 0 {
-                    sink(lo + w, word);
-                }
-            }
-        });
-        span.fill(0);
-        (self.lo, self.hi) = (0, 0);
-        out
-    }
-}
-
-/// Visits every bitmap word a run list overlaps, at most once per
-/// `(run, word)` pair, as `(word index, member-bit mask)`. Words arrive
-/// in ascending order overall (runs are sorted and disjoint; only a
-/// boundary word shared by two runs repeats, with disjoint masks).
-fn for_range_words(ranges: &IdRanges, n_words: usize, mut f: impl FnMut(usize, u64)) {
-    let limit = n_words * WORD_BITS;
-    for &(lo, hi) in ranges.runs() {
-        let (lo, hi) = (lo as usize, (hi as usize).min(limit));
-        if lo >= hi {
-            continue;
-        }
-        let (w0, w1) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
-        for w in w0..=w1 {
-            let mut m = !0u64;
-            if w == w0 {
-                m &= !0u64 << (lo % WORD_BITS);
-            }
-            if w == w1 {
-                let top = hi - w * WORD_BITS;
-                if top < WORD_BITS {
-                    m &= (1u64 << top) - 1;
-                }
-            }
-            f(w, m);
-        }
-    }
-}
-
-/// One operand of a word-wise kernel, read a bitmap word at a time.
-/// Word indices must be non-decreasing across calls (a repeat is
-/// allowed, for the boundary word two ranges share).
+/// One operand of a chunk-wise kernel, read a word at a time. Word
+/// indices must be non-decreasing across calls (a repeat is allowed,
+/// for the boundary word two ranges share).
 enum WordReader<'a> {
-    Dense(&'a [u64]),
+    /// A sparse set's chunks; `pos` is the first chunk not below the
+    /// last word read.
+    Sparse { chunks: &'a [Chunk], pos: usize },
     /// A sorted set's ids; `pos` is the first id not in an earlier
     /// word than the last one read.
     Sorted { ids: &'a [u32], pos: usize },
 }
 
 impl WordReader<'_> {
-    /// The operand's bitmap word `w` (zero past its end).
-    fn word(&mut self, w: usize) -> u64 {
+    /// The operand's word `w` (zero where it has no element).
+    fn word(&mut self, w: u32) -> u64 {
         match self {
-            WordReader::Dense(words) => words.get(w).copied().unwrap_or(0),
+            WordReader::Sparse { chunks, pos } => {
+                *pos = seek(chunks, *pos, w);
+                chunks.get(*pos).filter(|c| c.word == w).map_or(0, |c| c.bits)
+            }
             WordReader::Sorted { ids, pos } => {
-                while *pos < ids.len() && (ids[*pos] as usize) / WORD_BITS < w {
+                while *pos < ids.len() && ids[*pos] / (WORD_BITS) < w {
                     *pos += 1;
                 }
                 let mut bits = 0u64;
                 for &i in &ids[*pos..] {
-                    if i as usize / WORD_BITS != w {
+                    let c = Chunk::of(i);
+                    if c.word != w {
                         break;
                     }
-                    bits |= 1u64 << (i as usize % WORD_BITS);
+                    bits |= c.bits;
                 }
                 bits
             }
@@ -905,26 +986,20 @@ impl WordReader<'_> {
 
 impl<T: Elem> PartialEq for PtsSet<T> {
     /// Structural equality over the *elements*, independent of
-    /// representation: a promoted set equals its small twin.
+    /// representation: a sparse set equals its sorted twin.
     ///
     /// Every interner fingerprint hit runs this comparison, so it works
     /// on the representation where it can: two sorted sets (inline or
-    /// heap) compare as slices, two dense sets word by word over their
-    /// common prefix, with any words past the shorter bitmap required
-    /// to be zero (a bitmap may keep trailing zero words after
-    /// [`PtsSet::remove`]). Only sorted–dense pairs walk the elements.
+    /// heap) compare as slices, two sparse sets chunk by chunk (a
+    /// sparse set holds no zero chunk, so equal contents have equal
+    /// chunks). Only sorted–sparse pairs walk the elements.
     fn eq(&self, other: &Self) -> bool {
         if self.len() != other.len() {
             return false;
         }
         match (self.view(), other.view()) {
             (View::Sorted(a), View::Sorted(b)) => a == b,
-            (View::Dense(a), View::Dense(b)) => {
-                let n = a.len().min(b.len());
-                a[..n] == b[..n]
-                    && a[n..].iter().all(|&w| w == 0)
-                    && b[n..].iter().all(|&w| w == 0)
-            }
+            (View::Sparse(a), View::Sparse(b)) => a == b,
             _ => self.iter().eq(other.iter()),
         }
     }
@@ -971,11 +1046,11 @@ pub struct Iter<'a, T> {
 
 #[derive(Debug)]
 enum IterRepr<'a> {
-    Small(std::slice::Iter<'a, u32>),
-    Dense {
-        words: &'a [u64],
-        word_ix: usize,
-        cur: u64,
+    Sorted(std::slice::Iter<'a, u32>),
+    /// The chunks not yet started, and the rest of the current one.
+    Sparse {
+        chunks: std::slice::Iter<'a, Chunk>,
+        cur: Chunk,
     },
 }
 
@@ -984,23 +1059,15 @@ impl<T: Elem> Iterator for Iter<'_, T> {
 
     fn next(&mut self) -> Option<T> {
         match &mut self.inner {
-            IterRepr::Small(it) => it.next().map(|&i| T::from_index(i as usize)),
-            IterRepr::Dense {
-                words,
-                word_ix,
-                cur,
-            } => loop {
-                if *cur != 0 {
-                    let b = cur.trailing_zeros() as usize;
-                    *cur &= *cur - 1;
-                    return Some(T::from_index(*word_ix * WORD_BITS + b));
+            IterRepr::Sorted(it) => it.next().map(|&i| T::from_index(i as usize)),
+            IterRepr::Sparse { chunks, cur } => {
+                while cur.bits == 0 {
+                    *cur = *chunks.next()?;
                 }
-                *word_ix += 1;
-                if *word_ix >= words.len() {
-                    return None;
-                }
-                *cur = words[*word_ix];
-            },
+                let b = cur.bits.trailing_zeros();
+                cur.bits &= cur.bits - 1;
+                Some(T::from_index(cur.id(b) as usize))
+            }
         }
     }
 }
@@ -1050,14 +1117,17 @@ mod tests {
     #[test]
     fn equality_crosses_representations() {
         let small: PtsSet<u32> = [3u32, 9].into_iter().collect();
-        let mut dense: PtsSet<u32> = (0u32..200).collect();
-        dense.clear();
-        // `dense` is an emptied bitmap; refill with the same elements.
-        let mut dense: PtsSet<u32> = (0u32..200).collect();
-        let small_copy: PtsSet<u32> = (0u32..200).collect();
-        assert_eq!(dense, small_copy);
-        dense.insert(1000);
-        assert_ne!(dense, small_copy);
+        // An emptied sparse set refilled with a small set's elements.
+        let mut sparse: PtsSet<u32> = (0u32..200).collect();
+        sparse.clear();
+        sparse.extend([9u32, 3]);
+        assert!(matches!(sparse.repr, Repr::Sparse { .. }));
+        assert_eq!(sparse, small);
+        let mut big: PtsSet<u32> = (0u32..200).collect();
+        let big_copy: PtsSet<u32> = (0u32..200).collect();
+        assert_eq!(big, big_copy);
+        big.insert(1000);
+        assert_ne!(big, big_copy);
         assert_eq!(small, [9u32, 3].into_iter().collect::<PtsSet<u32>>());
     }
 
@@ -1067,14 +1137,14 @@ mod tests {
         let a: PtsSet<u32> = [1u32, 2, 3].into_iter().collect();
         let b: PtsSet<u32> = [2u32, 4].into_iter().collect();
         assert_eq!(a.difference(&b).to_vec(), vec![1, 3]);
-        // dense \ dense, including words past the other's end
+        // sparse \ sparse, including words past the other's end
         let big_a: PtsSet<u32> = (0u32..200).collect();
         let big_b: PtsSet<u32> = (0u32..100).collect();
         assert_eq!(
             big_a.difference(&big_b).to_vec(),
             (100u32..200).collect::<Vec<_>>()
         );
-        // dense \ small and small \ dense
+        // sparse \ small and small \ sparse
         assert_eq!(big_b.difference(&a).len(), 97);
         assert_eq!(a.difference(&big_b), PtsSet::new());
         // difference against self / empty
@@ -1093,10 +1163,10 @@ mod tests {
         assert_ne!(fp(&[5]), fp(&[69]), "same bit, different word");
         assert_eq!(fp(&[5, 9]), fp(&[9, 5]));
         let many: Vec<u32> = (0..40).map(|i| i * 3).collect();
-        let mut dense: PtsSet<u32> = many.iter().copied().collect();
-        assert_eq!(dense.fingerprint(), fp(&many));
-        dense.remove(0);
-        assert_eq!(dense.fingerprint(), fp(&many[1..]));
+        let mut sparse: PtsSet<u32> = many.iter().copied().collect();
+        assert_eq!(sparse.fingerprint(), fp(&many));
+        sparse.remove(0);
+        assert_eq!(sparse.fingerprint(), fp(&many[1..]));
     }
 
     #[test]
@@ -1113,5 +1183,56 @@ mod tests {
         assert!(!big_a.intersects(&big_c));
         assert!(a.intersects(&big_a));
         assert!(!c.intersects(&big_b));
+    }
+
+    fn chunks(words: &[u32]) -> Vec<Chunk> {
+        words.iter().map(|&word| Chunk { word, bits: 1 << (word % 64) }).collect()
+    }
+
+    #[test]
+    fn seek_and_seek_back_find_the_partition_points() {
+        let c = chunks(&[2, 3, 5, 8, 13, 21, 34, 55, 89]);
+        for from in 0..=c.len() {
+            for word in 0..100 {
+                let want = from.max(c.partition_point(|x| x.word < word));
+                assert_eq!(seek(&c, from, word), want, "seek from {from} to {word}");
+            }
+        }
+        for end in 0..=c.len() {
+            for word in 0..100 {
+                let want = c[..end].partition_point(|x| x.word <= word);
+                assert_eq!(seek_back(&c, end, word), want, "seek_back below {end} to {word}");
+            }
+        }
+    }
+
+    /// The merge places chunks before, between and after the target's,
+    /// ORs into the ones it shares, and grows the target exactly.
+    #[test]
+    fn merge_into_places_and_ors() {
+        let mut dst = chunks(&[3, 7, 9]);
+        dst.shrink_to_fit();
+        let mut len = 3;
+        let src = [
+            Chunk { word: 1, bits: 1 },
+            Chunk { word: 7, bits: 0b11 },
+            Chunk { word: 8, bits: 1 },
+            Chunk { word: 12, bits: 0b101 },
+        ];
+        merge_into(&mut dst, &mut len, &src);
+        let words: Vec<u32> = dst.iter().map(|c| c.word).collect();
+        assert_eq!(words, vec![1, 3, 7, 8, 9, 12]);
+        assert_eq!(dst[2].bits, 0b11 | 1 << 7);
+        assert_eq!(len, 3 + 1 + 2 + 1 + 2);
+        assert_eq!(dst.capacity(), 6, "one exact reallocation");
+    }
+
+    #[test]
+    fn run_mask_covers_the_run_within_the_word() {
+        assert_eq!(run_mask(0, 64, 0), !0);
+        assert_eq!(run_mask(3, 5, 0), 0b11000);
+        assert_eq!(run_mask(60, 70, 0), 0xf << 60);
+        assert_eq!(run_mask(60, 70, 1), 0b11_1111);
+        assert_eq!(run_mask(0, u32::MAX, u32::MAX / 64), !0 >> 1);
     }
 }

@@ -4,8 +4,8 @@
 //! Driven by the in-tree SplitMix64 PRNG (`obs::rng`) so runs are
 //! deterministic and reproducible. Each trial interns owned sets drawn
 //! from a small pool of contents, each built in a random
-//! representation — small, dense, dense with trailing zero words, or a
-//! sorted vec past [`SMALL_MAX`] — and asserts that ids are equal
+//! representation — small, forced sparse, forced sparse after gaining
+//! and losing a chunk, or `from_ascending` — and asserts that ids are equal
 //! exactly when contents are, that ids follow first occurrence after
 //! the empty set's id 0, that `get` returns the content interned, and
 //! that every call is either one new content or one dedup hit.
@@ -22,24 +22,24 @@ fn random_content(rng: &mut SplitMix64) -> BTreeSet<u32> {
 }
 
 /// `content` built in representation `kind` (0..4): element by
-/// element, a cleared bitmap refilled, the same with trailing zero
-/// words, or a sorted vec of any length.
+/// element, a cleared sparse set refilled, the same after a high
+/// element's chunk came and went, or in one go by `from_ascending`.
 fn build(content: &BTreeSet<u32>, kind: u64) -> PtsSet<u32> {
     let ids = content.iter().copied();
     match kind {
         0 => ids.collect(),
         1 | 2 => {
-            let mut dense: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
-            dense.clear();
-            dense.extend(ids);
+            let mut sparse: PtsSet<u32> = (0u32..=SMALL_MAX as u32).collect();
+            sparse.clear();
+            sparse.extend(ids);
             if kind == 2 {
                 let high = UNIVERSE as u32 + 640;
-                dense.insert(high);
-                dense.remove(high);
+                sparse.insert(high);
+                sparse.remove(high);
             }
-            dense
+            sparse
         }
-        _ => PtsSet::sorted_from_ascending(ids.collect()).expect("ascending"),
+        _ => PtsSet::from_ascending(ids.collect()).expect("ascending"),
     }
 }
 

@@ -17,7 +17,8 @@
 //! to measured-at-commit bounds the way `worklist_pops` is. So are the
 //! solver's order maintenance (edges scanned by repair searches,
 //! renumbers), its call dispatch (receiver groups bound) and its
-//! physical points-to footprint (`pts_peak_words`). The seal at
+//! physical and logical points-to footprints (`pts_peak_words`,
+//! `pts_logical_words`). The seal at
 //! finalize is pinned exactly (interner counts and fingerprints on
 //! luindex@2) and bounded to one seal per row.
 //! Wall-clock itself is measured by the `perfbench` benchmark (see
@@ -215,14 +216,16 @@ fn dispatch_groups_within_bound() {
 }
 
 /// 1.10 × the physical points-to footprint (`pts_peak_words`) of pmd,
-/// scale 2, 1cs, alloc-site heap: 2,707 measured → 2,977 bound. Kernel
-/// outputs must keep the representation an element-by-element build
-/// gives them — sorted ids up to 16 elements, a bitmap past that. A
-/// kernel that promotes its small outputs to bitmaps early measures
-/// 3,343 here. This run, unlike the luindex@2 2cs run the other bounds
-/// use (1,721 → 1,726), carries enough small deltas cut from bitmap
-/// sources to show it.
-const PTS_PEAK_WORDS_BOUND: u64 = 2_977;
+/// scale 2, 1cs, alloc-site heap: 2,234 measured → 2,457 bound (the
+/// bitmap representation measured 2,707 under a bound of 2,977). Rows
+/// must keep the representation an element-by-element build gives
+/// them — sorted ids up to 16 elements, one 2-word chunk per nonzero
+/// word past that. Promoting early, as the bitmap did (kernel outputs
+/// of any size and every target of a union with a sparse source turn
+/// sparse), measures 4,204 here. This run, unlike the luindex@2 2cs
+/// run the other bounds use (1,718), carries enough small deltas cut
+/// from sparse sources to show it.
+const PTS_PEAK_WORDS_BOUND: u64 = 2_457;
 
 /// Deterministic bound on the set representation's footprint.
 #[test]
@@ -237,6 +240,30 @@ fn pts_peak_words_within_bound() {
     assert!(
         words <= PTS_PEAK_WORDS_BOUND,
         "pts_peak_words regressed: {words} > bound {PTS_PEAK_WORDS_BOUND} \
+         (bound = measured-at-commit × 1.10; see module docs)"
+    );
+}
+
+/// 1.10 × the logical points-to footprint (`pts_logical_words`, every
+/// non-empty row's `mem_words` before deduplication) of luindex, scale
+/// 2, 2cs, alloc-site heap: 16,044 measured → 17,648 bound (the bitmap
+/// representation measured 16,341). Early promotion, as in
+/// `PTS_PEAK_WORDS_BOUND`, measures 26,494.
+const PTS_LOGICAL_WORDS_BOUND: u64 = 17_648;
+
+/// Deterministic bound on the per-row footprint of the sets.
+#[test]
+fn pts_logical_words_within_bound() {
+    let w = workloads::dacapo::workload("luindex", 2);
+    let result = AnalysisConfig::new(CallSiteSensitive::new(2), AllocSiteAbstraction)
+        .budget(Budget::seconds(120))
+        .run(&w.program)
+        .expect("luindex@2 under 2cs fits a 120s budget");
+    let words = result.stats().pts_logical_words;
+    assert!(words > 0, "no points-to set was ever stored");
+    assert!(
+        words <= PTS_LOGICAL_WORDS_BOUND,
+        "pts_logical_words regressed: {words} > bound {PTS_LOGICAL_WORDS_BOUND} \
          (bound = measured-at-commit × 1.10; see module docs)"
     );
 }
@@ -280,17 +307,20 @@ fn luindex2_seal_cells() -> (jir::Program, Vec<(&'static str, pta::AnalysisResul
 }
 
 /// The interner's counts, the physical footprint and the canonical
-/// fingerprint of luindex@2 under 2cs, 2obj and M-2obj, pinned exactly
-/// to the values of the solver that kept copy-on-write handles during
-/// the fixpoint and sealed them in periodic sweeps. Sealing every row
-/// once at finalize, in row order, must reproduce every one of them:
-/// the same contents meet the interner in the same order.
+/// fingerprint of luindex@2 under 2cs, 2obj and M-2obj. The counts and
+/// fingerprints are pinned exactly to the values of the solver that
+/// kept copy-on-write handles during the fixpoint and sealed them in
+/// periodic sweeps: sealing every row once at finalize, in row order,
+/// must reproduce every one of them, since the same contents meet the
+/// interner in the same order. The footprint is that of the sparse
+/// chunk representation (2 words per nonzero 64-id word; the bitmap
+/// read 1,721, 2,427 and 265).
 #[test]
 fn seal_once_matches_the_swept_handles() {
     // (cell, pts_interned, pts_dedup_hits, pts_peak_words, fingerprint)
     const PINNED: [(&str, u64, u64, u64, u64); 3] = [
-        ("2cs", 1_635, 8_875, 1_721, 0x5e6b_3a81_1a85_81b7),
-        ("2obj", 1_187, 5_235, 2_427, 0xed02_a2e6_69aa_eed3),
+        ("2cs", 1_635, 8_875, 1_718, 0x5e6b_3a81_1a85_81b7),
+        ("2obj", 1_187, 5_235, 1_982, 0xed02_a2e6_69aa_eed3),
         ("M-2obj", 266, 1_834, 265, 0x727f_cae3_20ed_3802),
     ];
     let (p, cells) = luindex2_seal_cells();

@@ -275,6 +275,49 @@ fn corrupted_snapshot_is_refused_not_panicked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The serving pipeline writes no experiment artifact, so each
+/// artifact flag is refused there by name with exit code 2, before any
+/// analysis runs or any file is written.
+#[test]
+fn serving_refuses_artifact_flags() {
+    let dir = std::env::temp_dir().join(format!("repro_serve_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("never.mjsn");
+    let out_file = dir.join("artifact.json");
+    let out_path = out_file.to_str().unwrap();
+    let serving: [&[&str]; 3] = [
+        &["--save-snapshot", snap.to_str().unwrap()],
+        &["--load-snapshot", snap.to_str().unwrap()],
+        &["--serve-bench"],
+    ];
+    let artifacts: [&[&str]; 5] = [
+        &["--profile"],
+        &["--profile-json", out_path],
+        &["--trace", out_path],
+        &["--metrics-json", out_path],
+        &["--bench-json", out_path],
+    ];
+    for mode in serving {
+        for artifact in artifacts {
+            let out = repro()
+                .args(["--programs", "luindex", "--scale", "1"])
+                .args(mode)
+                .args(artifact)
+                .output()
+                .expect("repro runs");
+            let ctx = format!("{mode:?} {artifact:?}");
+            assert_eq!(out.status.code(), Some(2), "{ctx} must exit 2");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{} writes nothing in the serving pipeline", artifact[0])),
+                "{ctx}: stderr: {stderr}"
+            );
+            assert!(!snap.exists() && !out_file.exists(), "{ctx} wrote a file");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Serving options reject nonsense configurations up front.
 #[test]
 fn unknown_analysis_and_heap_names_fail() {
