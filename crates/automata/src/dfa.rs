@@ -117,7 +117,6 @@ impl Dfa {
     /// real output set. Runs in near-linear time
     /// `O(|Σ| · |Q1 ∪ Q2| · α)`.
     pub fn equivalent(&self, other: &Dfa) -> bool {
-        obs::counter("automata.hk_queries").inc();
         // State numbering: self-states, then other-states, then q_error.
         let n1 = self.state_count();
         let n2 = other.state_count();
@@ -169,12 +168,10 @@ impl Dfa {
                 Some(other.output_set(StateId((state - n1) as u32)))
             }
         };
-        let homogeneous = sets.classes().iter().all(|class| {
+        sets.classes().iter().all(|class| {
             let first = output_of(class[0]);
             class.iter().all(|&s| output_of(s) == first)
-        });
-        obs::counter("automata.hk_unionfind_ops").add(sets.ops());
-        homogeneous
+        })
     }
 
     /// Partitions the states into behavioural-equivalence classes by

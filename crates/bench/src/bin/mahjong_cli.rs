@@ -10,8 +10,11 @@
 //! `--bench-json`/`--force`, `--heartbeat`) are parsed by
 //! [`bench::cli::CommonOpts`] — the same parser and `--help` section
 //! `repro` uses. The pre-analysis solver and the merge are sequential,
-//! so `--threads` only stamps the record. Set `OBS_DISABLE=1` to turn
-//! all recording into no-ops.
+//! so `--threads` only stamps the record. The records and the
+//! `--metrics-json` rows come from this run's own stats: the
+//! pre-analysis is the row `<file stem>.ci` and the merge is keyed by
+//! the file stem (`containers.ci`, `containers` for
+//! `corpus/containers.jir`).
 //!
 //! The paper ships Mahjong as a standalone tool that any
 //! allocation-site-based points-to framework can call; this binary is
@@ -87,7 +90,12 @@ fn main() {
             .run(&program)
             .unwrap_or_else(|e| die(&format!("pre-analysis exceeded its budget: {e}")))
     };
+    let stem = std::path::Path::new(&path)
+        .file_stem()
+        .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
+    bench::profile::record(format!("{stem}.ci"), Ok(&pre));
     let (fpg, out) = build_with_fpg(&program, &pre, &config);
+    bench::profile::record_merge(stem, &out.stats);
 
     println!(
         "# mahjong: {} reachable objects -> {} abstract objects ({:.0}% reduction)",
@@ -118,7 +126,7 @@ fn main() {
         threads: config.threads,
         nproc: bench::cli::nproc(),
     };
-    common.emit_artifacts("mahjong-cli", &header);
+    common.emit_artifacts("mahjong-cli", &header, &bench::profile::take());
 }
 
 fn die(msg: &str) -> ! {

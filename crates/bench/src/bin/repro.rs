@@ -17,7 +17,7 @@
 //! `--threads` sets the worker count of the serve bench (`0`, the
 //! default, means one per available hardware thread); the solver and
 //! Mahjong's merge are sequential.
-//! `--metrics-json` dumps the telemetry registry as JSON-Lines and
+//! `--metrics-json` dumps spans and run rows as JSON-Lines and
 //! `--trace` writes a Chrome `trace_event` file (load it in
 //! `about:tracing` or Perfetto). The benchmark record lands at
 //! `--bench-json PATH` when given, otherwise as `BENCH_pta.json` next
@@ -25,8 +25,7 @@
 //! (`BENCH_mahjong.json`) is written as a sibling. An existing record
 //! is never overwritten unless `--force` is passed. `--exp all`
 //! additionally prints a per-experiment phase-time summary
-//! (pre-analysis vs. Mahjong vs. the main analysis). Set
-//! `OBS_DISABLE=1` to turn recording into no-ops.
+//! (pre-analysis vs. Mahjong vs. the main analysis).
 //!
 //! `--profile` writes the solver profile, one row per solver run keyed
 //! by cell (`luindex.ci`, `luindex.2cs`, `luindex.M-2cs`) with the
@@ -289,10 +288,11 @@ fn main() {
         threads: args.threads,
         nproc: cli::nproc(),
     };
-    args.common.emit_artifacts("repro", &header);
+    let runs = bench::profile::take();
+    args.common.emit_artifacts("repro", &header, &runs);
     if args.profile {
         let path = profile_path(&args, args.common.bench_target().as_deref());
-        cli::write_or_die("repro", &path, &profile_json(&args));
+        cli::write_or_die("repro", &path, &profile_json(&args, &runs));
         eprintln!("repro: wrote {path}");
     }
 }
@@ -494,8 +494,7 @@ fn profile_path(args: &Args, bench_target: Option<&str>) -> String {
 
 /// The solver profile: run header plus one row per solver run (see
 /// `bench::profile`) under `"rows"`.
-fn profile_json(args: &Args) -> String {
-    let r = obs::registry();
+fn profile_json(args: &Args, runs: &bench::profile::Runs) -> String {
     format!(
         "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"budget_secs\": {},\n  \"threads\": {},\n  \
          \"pre_analysis_secs\": {:.6},\n  \"main_analysis_secs\": {:.6},\n  \
@@ -504,17 +503,17 @@ fn profile_json(args: &Args) -> String {
         args.scale,
         args.budget,
         args.threads,
-        r.phase_time("pre_analysis").as_secs_f64(),
-        r.phase_time("main_analysis").as_secs_f64(),
-        obs::gauge("pta.pts_peak_words").get(),
-        bench::profile::rows_json(&bench::profile::take_rows()),
+        obs::phase_time("pre_analysis").as_secs_f64(),
+        obs::phase_time("main_analysis").as_secs_f64(),
+        runs.peak_words(),
+        bench::profile::rows_json(&runs.rows),
     )
 }
 
 // --- `--exp all` with the phase-time summary -----------------------------------
 
 /// Cumulative wall-clock in the three pipeline stages, read from the
-/// telemetry registry's span log.
+/// span log.
 #[derive(Clone, Copy, Debug, Default)]
 struct PhaseClock {
     pre_analysis: Duration,
@@ -523,13 +522,12 @@ struct PhaseClock {
 }
 
 fn phase_clock() -> PhaseClock {
-    let r = obs::registry();
     PhaseClock {
-        pre_analysis: r.phase_time("pre_analysis"),
-        mahjong: r.phase_time("mahjong.fpg_build")
-            + r.phase_time("mahjong.automata_build")
-            + r.phase_time("mahjong.equivalence_check"),
-        main_analysis: r.phase_time("main_analysis"),
+        pre_analysis: obs::phase_time("pre_analysis"),
+        mahjong: obs::phase_time("mahjong.fpg_build")
+            + obs::phase_time("mahjong.automata_build")
+            + obs::phase_time("mahjong.equivalence_check"),
+        main_analysis: obs::phase_time("main_analysis"),
     }
 }
 

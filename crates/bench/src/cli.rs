@@ -22,7 +22,10 @@
 //! }
 //! ```
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
+
+use crate::profile::{self, Runs};
 
 /// Options every workspace binary accepts, parsed by
 /// [`CommonOpts::try_parse`] and rendered by [`CommonOpts::HELP`].
@@ -33,8 +36,8 @@ pub struct CommonOpts {
     /// resolve with [`CommonOpts::resolve_threads`]). Sizes the serve
     /// bench; the solver and Mahjong's merge are sequential.
     pub threads: Option<usize>,
-    /// `--metrics-json PATH`: dump the telemetry registry as
-    /// JSON-Lines on exit.
+    /// `--metrics-json PATH`: dump spans and run rows as JSON-Lines on
+    /// exit (see [`metrics_jsonl`]).
     pub metrics_json: Option<String>,
     /// `--trace PATH`: write a Chrome `trace_event` file on exit.
     pub trace: Option<String>,
@@ -56,7 +59,7 @@ shared options:
   --threads N          worker count of the serve bench (0 = one per
                        hardware thread); the solver and Mahjong's merge
                        are sequential
-  --metrics-json PATH  dump the telemetry registry as JSON-Lines
+  --metrics-json PATH  dump spans and run rows as JSON-Lines
   --trace PATH         write a Chrome trace_event file (about:tracing)
   --bench-json PATH    write the benchmark record here (default:
                        BENCH_pta.json next to --metrics-json); a
@@ -134,19 +137,20 @@ shared options:
         }
     }
 
-    /// Emits the end-of-run artifacts the shared flags configure: the
-    /// `--metrics-json` JSON-Lines dump, the benchmark-record pair
-    /// (pta record plus the Mahjong sibling, both with no-clobber
-    /// semantics), and the `--trace` Chrome trace. `header` stamps the
-    /// records' provenance fields.
-    pub fn emit_artifacts(&self, bin: &str, header: &RecordHeader) {
+    /// Emits the end-of-run artifacts the shared flags configure from
+    /// the recorded `runs` and the span log: the `--metrics-json`
+    /// JSON-Lines dump, the benchmark-record pair (pta record plus the
+    /// Mahjong sibling, both with no-clobber semantics), and the
+    /// `--trace` Chrome trace. `header` stamps the records' provenance
+    /// fields.
+    pub fn emit_artifacts(&self, bin: &str, header: &RecordHeader, runs: &Runs) {
         if let Some(path) = &self.metrics_json {
-            write_or_die(bin, path, &obs::export_jsonl());
+            write_or_die(bin, path, &metrics_jsonl(runs));
         }
         if let Some(bench) = self.bench_target() {
             // Re-check: a file may have appeared while the run went on.
             refuse_clobber(bin, &bench, self.force);
-            write_or_die(bin, &bench, &bench_pta_json(header));
+            write_or_die(bin, &bench, &bench_pta_json(header, runs));
             eprintln!("{bin}: wrote {bench}");
             // The Mahjong-phase record rides along as a sibling file
             // with the same no-clobber semantics (but skipping, not
@@ -155,7 +159,7 @@ shared options:
             if !self.force && std::path::Path::new(&mahjong).exists() {
                 eprintln!("{bin}: keeping existing {mahjong} (pass --force to replace it)");
             } else {
-                write_or_die(bin, &mahjong, &bench_mahjong_json(header));
+                write_or_die(bin, &mahjong, &bench_mahjong_json(header, runs));
                 eprintln!("{bin}: wrote {mahjong}");
             }
         }
@@ -165,9 +169,10 @@ shared options:
     }
 
     /// Spawns the `--heartbeat` stderr pulse (detached; dies with the
-    /// process). Reads the solver's live counters, which every run
-    /// updates once per wave, and the physical footprint of the
-    /// largest run sealed so far (`pta.pts_peak_words`).
+    /// process). Reads the solver's live counters
+    /// ([`pta::LIVE_WAVE_ROUNDS`], [`pta::LIVE_WORKLIST_POPS`]), which
+    /// every run bumps once per wave, and the largest physical
+    /// footprint among the runs recorded so far.
     pub fn start_heartbeat(&self, bin: &'static str) {
         let secs = self.heartbeat;
         if secs == 0 {
@@ -179,9 +184,9 @@ shared options:
             eprintln!(
                 "{bin}: [{}s] wave {} · {} pops · {} peak sealed words",
                 start.elapsed().as_secs(),
-                obs::counter("pta.live_wave_rounds").get(),
-                obs::counter("pta.live_worklist_pops").get(),
-                obs::gauge("pta.pts_peak_words").get(),
+                pta::LIVE_WAVE_ROUNDS.load(Ordering::Relaxed),
+                pta::LIVE_WORKLIST_POPS.load(Ordering::Relaxed),
+                profile::peak_words_so_far(),
             );
         });
     }
@@ -254,13 +259,24 @@ pub fn bench_mahjong_path(bench_path: &str) -> String {
     p.with_file_name(sibling).to_string_lossy().into_owned()
 }
 
+/// The `--metrics-json` dump: the span log's `phase` and `span` lines
+/// ([`obs::export_jsonl`]), then a `row` line per solver run and a
+/// `mahjong` line per merge ([`profile::runs_jsonl`]).
+pub fn metrics_jsonl(runs: &Runs) -> String {
+    obs::export_jsonl() + &profile::runs_jsonl(runs)
+}
+
+/// Summed wall-clock of the named spans, in seconds.
+fn phase_secs(names: &[&str]) -> f64 {
+    names.iter().map(|name| obs::phase_time(name).as_secs_f64()).sum()
+}
+
 /// A small, stable-schema benchmark record for per-PR tracking: phase
-/// wall-clock, propagation-volume counters, the peak (physical,
-/// deduplicated) points-to footprint in 64-bit words, and the
-/// hash-consing counters behind it.
-pub fn bench_pta_json(h: &RecordHeader) -> String {
-    let r = obs::registry();
-    let phase = |name: &str| r.phase_time(name).as_secs_f64();
+/// wall-clock from the span log, then propagation-volume counts
+/// summed over every solver run in `runs`, the largest run's physical
+/// (deduplicated) points-to footprint in 64-bit words, and the
+/// hash-consing counts behind it.
+pub fn bench_pta_json(h: &RecordHeader, runs: &Runs) -> String {
     format!(
         "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"budget_secs\": {},\n  \"threads\": {},\n  \
          \"nproc\": {},\n  \
@@ -276,32 +292,30 @@ pub fn bench_pta_json(h: &RecordHeader) -> String {
         h.budget_secs,
         h.threads,
         h.nproc,
-        phase("pre_analysis"),
-        phase("mahjong.fpg_build") + phase("mahjong.automata_build")
-            + phase("mahjong.equivalence_check"),
-        phase("main_analysis"),
-        obs::counter("pta.worklist_pops").get(),
-        obs::counter("pta.propagated_objects").get(),
-        obs::counter("pta.copy_edges").get(),
-        obs::gauge("pta.pts_peak_words").get(),
-        obs::counter("pta.pts_interned").get(),
-        obs::counter("pta.pts_dedup_hits").get(),
-        obs::counter("pta.intern_probe_ns").get(),
-        obs::counter("pta.scc_collapsed_ptrs").get(),
-        obs::counter("pta.collapse_sweeps").get(),
-        obs::counter("pta.order_search_edges").get(),
-        obs::counter("pta.wave_rounds").get(),
-        obs::counter("pta.mask_ranges").get(),
-        obs::counter("pta.range_union_hits").get(),
+        phase_secs(&["pre_analysis"]),
+        phase_secs(&["mahjong.fpg_build", "mahjong.automata_build", "mahjong.equivalence_check"]),
+        phase_secs(&["main_analysis"]),
+        runs.sum(|s| s.worklist_pops),
+        runs.sum(|s| s.propagated_objects),
+        runs.sum(|s| s.copy_edges),
+        runs.peak_words(),
+        runs.sum(|s| s.pts_interned),
+        runs.sum(|s| s.pts_dedup_hits),
+        runs.sum(|s| s.intern_probe_ns),
+        runs.sum(|s| s.scc_collapsed_ptrs),
+        runs.sum(|s| s.collapse_sweeps),
+        runs.sum(|s| s.order_search_edges),
+        runs.sum(|s| s.wave_rounds),
+        runs.sum(|s| s.mask_ranges),
+        runs.sum(|s| s.range_union_hits),
     )
 }
 
-/// The Mahjong pre-analysis record: per-phase wall-clock plus the
-/// merge counters (candidates, classes, and the shared machine's states
-/// and refinement rounds).
-pub fn bench_mahjong_json(h: &RecordHeader) -> String {
-    let r = obs::registry();
-    let phase = |name: &str| r.phase_time(name).as_secs_f64();
+/// The Mahjong pre-analysis record: per-phase wall-clock from the span
+/// log plus the merge counts summed over every merge in `runs`
+/// (candidates, classes, and the shared machine's states and
+/// refinement rounds).
+pub fn bench_mahjong_json(h: &RecordHeader, runs: &Runs) -> String {
     format!(
         "{{\n  \"exp\": \"{}\",\n  \"scale\": {},\n  \"threads\": {},\n  \"nproc\": {},\n  \
          \"phase_secs\": {{\n    \"fpg_build\": {:.6},\n    \"automata_build\": {:.6},\n    \
@@ -313,16 +327,16 @@ pub fn bench_mahjong_json(h: &RecordHeader) -> String {
         h.scale,
         h.threads,
         h.nproc,
-        phase("mahjong.fpg_build"),
-        phase("mahjong.automata_build"),
-        phase("mahjong.equivalence_check"),
-        obs::counter("mahjong.objects").get(),
-        obs::counter("mahjong.merged_objects").get(),
-        obs::counter("mahjong.not_single_type").get(),
-        obs::counter("mahjong.dfa_built").get(),
-        obs::counter("mahjong.sig_buckets").get(),
-        obs::counter("mahjong.machine_states").get(),
-        obs::counter("mahjong.refine_rounds").get(),
+        phase_secs(&["mahjong.fpg_build"]),
+        phase_secs(&["mahjong.automata_build"]),
+        phase_secs(&["mahjong.equivalence_check"]),
+        runs.merge_sum(|s| s.objects),
+        runs.merge_sum(|s| s.merged_objects),
+        runs.merge_sum(|s| s.not_single_type),
+        runs.merge_sum(|s| s.dfa_built),
+        runs.merge_sum(|s| s.sig_buckets),
+        runs.merge_sum(|s| s.machine_states),
+        runs.merge_sum(|s| s.refine_rounds),
     )
 }
 

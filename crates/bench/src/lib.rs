@@ -238,6 +238,7 @@ pub fn prepare(name: &str, scale: usize, config: &MahjongConfig) -> Prepared {
     let t = Instant::now();
     let mahjong = mahjong::merge_equivalent_objects(&fpg, config);
     let mahjong_seconds = t.elapsed().as_secs_f64();
+    profile::record_merge(name.to_owned(), &mahjong.stats);
 
     Prepared {
         name: name.to_owned(),

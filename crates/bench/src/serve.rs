@@ -325,7 +325,6 @@ pub fn run_bench(program: &Program, result: &AnalysisResult, opts: ServeOpts) ->
         }
         checksum ^= out.checksum;
     }
-    obs::counter("serve.queries").add(opts.queries);
 
     ServeReport {
         opts,

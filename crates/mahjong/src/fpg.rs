@@ -104,10 +104,6 @@ impl FieldPointsToGraph {
             row.sort_unstable();
             row.dedup();
         }
-        if obs::enabled() {
-            obs::gauge("mahjong.fpg_nodes").set(g.present.iter().filter(|&&p| p).count() as i64);
-            obs::gauge("mahjong.fpg_edges").set(g.edge_count() as i64);
-        }
         g
     }
 

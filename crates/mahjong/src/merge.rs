@@ -74,11 +74,8 @@ impl Default for MahjongConfig {
 }
 
 /// Statistics of one Mahjong run (the paper reports these in
-/// Section 6.1).
-///
-/// This per-run view is the stable public API; at the end of every run
-/// the same numbers are published into the process-global [`obs`]
-/// registry under `mahjong.*` names (see [`MahjongStats::publish`]).
+/// Section 6.1). Records that span several runs (the `bench` harness's
+/// benchmark records) sum them.
 #[derive(Clone, Debug, Default)]
 pub struct MahjongStats {
     /// Time spent building the shared machine (subset construction and
@@ -109,26 +106,6 @@ pub struct MahjongStats {
     pub avg_nfa_states: f64,
     /// Largest NFA (reachable FPG nodes).
     pub max_nfa_states: usize,
-}
-
-impl MahjongStats {
-    /// Publishes the run's counters into the global [`obs`] registry
-    /// (no-op while recording is disabled). Counters are monotonic, so
-    /// repeated runs aggregate; every counter is touched even when
-    /// zero, so the metrics export always carries the full set.
-    pub fn publish(&self) {
-        if !obs::enabled() {
-            return;
-        }
-        obs::counter("mahjong.objects").add(self.objects as u64);
-        obs::counter("mahjong.merged_objects").add(self.merged_objects as u64);
-        obs::counter("mahjong.not_single_type").add(self.not_single_type as u64);
-        obs::counter("mahjong.dfa_built").add(self.dfa_built as u64);
-        obs::counter("mahjong.sig_buckets").add(self.sig_buckets as u64);
-        obs::counter("mahjong.machine_states").add(self.machine_states as u64);
-        obs::counter("mahjong.refine_rounds").add(self.refine_rounds as u64);
-        obs::gauge("mahjong.max_nfa_states").set(self.max_nfa_states as i64);
-    }
 }
 
 /// The output of the Mahjong pipeline: the merged object map plus run
@@ -185,7 +162,6 @@ pub fn merge_equivalent_objects(fpg: &FieldPointsToGraph, config: &MahjongConfig
     };
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
-    stats.publish();
     MahjongOutput { mom, stats }
 }
 
@@ -245,7 +221,6 @@ pub fn merge_equivalent_objects_pairwise(
     }
     let mom = build_mom(fpg, pairs, config, &mut stats);
     stats.merge_time = merge_start.elapsed();
-    stats.publish();
     (MahjongOutput { mom, stats }, hk_runs)
 }
 
@@ -273,15 +248,11 @@ fn candidate_groups(fpg: &FieldPointsToGraph, stats: &mut MahjongStats) -> Vec<V
 /// Section 6.1.1) with one reused walk.
 fn nfa_size_stats(fpg: &FieldPointsToGraph, candidates: &[AllocId], stats: &mut MahjongStats) {
     let mut reach = Reach::new(fpg);
-    let nfa_hist = obs::enabled().then(|| obs::histogram("mahjong.nfa_states"));
     let mut nfa_total = 0usize;
     for &alloc in candidates {
         let size = reach.walk(FpgNode::Alloc(alloc)).len();
         nfa_total += size;
         stats.max_nfa_states = stats.max_nfa_states.max(size);
-        if let Some(hist) = &nfa_hist {
-            hist.record(size as u64);
-        }
     }
     if !candidates.is_empty() {
         stats.avg_nfa_states = nfa_total as f64 / candidates.len() as f64;

@@ -1,15 +1,14 @@
-//! RAII wall-clock phase spans.
+//! RAII wall-clock phase spans and the process-global span log.
 //!
 //! A [`Span`] measures the wall-clock time between its creation and its
-//! drop and records the result in the global registry's span log. Spans
-//! opened on the same thread nest: each event carries the nesting depth
-//! at which it ran, and timestamps are offsets from a process-wide
-//! epoch so the Chrome-trace exporter can lay events out on one
-//! shared time axis.
+//! drop and appends the result to the span log. Spans opened on the
+//! same thread nest: each event carries the nesting depth at which it
+//! ran, and timestamps are offsets from a process-wide epoch so the
+//! Chrome-trace exporter can lay events out on one shared time axis.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Process-wide zero point for span timestamps.
@@ -18,6 +17,9 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Monotonic source of per-thread trace ids (Chrome traces want small
 /// integer `tid`s, not opaque `ThreadId`s).
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+/// Every completed span, in completion order.
+static LOG: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 
 thread_local! {
     static DEPTH: Cell<usize> = const { Cell::new(0) };
@@ -43,11 +45,16 @@ fn current_tid() -> u64 {
     })
 }
 
-/// A completed span as stored in the registry's log.
+/// Runs `f` over the span log, in completion order, under its lock.
+pub(crate) fn with_log<R>(f: impl FnOnce(&[SpanEvent]) -> R) -> R {
+    f(&LOG.lock().unwrap_or_else(|e| e.into_inner()))
+}
+
+/// A completed span as stored in the span log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span name as passed to [`crate::span`].
-    pub name: String,
+    pub name: &'static str,
     /// Small integer id of the thread the span ran on.
     pub tid: u64,
     /// Nesting depth at which the span ran (0 = outermost).
@@ -59,32 +66,25 @@ pub struct SpanEvent {
 }
 
 /// RAII guard measuring one phase; created by [`crate::span`].
-///
-/// If recording was disabled when the span was opened, the guard is
-/// inert: dropping it records nothing and nesting depth is untouched.
 #[derive(Debug)]
 pub struct Span {
-    name: Option<String>,
+    name: &'static str,
     start: Instant,
     depth: usize,
 }
 
 impl Span {
-    pub(crate) fn enter(name: String) -> Span {
-        if !crate::enabled() {
-            return Span { name: None, start: Instant::now(), depth: 0 };
-        }
+    pub(crate) fn enter(name: &'static str) -> Span {
         epoch(); // pin the epoch no later than the first span start
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
             depth
         });
-        Span { name: Some(name), start: Instant::now(), depth }
+        Span { name, start: Instant::now(), depth }
     }
 
-    /// Nesting depth this span runs at (0 = outermost). Inert spans
-    /// report 0.
+    /// Nesting depth this span runs at (0 = outermost).
     pub fn depth(&self) -> usize {
         self.depth
     }
@@ -92,17 +92,15 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(name) = self.name.take() else { return };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let start_us = self.start.duration_since(epoch()).as_micros() as u64;
-        let dur_us = self.start.elapsed().as_micros() as u64;
-        crate::registry().record_span(SpanEvent {
-            name,
+        let event = SpanEvent {
+            name: self.name,
             tid: current_tid(),
             depth: self.depth,
-            start_us,
-            dur_us,
-        });
+            start_us: self.start.duration_since(epoch()).as_micros() as u64,
+            dur_us: self.start.elapsed().as_micros() as u64,
+        };
+        LOG.lock().unwrap_or_else(|e| e.into_inner()).push(event);
     }
 }
 
@@ -110,8 +108,6 @@ impl Drop for Span {
 mod tests {
     #[test]
     fn spans_nest_and_record_depth() {
-        let _enabled = crate::lock_enabled();
-        crate::set_enabled(true);
         let outer = crate::span("test.span.outer");
         let outer_depth = outer.depth();
         {
@@ -119,7 +115,7 @@ mod tests {
             assert_eq!(inner.depth(), outer_depth + 1);
         }
         drop(outer);
-        let spans = crate::registry().spans();
+        let spans = crate::spans();
         let inner = spans.iter().rev().find(|s| s.name == "test.span.inner").unwrap();
         let outer = spans.iter().rev().find(|s| s.name == "test.span.outer").unwrap();
         // Inner closes first, nests one deeper, and is contained in the
@@ -127,22 +123,5 @@ mod tests {
         assert_eq!(inner.depth, outer.depth + 1);
         assert!(inner.start_us >= outer.start_us);
         assert!(inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us + 1);
-    }
-
-    #[test]
-    fn disabled_spans_leave_no_trace_and_no_depth() {
-        let _enabled = crate::lock_enabled();
-        crate::set_enabled(false);
-        let before = crate::registry().spans().len();
-        {
-            let s = crate::span("test.span.disabled");
-            assert_eq!(s.depth(), 0);
-        }
-        crate::set_enabled(true);
-        // No event with our name was appended (other tests may append
-        // their own concurrently, so only check our name).
-        assert!(crate::registry().spans()[before..]
-            .iter()
-            .all(|s| s.name != "test.span.disabled"));
     }
 }

@@ -72,4 +72,7 @@ pub use heap::{AllocSiteAbstraction, AllocTypeAbstraction, HeapAbstraction, Merg
 pub use object::{Numbering, ObjId, ObjTable};
 pub use pts::PtsSet;
 pub use result::{AnalysisResult, AnalysisStats};
-pub use solver::{pre_analysis, AnalysisConfig, Budget, PtrId, PtrKey, Unscalable};
+pub use solver::{
+    pre_analysis, AnalysisConfig, Budget, PtrId, PtrKey, Unscalable, LIVE_WAVE_ROUNDS,
+    LIVE_WORKLIST_POPS,
+};

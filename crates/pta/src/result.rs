@@ -28,11 +28,10 @@ static EMPTY_PTS: PtsSet<ObjId> = PtsSet::new();
 
 /// Counters describing one solver run.
 ///
-/// This per-run view is the stable public API; at the end of every run
-/// (including budget-overrun exits) the same numbers are published into
-/// the process-global [`obs`] registry under `pta.*` names, where they
-/// aggregate across runs and travel with the JSON-Lines/Chrome-trace
-/// exports.
+/// Every run returns its own stats, a budget overrun included (as the
+/// partial stats of [`crate::Unscalable`]). They are the only copy:
+/// records that span several runs (the `bench` harness's profile rows
+/// and benchmark records) are built by collecting and summing them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AnalysisStats {
     /// Wall-clock time of the whole run.
@@ -122,39 +121,6 @@ pub struct AnalysisStats {
     /// the receiver count. Not part of the snapshot format: restored
     /// results read 0.
     pub dispatch_groups: u64,
-}
-
-impl AnalysisStats {
-    /// Publishes the run's counters into the global [`obs`] registry
-    /// (no-op while recording is disabled). Counters are monotonic, so
-    /// repeated runs aggregate; the peak-words gauge keeps the largest
-    /// run's value.
-    pub fn publish(&self) {
-        if !obs::enabled() {
-            return;
-        }
-        obs::counter("pta.worklist_pops").add(self.worklist_pops);
-        obs::counter("pta.propagated_objects").add(self.propagated_objects);
-        obs::counter("pta.copy_edges").add(self.copy_edges);
-        obs::counter("pta.call_graph_edges").add(self.call_graph_edges);
-        obs::counter("pta.reachable_method_contexts").add(self.reachable_method_contexts);
-        obs::counter("pta.contexts_created").add(self.context_count as u64);
-        obs::counter("pta.scc_collapsed_ptrs").add(self.scc_collapsed_ptrs);
-        obs::counter("pta.collapse_sweeps").add(self.collapse_sweeps);
-        obs::counter("pta.wave_rounds").add(self.wave_rounds);
-        obs::counter("pta.dsu_ops").add(self.dsu_ops);
-        obs::counter("pta.pts_interned").add(self.pts_interned);
-        obs::counter("pta.pts_dedup_hits").add(self.pts_dedup_hits);
-        obs::counter("pta.intern_probe_ns").add(self.intern_probe_ns);
-        obs::counter("pta.mask_ranges").add(self.mask_ranges);
-        obs::counter("pta.range_union_hits").add(self.range_union_hits);
-        obs::counter("pta.order_search_edges").add(self.order_search_edges);
-        obs::counter("pta.dispatch_groups").add(self.dispatch_groups);
-        let peak = obs::gauge("pta.pts_peak_words");
-        if self.pts_peak_words as i64 > peak.get() {
-            peak.set(self.pts_peak_words as i64);
-        }
-    }
 }
 
 /// The immutable result of a points-to analysis run.

@@ -30,8 +30,8 @@
 //! so a delta crosses the acyclic core once per wave instead of
 //! re-enqueueing downstream pointers over and over. A pointer dirtied
 //! at or downstream of the wave's cursor joins the running wave; one
-//! dirtied upstream waits for the next wave. `pta.wave_rounds` counts
-//! the waves.
+//! dirtied upstream waits for the next wave.
+//! [`AnalysisStats::wave_rounds`] counts the waves.
 //!
 //! The order lives in [`crate::order`]. A fresh pointer takes the next
 //! label; a copy edge that arrives against the order is queued, and the
@@ -41,7 +41,7 @@
 //! copy cycle hands the cycle back for collapse. So the order is exact
 //! at every pop, every copy cycle is collapsed as soon as it closes,
 //! and no pass ever walks the whole graph (bar the rare renumber of an
-//! exhausted label gap, counted in `pta.collapse_sweeps`). Queue
+//! exhausted label gap, counted in `collapse_sweeps`). Queue
 //! entries whose label moved are re-queued under the new label when
 //! popped.
 //!
@@ -82,7 +82,7 @@
 //! ([`ContextArena::append_truncated`]), and a selector that does not
 //! read the receiver ([`ContextSelector::reads_receiver`]: k-CFA and
 //! context-insensitive) is asked once per call and target rather than
-//! once per receiver. `pta.dispatch_groups` counts the groups bound.
+//! once per receiver. `dispatch_groups` counts the groups bound.
 //!
 //! # Plain rows, one seal
 //!
@@ -110,9 +110,9 @@
 //! Sealing only at finalize gives nothing up: a sweep every 64 waves
 //! during the fixpoint would never fire on a measured run, since the
 //! most waves any takes is 47 (every Table 2 cell and ci of all twelve
-//! programs at scale 6). `pta.pts_interned` /
-//! `pta.pts_dedup_hits` / `pta.intern_probe_ns` report the seal's work;
-//! `pta.pts_peak_words` is the *physical* footprint of the sealed rows
+//! programs at scale 6). [`AnalysisStats::pts_interned`],
+//! `pts_dedup_hits` and `intern_probe_ns` report the seal's work;
+//! `pts_peak_words` is the *physical* footprint of the sealed rows
 //! (each distinct content counted once), and
 //! [`AnalysisStats::pts_logical_words`] the logical (per-row) one.
 //!
@@ -133,6 +133,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use dsu::DisjointSets;
@@ -147,6 +148,15 @@ use crate::object::{Numbering, ObjId, ObjTable};
 use crate::order::TopoOrder;
 use crate::result::{AnalysisResult, AnalysisStats};
 use crate::util::{FastMap, FastSet};
+
+/// Waves completed by every solver run in the process so far, bumped
+/// once per wave. A progress pulse (`--heartbeat`) reads it while a run
+/// is still going; a run's own count is [`AnalysisStats::wave_rounds`].
+pub static LIVE_WAVE_ROUNDS: AtomicU64 = AtomicU64::new(0);
+
+/// Worklist pops of every solver run in the process so far, added once
+/// per wave, like [`LIVE_WAVE_ROUNDS`].
+pub static LIVE_WORKLIST_POPS: AtomicU64 = AtomicU64::new(0);
 
 /// An interned pointer node in the constraint graph.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -232,8 +242,7 @@ impl std::fmt::Display for Unscalable {
 impl std::error::Error for Unscalable {}
 
 /// One fully specified analysis run: context selector, heap
-/// abstraction, resource budget, and observability — the single
-/// construction path shared by the CLIs, the bench harness, and tests.
+/// abstraction and resource budget — the single construction path shared by the CLIs, the bench harness, and tests.
 ///
 /// # Examples
 ///
@@ -258,19 +267,16 @@ pub struct AnalysisConfig<S, H> {
     selector: S,
     heap: H,
     budget: Budget,
-    observability: Option<bool>,
     numbering: Numbering,
 }
 
 impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
-    /// Creates a configuration with the default [`Budget`] and the
-    /// process-wide observability setting.
+    /// Creates a configuration with the default [`Budget`].
     pub fn new(selector: S, heap: H) -> Self {
         AnalysisConfig {
             selector,
             heap,
             budget: Budget::default(),
-            observability: None,
             numbering: Numbering::default(),
         }
     }
@@ -311,40 +317,13 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
         self.budget(Budget::seconds(s))
     }
 
-    /// Forces telemetry on or off for this run only (the process-wide
-    /// [`obs::set_enabled`] state is restored afterwards). Useful for
-    /// timing runs that must not pay recording overhead, or for
-    /// recording a single run inside an otherwise quiet batch.
-    pub fn observability(mut self, enabled: bool) -> Self {
-        self.observability = Some(enabled);
-        self
-    }
-
     /// Runs the analysis to its fixpoint.
     ///
     /// # Errors
     ///
     /// Returns [`Unscalable`] if the budget is exhausted first.
     pub fn run(&self, program: &Program) -> Result<AnalysisResult, Unscalable> {
-        let solver = || {
-            Solver::new(
-                program,
-                &self.selector,
-                &self.heap,
-                self.budget,
-                self.numbering,
-            )
-        };
-        match self.observability {
-            None => solver().solve(),
-            Some(on) => {
-                let prev = obs::enabled();
-                obs::set_enabled(on);
-                let r = solver().solve();
-                obs::set_enabled(prev);
-                r
-            }
-        }
+        Solver::new(program, &self.selector, &self.heap, self.budget, self.numbering).solve()
     }
 }
 
@@ -529,9 +508,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
         let fixpoint_start = Instant::now();
         let fixpoint_span = obs::span("solver.fixpoint");
-        // The `--heartbeat` pulse reads these between waves.
-        let (live_waves, live_pops) =
-            (obs::counter("pta.live_wave_rounds"), obs::counter("pta.live_worklist_pops"));
         let mut since_check = 0usize;
         'fixpoint: loop {
             // Statement processing first: it seeds objects and edges the
@@ -560,8 +536,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 return Err(self.overrun(fixpoint_start));
             }
             self.worklist.extend(next_wave);
-            live_waves.inc();
-            live_pops.add(self.stats.worklist_pops - pops_before);
+            LIVE_WAVE_ROUNDS.fetch_add(1, Ordering::Relaxed);
+            LIVE_WORKLIST_POPS.fetch_add(self.stats.worklist_pops - pops_before, Ordering::Relaxed);
         }
         drop(fixpoint_span);
         self.stats.fixpoint_time = fixpoint_start.elapsed();
@@ -576,9 +552,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.pending = Vec::new();
         self.cons = Vec::new();
         self.hub_edges = FastMap::default();
-        if obs::enabled() {
-            obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
-        }
         let mut interner = SetInterner::new();
         let row_set = self.seal_rows(&mut interner);
         let result = AnalysisResult::from_parts(
@@ -598,7 +571,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         drop(finalize_span);
         self.stats.finalize_time = finalize_start.elapsed();
         self.stats.elapsed = self.start.elapsed();
-        self.stats.publish();
         Ok(result.with_stats(self.stats))
     }
 
@@ -610,7 +582,6 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.count_structures();
         self.seal_rows(&mut SetInterner::new());
         self.stats.elapsed = self.start.elapsed();
-        self.stats.publish();
         Unscalable {
             elapsed: self.start.elapsed(),
             methods_processed: self.reachable.len(),

@@ -76,8 +76,7 @@ const BOUND_2OBJ: u64 = 8_150;
 /// `program`, the result's drop excluded.
 fn solver_allocs<S: ContextSelector>(program: &jir::Program, selector: S) -> u64 {
     let config = AnalysisConfig::new(selector, AllocSiteAbstraction)
-        .budget(Budget::seconds(120))
-        .observability(false);
+        .budget(Budget::seconds(120));
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = config.run(program).expect("luindex@2 fits a 120s budget");
     let count = ALLOCS.load(Ordering::Relaxed) - before;

@@ -51,7 +51,6 @@ fn luindex2<S: ContextSelector>(selector: S) -> Work {
     let w = workloads::dacapo::workload("luindex", 2);
     let result = AnalysisConfig::new(selector, AllocSiteAbstraction)
         .budget(Budget::seconds(120))
-        .observability(false)
         .run(&w.program)
         .expect("luindex@2 fits a 120s budget");
     Work::of(result.stats())

@@ -176,7 +176,7 @@ impl IdRanges {
         &self.runs
     }
 
-    /// Number of runs (the `pta.mask_ranges` unit).
+    /// Number of runs (the unit of the solver's `mask_ranges` stat).
     pub fn run_count(&self) -> usize {
         self.runs.len()
     }

@@ -7,12 +7,12 @@
 # every target, a warning-free rustdoc build (crate docs are part of
 # the deliverable), a `--threads 1` fig9 smoke run of the repro
 # pipeline (the solver is one sequential driver at any thread count),
-# and a `mahjong_cli` smoke that checks the telemetry export parses and
-# carries the merge-phase counters (in particular
-# `mahjong.machine_states`, nonzero whenever the merge built its shared
-# subset machine) and the solver's counters (`pta.worklist_pops`, and
-# `pta.pts_interned`, nonzero whenever finalize sealed the points-to
-# rows). The profiler smoke runs `repro --profile` on luindex@6's
+# and a `mahjong_cli` smoke that checks the `--metrics-json` dump parses
+# and holds the pre-analysis's `row` line, and that the BENCH_pta.json /
+# BENCH_mahjong.json siblings written beside it carry the merge's
+# `machine_states` (nonzero whenever the merge built its shared subset
+# machine) and the solver's `worklist_pops` and `pts_interned` (nonzero
+# whenever finalize sealed the points-to rows). The profiler smoke runs `repro --profile` on luindex@6's
 # Table 2 and asserts the profile parses with one row per solver run
 # (ci plus the ten cells), that the cells' elapsed times account for
 # 90–100% of the `main_analysis` wall clock, and that on every row each
@@ -136,25 +136,25 @@ cargo run --release -q -p bench --bin mahjong_cli -- corpus/containers.jir \
 cargo run --release -q -p bench --bin mahjong_cli -- corpus/decorator.jir \
     --threads 2 --metrics-json "$scratch/decorator/tier1_mahjong.jsonl" > /dev/null
 python3 - "$mahjong_metrics" "$scratch/decorator/tier1_mahjong.jsonl" <<'EOF'
-import json, sys
+import json, os, sys
 
 def load(path):
-    counters = {}
     with open(path) as f:
-        for line in f:
-            rec = json.loads(line)  # every line must be valid JSON
-            if rec.get("type") == "counter":
-                counters[rec["name"]] = rec["value"]
-    assert counters.get("pta.pts_interned", 0) > 0, f"{path}: solver sealed no points-to sets"
-    return counters
+        lines = [json.loads(line) for line in f]  # every line must be valid JSON
+    here = os.path.dirname(path)
+    pta = json.load(open(os.path.join(here, "BENCH_pta.json")))
+    mahjong = json.load(open(os.path.join(here, "BENCH_mahjong.json")))
+    assert pta["pts_interned"] > 0, f"{path}: solver sealed no points-to sets"
+    return lines, pta, mahjong
 
-counters, decorator = load(sys.argv[1]), load(sys.argv[2])
-assert "mahjong.machine_states" in counters, \
-    f"mahjong.machine_states missing from {sorted(counters)}"
-assert counters["mahjong.machine_states"] > 0, "merge built no shared machine"
-assert decorator.get("pta.worklist_pops", 0) > 0, "solver counters did not record"
-print(f"tier1: mahjong_cli smoke ok ({len(counters)} counters, "
-      f"machine_states={counters['mahjong.machine_states']}, "
-      f"pts_interned={counters['pta.pts_interned']}, "
-      f"worklist_pops={decorator['pta.worklist_pops']})")
+lines, pta, mahjong = load(sys.argv[1])
+_, decorator, _ = load(sys.argv[2])
+rows = [l["key"] for l in lines if l.get("type") == "row"]
+assert "containers.ci" in rows, f"no containers.ci row line, rows: {rows}"
+assert mahjong["machine_states"] > 0, "merge built no shared machine"
+assert decorator["worklist_pops"] > 0, "solver counts did not record"
+print(f"tier1: mahjong_cli smoke ok ({len(lines)} lines, "
+      f"machine_states={mahjong['machine_states']}, "
+      f"pts_interned={pta['pts_interned']}, "
+      f"worklist_pops={decorator['worklist_pops']})")
 EOF

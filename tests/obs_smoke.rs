@@ -1,12 +1,14 @@
-//! End-to-end smoke tests for the `obs` telemetry layer: deterministic
-//! counters on the figure-1 corpus program, span-nesting invariants,
-//! and both export formats written to disk and re-parsed.
+//! End-to-end smoke tests for the run numbers and the `obs` span
+//! layer: deterministic stats on the figure-1 corpus program, profile
+//! rows on luindex's Table 2, span-nesting invariants, and both export
+//! formats written to disk and re-parsed.
 //!
-//! The `obs` registry and the `bench::profile` rows are process-global,
-//! so every test here takes the same lock, which resets the registry
-//! and drops the rows earlier runs left.
+//! The `bench::profile` store is process-global, so every test here
+//! takes the same lock, which drops what earlier runs left in it.
 
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use bench::profile::ProfileRow;
 use bench::{HeapKind, Sensitivity};
@@ -18,14 +20,8 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    obs::reset();
-    obs::set_enabled(true);
-    bench::profile::take_rows();
+    bench::profile::take();
     guard
-}
-
-fn counter(name: &str) -> u64 {
-    obs::counter(name).get()
 }
 
 fn load_figure1() -> jir::Program {
@@ -34,8 +30,23 @@ fn load_figure1() -> jir::Program {
     jir::parse(&src).expect("figure1 parses")
 }
 
+/// A run's stats with its clocks zeroed: the part two runs of the
+/// same configuration must agree on.
+fn work(s: &AnalysisStats) -> AnalysisStats {
+    AnalysisStats {
+        elapsed: Duration::ZERO,
+        init_time: Duration::ZERO,
+        fixpoint_time: Duration::ZERO,
+        finalize_time: Duration::ZERO,
+        methods_time: Duration::ZERO,
+        order_time: Duration::ZERO,
+        intern_probe_ns: 0,
+        ..s.clone()
+    }
+}
+
 /// The full pre-analysis pipeline on the paper's Figure 1 example
-/// leaves exact, reproducible numbers in the registry.
+/// returns exact, reproducible stats.
 #[test]
 fn figure1_counters_are_deterministic() {
     let _guard = lock();
@@ -43,28 +54,27 @@ fn figure1_counters_are_deterministic() {
     let pre = pta::pre_analysis(&p).unwrap();
     let out = build_heap_abstraction(&p, &pre, &MahjongConfig::default());
 
-    assert_eq!(counter("mahjong.objects"), 6);
-    assert_eq!(counter("mahjong.merged_objects"), 4);
-    assert_eq!(counter("mahjong.dfa_built"), out.stats.dfa_built as u64);
-    assert_eq!(counter("mahjong.sig_buckets"), out.stats.sig_buckets as u64);
+    assert_eq!(out.stats.objects, 6);
+    assert_eq!(out.stats.merged_objects, 4);
     // The machine: five candidate starts, the {o4} payload and {null}
     // (every f the program never stores), split in one round and
     // confirmed stable in a second.
-    assert_eq!(counter("mahjong.machine_states"), 7);
-    assert_eq!(counter("mahjong.refine_rounds"), 2);
-    assert_eq!(counter("automata.hk_queries"), 0, "the merge never runs Hopcroft–Karp");
-    // Sink suppression can drive `pta.worklist_pops` to zero on tiny
+    assert_eq!(out.stats.machine_states, 7);
+    assert_eq!(out.stats.refine_rounds, 2);
+    // Sink suppression can drive `worklist_pops` to zero on tiny
     // programs (every delta lands before its consumers register, so
     // the fixpoint resolves entirely through registration replays) —
     // assert on the constraint graph instead.
-    assert!(counter("pta.copy_edges") > 0);
+    assert!(pre.stats().copy_edges > 0);
 
-    // Rerunning the identical pipeline doubles the monotonic counters.
+    // Rerunning the identical pipeline gives equal stats.
     let pre2 = pta::pre_analysis(&p).unwrap();
-    let _ = build_heap_abstraction(&p, &pre2, &MahjongConfig::default());
-    assert_eq!(counter("mahjong.objects"), 12);
-    assert_eq!(counter("mahjong.machine_states"), 14);
-    assert_eq!(counter("mahjong.sig_buckets"), 2 * out.stats.sig_buckets as u64);
+    let out2 = build_heap_abstraction(&p, &pre2, &MahjongConfig::default());
+    assert_eq!(work(pre.stats()), work(pre2.stats()));
+    assert_eq!(
+        bench::profile::merge_counts(&out.stats),
+        bench::profile::merge_counts(&out2.stats)
+    );
 }
 
 /// Every pipeline stage leaves its named phase in the span log.
@@ -75,7 +85,6 @@ fn pipeline_phases_are_recorded() {
     let pre = pta::pre_analysis(&p).unwrap();
     let _ = build_heap_abstraction(&p, &pre, &MahjongConfig::default());
 
-    let r = obs::registry();
     for phase in [
         "pre_analysis",
         "solver.init",
@@ -85,7 +94,7 @@ fn pipeline_phases_are_recorded() {
         "mahjong.automata_build",
         "mahjong.equivalence_check",
     ] {
-        let totals = r.phase_totals();
+        let totals = obs::phase_totals();
         let found = totals.iter().find(|t| t.name == phase);
         assert!(found.is_some(), "phase `{phase}` missing from span log");
         assert!(found.unwrap().count >= 1);
@@ -102,7 +111,7 @@ fn spans_nest() {
         let _b = obs::span("smoke.inner");
         let _c = obs::span("smoke.innermost");
     }
-    let spans = obs::registry().spans();
+    let spans = obs::spans();
     let find = |name: &str| spans.iter().find(|s| s.name == name).expect(name).clone();
     let outer = find("smoke.outer");
     let inner = find("smoke.inner");
@@ -118,8 +127,7 @@ fn spans_nest() {
 }
 
 /// The Chrome trace export is valid JSON made of complete (`"X"`)
-/// events, per-track `thread_name` metadata (`"M"`) events, and exactly
-/// one instant counters event.
+/// events and per-track `thread_name` metadata (`"M"`) events.
 #[test]
 fn chrome_trace_is_valid() {
     let _guard = lock();
@@ -130,7 +138,6 @@ fn chrome_trace_is_valid() {
     let doc = json::parse(&obs::export_chrome_trace()).expect("trace parses");
     let events = doc.get("traceEvents").unwrap().as_array().unwrap();
     assert!(events.len() > 1);
-    let mut instants = 0;
     let mut metas = 0;
     for ev in events {
         match ev.get("ph").unwrap().as_str().unwrap() {
@@ -141,7 +148,6 @@ fn chrome_trace_is_valid() {
                 let args = ev.get("args").unwrap();
                 assert!(args.get("depth").is_some(), "span event lacks a depth");
             }
-            "i" => instants += 1,
             "M" => {
                 assert_eq!(ev.get("name").unwrap().as_str(), Some("thread_name"));
                 metas += 1;
@@ -149,7 +155,6 @@ fn chrome_trace_is_valid() {
             other => panic!("unexpected event phase `{other}`"),
         }
     }
-    assert_eq!(instants, 1, "exactly one counters metadata event");
     assert!(metas >= 1, "at least the main thread is named");
 }
 
@@ -165,42 +170,32 @@ fn luindex_table2_runs() -> (Vec<(String, AnalysisStats)>, Vec<ProfileRow>) {
             runs.push((format!("luindex.{prefix}{}", s.name()), r.stats().clone()));
         }
     }
-    (runs, bench::profile::take_rows())
+    (runs, bench::profile::take().rows)
 }
 
-/// A row's key and work ledger, the part of a row two runs must agree
-/// on (times differ; work does not).
-fn ledgers(rows: &[ProfileRow]) -> Vec<(String, Vec<(&'static str, u64)>)> {
-    rows.iter().map(|r| (r.key.clone(), r.ledger().to_vec())).collect()
-}
-
-/// Every `pta.*` counter but the seal's nanoseconds.
-fn pta_counters() -> Vec<(String, u64)> {
-    obs::registry()
-        .counters()
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("pta.") && name != "pta.intern_probe_ns")
-        .collect()
+/// Each row's key and stats with the clocks zeroed, the part of a row
+/// two runs must agree on (times differ; work does not).
+fn row_work(rows: &[ProfileRow]) -> Vec<(String, AnalysisStats)> {
+    rows.iter().map(|r| (r.key.clone(), work(&r.stats))).collect()
 }
 
 /// Two passes over luindex@1's Table 2 leave one row per solver run,
 /// ci plus the ten cells, keyed as `perfbench` keys its cells, with
-/// identical work ledgers and identical `pta.*` counters.
+/// identical stats but for the clocks; the runs move the live wave
+/// counter the heartbeat reads.
 #[test]
 fn profile_rows_are_deterministic_on_luindex_table2() {
     let _guard = lock();
+    let waves_before = pta::LIVE_WAVE_ROUNDS.load(Ordering::Relaxed);
     let (_, first) = luindex_table2_runs();
-    let counters = pta_counters();
     let keys: Vec<&str> = first.iter().map(|r| r.key.as_str()).collect();
     assert_eq!(keys.len(), 11, "{keys:?}");
     assert_eq!(keys[..3], ["luindex.ci", "luindex.2cs", "luindex.M-2cs"]);
     assert!(first.iter().all(|r| r.finished));
-    assert!(counters.iter().any(|(n, v)| n == "pta.live_wave_rounds" && *v > 0));
+    assert!(pta::LIVE_WAVE_ROUNDS.load(Ordering::Relaxed) > waves_before);
 
-    obs::reset();
     let (_, second) = luindex_table2_runs();
-    assert_eq!(ledgers(&first), ledgers(&second), "rerun changed a row ledger");
-    assert_eq!(counters, pta_counters(), "rerun changed a pta counter");
+    assert_eq!(row_work(&first), row_work(&second), "rerun changed a row's stats");
 }
 
 /// On every row each measured phase fits inside the run's elapsed
@@ -253,33 +248,6 @@ fn profile_row_ledgers_equal_run_stats() {
     }
 }
 
-/// Quantile estimation handles the degenerate inputs: an empty
-/// snapshot reports zero everywhere, and the extreme quantiles pin to
-/// the observed min/max buckets.
-#[test]
-fn histogram_quantile_edge_cases() {
-    let _guard = lock();
-    let r = obs::registry();
-    let empty = r.histogram("smoke.empty").snapshot();
-    assert_eq!(empty.count, 0);
-    assert_eq!(empty.quantile(0.0), 0);
-    assert_eq!(empty.quantile(0.5), 0);
-    assert_eq!(empty.quantile(1.0), 0);
-    assert_eq!(empty.mean(), 0.0);
-
-    let h = r.histogram("smoke.quantiles");
-    for v in [3u64, 100, 9000] {
-        h.record(v);
-    }
-    let s = h.snapshot();
-    // q=0.0 clamps to the first observation's bucket; q=1.0 is exact.
-    assert_eq!(s.quantile(0.0), 3, "inclusive upper bound of 3's bucket [2,4)");
-    assert_eq!(s.quantile(1.0), s.max);
-    assert_eq!(s.max, 9000);
-    assert!(s.quantile(0.5) >= s.quantile(0.0));
-    assert!(s.quantile(1.0) >= s.quantile(0.5));
-}
-
 /// The full pipeline — pre-analysis, Mahjong, main analysis — on a
 /// generated workload writes both export formats to disk; both re-parse
 /// and carry per-phase wall-clock for every pipeline stage.
@@ -299,22 +267,34 @@ fn full_pipeline_exports_roundtrip() {
     let pid = std::process::id();
     let jsonl_path = dir.join(format!("obs_smoke_{pid}.jsonl"));
     let trace_path = dir.join(format!("obs_smoke_{pid}.trace.json"));
-    std::fs::write(&jsonl_path, obs::export_jsonl()).unwrap();
+    std::fs::write(&jsonl_path, bench::cli::metrics_jsonl(&bench::profile::take())).unwrap();
     std::fs::write(&trace_path, obs::export_chrome_trace()).unwrap();
 
     // JSON-Lines: every line parses; the pipeline stages all report
-    // wall-clock.
+    // wall-clock, and the two solver runs and the merge have their
+    // rows.
     let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
     let mut phases: Vec<(String, u64)> = Vec::new();
+    let mut rows: Vec<(String, String)> = Vec::new();
     for line in jsonl.lines() {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e:?}"));
-        if v.get("type").unwrap().as_str() == Some("phase") {
-            phases.push((
+        match v.get("type").unwrap().as_str().unwrap() {
+            "phase" => phases.push((
                 v.get("name").unwrap().as_str().unwrap().to_owned(),
                 v.get("total_us").unwrap().as_u64().unwrap(),
-            ));
+            )),
+            "row" | "mahjong" => rows.push((
+                v.get("type").unwrap().as_str().unwrap().to_owned(),
+                v.get("key").unwrap().as_str().unwrap().to_owned(),
+            )),
+            _ => {}
         }
     }
+    let rows: Vec<(&str, &str)> = rows.iter().map(|(t, k)| (t.as_str(), k.as_str())).collect();
+    assert_eq!(
+        rows,
+        [("row", "luindex.ci"), ("row", "luindex.M-1cs"), ("mahjong", "luindex")]
+    );
     for phase in [
         "pre_analysis",
         "mahjong.automata_build",
@@ -343,19 +323,4 @@ fn full_pipeline_exports_roundtrip() {
 
     std::fs::remove_file(&jsonl_path).ok();
     std::fs::remove_file(&trace_path).ok();
-}
-
-/// `OBS_DISABLE`-style runtime disabling turns recording into no-ops
-/// end to end.
-#[test]
-fn disabled_pipeline_records_nothing() {
-    let _guard = lock();
-    obs::set_enabled(false);
-    let p = load_figure1();
-    let pre = pta::pre_analysis(&p).unwrap();
-    let _ = build_heap_abstraction(&p, &pre, &MahjongConfig::default());
-    assert_eq!(counter("mahjong.objects"), 0);
-    assert_eq!(counter("pta.worklist_pops"), 0);
-    assert!(obs::registry().spans().is_empty());
-    obs::set_enabled(true);
 }

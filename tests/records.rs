@@ -1,4 +1,5 @@
-//! Schema check of the committed benchmark records.
+//! Schema check of the committed benchmark records, and a check that
+//! the writers build them from the runs' own stats.
 //!
 //! `BENCH_pta.json`, `BENCH_mahjong.json` and `BENCH_serve.json` at the
 //! repository root are written by `bench::cli::bench_pta_json`,
@@ -11,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use bench::cli::{bench_mahjong_json, bench_pta_json, RecordHeader};
+use bench::profile::{merge_counts, stat_counts, Runs};
 use bench::serve::{render_json, ServeHeader, ServeOpts, ServeReport, CLASSES};
 use obs::json::Value;
 
@@ -72,18 +74,85 @@ fn pta_record_matches_its_writer() {
     assert_same_shape(
         "BENCH_pta.json",
         &committed("BENCH_pta.json"),
-        &bench_pta_json(&header()),
+        &bench_pta_json(&header(), &Runs::default()),
     );
 }
 
 #[test]
 fn mahjong_record_matches_its_writer() {
-    let rendered = bench_mahjong_json(&header());
+    let rendered = bench_mahjong_json(&header(), &Runs::default());
     assert_same_shape(
         "BENCH_mahjong.json",
         &committed("BENCH_mahjong.json"),
         &rendered,
     );
+}
+
+/// The count fields of a rendered record: every top-level number but
+/// the header's.
+fn count_fields(rendered: &str) -> Vec<(String, u64)> {
+    let Value::Object(pairs) = obs::json::parse(rendered).expect("the writer renders valid JSON")
+    else {
+        panic!("a record is an object");
+    };
+    pairs
+        .into_iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "scale" | "budget_secs" | "threads" | "nproc"))
+        .filter_map(|(k, v)| v.as_u64().map(|n| (k, n)))
+        .collect()
+}
+
+/// The count of `name` among `counts`, by field name.
+fn count_of(counts: &[(&'static str, u64)], name: &str) -> u64 {
+    counts
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no stats field named `{name}`"))
+        .1
+}
+
+/// After one luindex@1 Table 2 pass, every count field of both records
+/// equals the sum of that field over the pass's solver runs (ci plus
+/// the ten cells) or over its one merge, and `pts_peak_words` equals
+/// the largest run's.
+#[test]
+fn records_sum_the_runs_own_stats() {
+    bench::profile::take();
+    let _ = bench::table2_program("luindex", 1, pta::Budget::seconds(120));
+    let runs = bench::profile::take();
+    assert_eq!(runs.rows.len(), 11);
+    assert_eq!(runs.merges.len(), 1);
+
+    let pta = count_fields(&bench_pta_json(&header(), &runs));
+    assert_eq!(pta.len(), 13, "{pta:?}");
+    for (name, value) in &pta {
+        let per_run: Vec<u64> = runs
+            .rows
+            .iter()
+            .map(|r| match name.as_str() {
+                "intern_probe_ns" => r.stats.intern_probe_ns,
+                _ => count_of(&stat_counts(&r.stats), name),
+            })
+            .collect();
+        let expected = match name.as_str() {
+            "pts_peak_words" => per_run.iter().copied().max().unwrap(),
+            _ => per_run.iter().sum(),
+        };
+        assert_eq!(*value, expected, "BENCH_pta.json `{name}`");
+    }
+    assert!(pta.iter().any(|(n, v)| n == "worklist_pops" && *v > 0), "{pta:?}");
+
+    let mahjong = count_fields(&bench_mahjong_json(&header(), &runs));
+    assert_eq!(mahjong.len(), 7, "{mahjong:?}");
+    for (name, value) in &mahjong {
+        let expected: u64 = runs
+            .merges
+            .iter()
+            .map(|m| count_of(&merge_counts(&m.stats), name))
+            .sum();
+        assert_eq!(*value, expected, "BENCH_mahjong.json `{name}`");
+    }
+    assert!(mahjong.iter().any(|(n, v)| n == "machine_states" && *v > 0), "{mahjong:?}");
 }
 
 #[test]

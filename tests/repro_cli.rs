@@ -148,6 +148,55 @@ fn profile_flag_writes_parseable_profile() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--metrics-json` writes spans and run rows as JSON-Lines: every
+/// line parses, there is one `row` line per `PROFILE_pta.json` row,
+/// keyed alike, and the dump holds nothing but phases, spans, rows and
+/// merges.
+#[test]
+fn metrics_json_dumps_one_row_per_profile_row() {
+    let dir = std::env::temp_dir().join(format!("repro_metrics_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.jsonl");
+    let profile = dir.join("PROFILE_pta.json");
+
+    let out = repro()
+        .args(["--exp", "fig9", "--scale", "1", "--metrics-json"])
+        .arg(&metrics)
+        .arg("--profile-json")
+        .arg(&profile)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&profile).expect("profile written");
+    let doc = obs::json::parse(&text).expect("profile parses");
+    let profile_keys: Vec<String> = doc
+        .get("rows")
+        .and_then(|r| r.as_array())
+        .expect("profile rows present")
+        .iter()
+        .map(|r| r.get("key").unwrap().as_str().unwrap().to_owned())
+        .collect();
+    assert_eq!(profile_keys, ["checkstyle.ci"]);
+
+    let dump = std::fs::read_to_string(&metrics).expect("metrics written");
+    let mut row_keys = Vec::new();
+    for line in dump.lines() {
+        let v = obs::json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+        let kind = v.get("type").and_then(|t| t.as_str()).expect("every line has a type");
+        assert!(
+            matches!(kind, "phase" | "span" | "row" | "mahjong"),
+            "unexpected `{kind}` line: {line}"
+        );
+        if kind == "row" {
+            row_keys.push(v.get("key").unwrap().as_str().unwrap().to_owned());
+        }
+    }
+    assert_eq!(row_keys, profile_keys);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The benchmark record honors `--bench-json`, refuses to clobber an
 /// existing file without `--force`, and overwrites with it. The
 /// refusal must happen *before* the experiment runs (exit is fast).
