@@ -43,7 +43,7 @@
 
 use dsu::DisjointSets;
 
-use crate::solver::{Consumer, PtrId};
+use crate::solver::{Consumer, PtrId, Row};
 use crate::util::FastSet;
 
 /// Label distance between consecutive fresh pointers and between
@@ -164,7 +164,7 @@ impl TopoOrder {
         &mut self,
         x: PtrId,
         y: PtrId,
-        cons: &[Vec<Consumer>],
+        cons: &[Row],
         dsu: &DisjointSets,
     ) -> Option<Vec<u32>> {
         let (lx, ly) = (self.label[x.index()], self.label[y.index()]);
@@ -245,7 +245,7 @@ impl TopoOrder {
     /// Advances the forward search by one copy edge of a consumer row,
     /// skipping (and not counting) the row's other consumers; `true`
     /// once the window below `ub` is exhausted.
-    fn step_forward(&mut self, cons: &[Vec<Consumer>], dsu: &DisjointSets, ub: u64) -> bool {
+    fn step_forward(&mut self, cons: &[Row], dsu: &DisjointSets, ub: u64) -> bool {
         let side = &mut self.fwd;
         while let Some(frame) = side.stack.last_mut() {
             let (v, k) = *frame;
@@ -318,7 +318,7 @@ impl TopoOrder {
         from: u32,
         window: &FastSet<u32>,
         forward_window: bool,
-        cons: &[Vec<Consumer>],
+        cons: &[Row],
         dsu: &DisjointSets,
     ) -> FastSet<u32> {
         let mut cycle: FastSet<u32> = FastSet::default();
@@ -340,7 +340,7 @@ impl TopoOrder {
                     link = next;
                 }
             } else {
-                for &entry in &cons[v as usize] {
+                for &entry in cons[v as usize].iter() {
                     let Consumer::Copy(to, filter) = entry else {
                         continue;
                     };
@@ -406,7 +406,7 @@ mod tests {
     /// each batch of edges, cycles collapsed through the same
     /// partition.
     struct Graph {
-        cons: Vec<Vec<Consumer>>,
+        cons: Vec<Row>,
         dsu: DisjointSets,
         order: TopoOrder,
         /// Every unfiltered edge as added (raw endpoints).
@@ -443,7 +443,7 @@ mod tests {
 
         fn node(&mut self) -> u32 {
             let p = self.cons.len() as u32;
-            let mut row = Vec::new();
+            let mut row = Row::default();
             if self.noise && p.is_multiple_of(3) {
                 row.push(Graph::load(p));
                 row.push(Consumer::Call(PendingCall {
@@ -497,7 +497,7 @@ mod tests {
             let r = self.dsu.find(members[0] as usize);
             let mut row = Vec::new();
             for &m in members {
-                row.append(&mut self.cons[m as usize]);
+                row.extend_from_slice(&std::mem::take(&mut self.cons[m as usize]));
             }
             for c in &mut row {
                 if let Consumer::Copy(to, _) = c {
@@ -505,7 +505,7 @@ mod tests {
                 }
             }
             row.retain(|&c| c != Consumer::Copy(PtrId(r as u32), None));
-            self.cons[r] = row;
+            self.cons[r] = Row::from(row);
             self.order.absorb(members, r);
         }
 

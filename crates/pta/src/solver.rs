@@ -10,7 +10,7 @@
 //!
 //! Points-to sets are [`pts::PtsSet`]s (hybrid sorted-vec / sparse chunks).
 //! The worklist holds dirty *pointers*, not `(pointer, objects)` pairs:
-//! each pointer carries one pending delta set into which all incoming
+//! each dirty pointer has one pending delta set into which all incoming
 //! news is coalesced until the pointer is popped. Popping forwards only
 //! that delta — never the full set — along copy edges: the edge's
 //! contribution is [`pts::PtsSet::difference`] against the target,
@@ -87,11 +87,16 @@
 //! # Plain rows, one seal
 //!
 //! Points-to rows and pending deltas are plain [`pts::PtsSet`]s owned
-//! by the solver; a new pointer pushes two empty sets and one empty
-//! consumer row, which allocate nothing. (Cast filters are *not* sets
-//! at all: under the hierarchy numbering each filter type's subtype
-//! cone compiles to a [`pts::IdRanges`] list of a few `[lo, hi)` runs
-//! — see [`crate::numbering`].) Context-sensitive runs end with
+//! by the solver. A new pointer pushes one empty set, a `u32`
+//! pending-delta slot and one empty consumer row, which allocate
+//! nothing; it pays only for what it uses. A pending delta lives in a
+//! slab entry only while the pointer is dirty, so the slab holds as
+//! many sets as are pending at once (at most 2,463 on pmd@4 2cs, for
+//! 217,171 pointers), and a consumer row keeps its first entry in
+//! place (103,810 of those rows hold one entry). (Cast filters are
+//! *not* sets at all: under the hierarchy numbering each filter type's
+//! subtype cone compiles to a [`pts::IdRanges`] list of a few `[lo,
+//! hi)` runs — see [`crate::numbering`].) Context-sensitive runs end with
 //! thousands of bit-identical rows (the same receiver objects under
 //! many calling contexts): on pmd@4 2cs the 217,171 rows hold
 //! 1,814,383 words when the fixpoint ends (a sparse set pays two words
@@ -338,9 +343,9 @@ pub(crate) struct PendingCall {
 }
 
 /// One observer of a pointer's points-to set, as stored in the
-/// pointer's consumer row. Every kind shares the one row, so a pointer
-/// costs one `Vec` however many kinds observe it, and an entry is 16
-/// bytes (the tag lives in a niche; a unit test pins the size).
+/// pointer's consumer row. Every kind shares the one [`Row`], so a
+/// pointer costs one row however many kinds observe it, and an entry
+/// is 16 bytes (the tag lives in a niche; a unit test pins the size).
 ///
 /// The derived order ranks kinds `Copy < Load < Store < Call`, so a
 /// sorted row holds its copy edges first, then the loads, stores and
@@ -359,6 +364,126 @@ pub(crate) enum Consumer {
     Store(FieldId, PtrId),
     /// A call dispatching on the row's pointer as receiver.
     Call(PendingCall),
+}
+
+/// A pointer's consumer row. Most rows never hold more than one
+/// entry, so the first entry is kept in place and the row moves to a
+/// `Vec` only when a second one arrives, keeping entry order. The
+/// inline variant fits beside the `Vec`'s pointer niche, so a row is
+/// the same 24 bytes as a bare `Vec<Consumer>` (a unit test pins the
+/// size). Read a row as a slice.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Row {
+    /// No entry, or one, stored in place.
+    Inline(Option<Consumer>),
+    /// Two or more entries.
+    Spilled(Vec<Consumer>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Inline(None)
+    }
+}
+
+impl Row {
+    /// Appends `c`, spilling to a `Vec` at the second entry.
+    pub(crate) fn push(&mut self, c: Consumer) {
+        match self {
+            Row::Inline(slot @ None) => *slot = Some(c),
+            Row::Inline(Some(first)) => {
+                // The capacity a `Vec` of 16-byte entries takes on its
+                // first push, so a spilled row grows as a plain one did.
+                let mut entries = Vec::with_capacity(4);
+                entries.extend([*first, c]);
+                *self = Row::Spilled(entries);
+            }
+            Row::Spilled(entries) => entries.push(c),
+        }
+    }
+}
+
+/// A row of at most one entry goes back in place, freeing the `Vec`.
+impl From<Vec<Consumer>> for Row {
+    fn from(mut entries: Vec<Consumer>) -> Self {
+        if entries.len() <= 1 {
+            Row::Inline(entries.pop())
+        } else {
+            Row::Spilled(entries)
+        }
+    }
+}
+
+impl std::ops::Deref for Row {
+    type Target = [Consumer];
+
+    fn deref(&self) -> &[Consumer] {
+        match self {
+            Row::Inline(entry) => entry.as_slice(),
+            Row::Spilled(entries) => entries,
+        }
+    }
+}
+
+/// Pending (coalesced) deltas, stored only while pending: a pointer
+/// holds a `u32` slot, 0 when nothing is pending and otherwise one past
+/// its delta's index in a slab. A drained delta's slab entry is reused,
+/// so the slab holds as many sets as were ever pending at once, not one
+/// per pointer. A pending delta is never empty.
+#[derive(Default)]
+struct PendingDeltas {
+    slot: Vec<u32>,
+    slab: Vec<PtsSet<ObjId>>,
+    /// Slab indices of drained (empty) entries.
+    free: Vec<u32>,
+}
+
+impl PendingDeltas {
+    /// Adds a pointer with nothing pending.
+    fn push(&mut self) {
+        self.slot.push(0);
+    }
+
+    fn is_pending(&self, i: usize) -> bool {
+        self.slot[i] != 0
+    }
+
+    /// The pointer's pending delta, if any.
+    fn get_mut(&mut self, i: usize) -> Option<&mut PtsSet<ObjId>> {
+        match self.slot[i] {
+            0 => None,
+            s => Some(&mut self.slab[s as usize - 1]),
+        }
+    }
+
+    /// Makes the non-empty `delta` the pending delta of a pointer that
+    /// has none.
+    fn insert(&mut self, i: usize, delta: PtsSet<ObjId>) {
+        debug_assert!(self.slot[i] == 0 && !delta.is_empty());
+        let k = match self.free.pop() {
+            Some(k) => {
+                self.slab[k as usize] = delta;
+                k
+            }
+            None => {
+                self.slab.push(delta);
+                u32::try_from(self.slab.len() - 1).expect("too many pending deltas")
+            }
+        };
+        self.slot[i] = k + 1;
+    }
+
+    /// Drains the pointer's pending delta (empty if none), freeing its
+    /// slab entry.
+    fn take(&mut self, i: usize) -> PtsSet<ObjId> {
+        match std::mem::take(&mut self.slot[i]) {
+            0 => PtsSet::new(),
+            s => {
+                self.free.push(s - 1);
+                std::mem::take(&mut self.slab[s as usize - 1])
+            }
+        }
+    }
 }
 
 /// Consumer-row length at which `add_edge` membership switches from a
@@ -385,14 +510,14 @@ struct Solver<'a, S, H> {
     ptr_map: FastMap<PtrKey, PtrId>,
     ptr_keys: Vec<PtrKey>,
     pts: Vec<PtsSet<ObjId>>,
-    /// Pending (coalesced) delta per pointer; non-empty only on
-    /// representatives, and only while the pointer awaits processing.
-    pending: Vec<PtsSet<ObjId>>,
+    /// Pending (coalesced) deltas: a slot per pointer, a set only while
+    /// the pointer awaits processing, and only on representatives.
+    pending: PendingDeltas,
     /// Everything that observes a pointer's points-to set — copy
-    /// edges, loads, stores and calls — in one row per pointer, in
-    /// arrival order until a cycle collapse sorts it. Rows live on
-    /// representatives.
-    cons: Vec<Vec<Consumer>>,
+    /// edges, loads, stores and calls — in one [`Row`] per pointer, in
+    /// arrival order until a cycle collapse sorts it. A row of one
+    /// entry holds it in place. Rows live on representatives.
+    cons: Vec<Row>,
     /// Exact membership mirror of the copy edges of consumer rows of at
     /// least [`EDGE_SET_MIN`] entries, keyed by pointer. `add_edge` is
     /// called once per (edge site, replayed object); on hub rows the
@@ -478,7 +603,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             ptr_map: FastMap::default(),
             ptr_keys: Vec::new(),
             pts: Vec::new(),
-            pending: Vec::new(),
+            pending: PendingDeltas::default(),
             cons: Vec::new(),
             hub_edges: FastMap::default(),
             ranges: FastMap::default(),
@@ -549,7 +674,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         // are dead past the fixpoint; free them before the rows are
         // sealed.
         self.order = TopoOrder::default();
-        self.pending = Vec::new();
+        self.pending = PendingDeltas::default();
         self.cons = Vec::new();
         self.hub_edges = FastMap::default();
         let mut interner = SetInterner::new();
@@ -700,7 +825,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             // pending delta; skip it without counting a pop. An entry
             // whose label moved since it was queued goes back under
             // its current label.
-            if self.pending[ptr.index()].is_empty() {
+            if !self.pending.is_pending(ptr.index()) {
                 continue;
             }
             let label = self.label(ptr);
@@ -717,7 +842,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 }
             }
 
-            let delta = self.take_pending(ptr);
+            let delta = self.pending.take(ptr.index());
             self.stats.worklist_pops += 1;
             self.process(ptr, &delta);
             self.drain_methods();
@@ -744,7 +869,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         for &m in members {
             let mi = m as usize;
             let pts_m = std::mem::take(&mut self.pts[mi]);
-            let pend_m = self.take_pending(PtrId(m));
+            let pend_m = self.pending.take(mi);
             pend.union_with(&pend_m);
             merged.union_with(&pts_m);
             olds.push((pts_m, self.has_consumers(mi)));
@@ -763,7 +888,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
 
         let mut row: Vec<Consumer> = Vec::new();
         for &m in members {
-            row.extend(std::mem::take(&mut self.cons[m as usize]));
+            row.extend_from_slice(&std::mem::take(&mut self.cons[m as usize]));
             self.hub_edges.remove(&m);
         }
         // Normalize the merged copy edges; intra-SCC unfiltered edges
@@ -779,7 +904,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         row.retain(|&c| c != self_loop);
         row.sort_unstable();
         row.dedup();
-        self.cons[r] = row;
+        self.cons[r] = Row::from(row);
         self.rebuild_hub_edges(r);
         self.order.absorb(members, r);
 
@@ -811,8 +936,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.ptr_map.insert(key, p);
         self.ptr_keys.push(key);
         self.pts.push(PtsSet::new());
-        self.pending.push(PtsSet::new());
-        self.cons.push(Vec::new());
+        self.pending.push();
+        self.cons.push(Row::default());
         self.dsu.push();
         self.order.push();
         p
@@ -882,19 +1007,13 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             return;
         }
         let i = ptr.index();
-        if self.pending[i].is_empty() {
-            // Adopt the delta wholesale instead of copying into the
-            // empty slot.
-            self.pending[i] = delta;
-            self.worklist.push_back(ptr);
+        if let Some(pending) = self.pending.get_mut(i) {
+            pending.union_with(&delta);
         } else {
-            self.pending[i].union_with(&delta);
+            // Adopt the delta wholesale instead of copying it.
+            self.pending.insert(i, delta);
+            self.worklist.push_back(ptr);
         }
-    }
-
-    /// Drains the pointer's pending delta, leaving an empty set behind.
-    fn take_pending(&mut self, ptr: PtrId) -> PtsSet<ObjId> {
-        std::mem::take(&mut self.pending[ptr.index()])
     }
 
     /// Seeds `objs`, strictly ascending, into `pts(ptr)`, enqueueing
@@ -1384,6 +1503,50 @@ mod tests {
         // Every kind shares one row; the tag must stay in a niche, or
         // each entry of every row would grow by a third.
         assert_eq!(std::mem::size_of::<Consumer>(), 16);
+    }
+
+    #[test]
+    fn a_consumer_row_is_24_bytes() {
+        // One entry sits in place without costing the row a byte over
+        // the `Vec` it replaced.
+        assert_eq!(
+            std::mem::size_of::<Row>(),
+            std::mem::size_of::<Vec<Consumer>>()
+        );
+    }
+
+    /// A row holds its first entry in place, spills at the second with
+    /// the order kept, and goes back in place when a cycle collapse
+    /// leaves it one entry.
+    #[test]
+    fn a_row_spills_at_its_second_entry_and_collapses_back_in_place() {
+        let program = jir::parse("class A { entry static method main() { return; } }")
+            .expect("the empty program parses");
+        let mut solver = Solver::new(
+            &program,
+            &ContextInsensitive,
+            &AllocSiteAbstraction,
+            Budget::default(),
+            Numbering::default(),
+        );
+        let [a, b, c] = [0, 1, 2].map(|f| solver.ptr(PtrKey::Static(FieldId::from_usize(f))));
+        let copy = |to| Consumer::Copy(to, None);
+
+        solver.add_edge(a, c, None);
+        assert_eq!(solver.cons[a.index()], Row::Inline(Some(copy(c))));
+        solver.add_edge(a, b, None);
+        assert!(matches!(solver.cons[a.index()], Row::Spilled(_)));
+        assert_eq!(*solver.cons[a.index()], [copy(c), copy(b)]);
+
+        // `b → a` closes the cycle {a, b}; the merged row drops the
+        // self-loop and keeps only `→ c`.
+        solver.add_edge(b, a, None);
+        solver.repair_order();
+        let r = solver.rep(a);
+        assert_eq!(solver.rep(b), r);
+        assert_eq!(solver.stats.scc_collapsed_ptrs, 1);
+        assert_eq!(solver.cons[r.index()], Row::Inline(Some(copy(c))));
+        assert_eq!(Row::from(Vec::new()), Row::default());
     }
 
     /// One pointer with 60 distinct copy targets, each edge stated
